@@ -21,6 +21,7 @@
 #include "dsm/diff.hpp"
 #include "dsm/msg.hpp"
 #include "dsm/system.hpp"
+#include "sim/cluster.hpp"
 #include "sim/simulator.hpp"
 #include "util/rng.hpp"
 
@@ -136,7 +137,7 @@ PrimitiveResult envelope_pack_unpack_throughput() {
   constexpr int kSegmentsPerFlush = 6;
   std::int64_t sink_bytes = 0;
   std::int64_t seg_count[kNumSegmentKinds] = {};
-  Channel ch(/*self=*/0, PiggybackMode::kRelease,
+  Channel ch(/*self=*/0, PiggybackMode::kOn,
              [&](Uid /*to*/, Envelope env) {
                // "Unpack": the receive-side walk — per-segment kind
                // dispatch plus the wire accounting send_envelope performs.
@@ -373,6 +374,43 @@ PrimitiveResult sim_event_loop_throughput() {
   return out;
 }
 
+/// Fiber context switches: one simulated process sleeping one tick at a
+/// time, so every op is a park into the event loop and a resume out of it
+/// (the handoff every blocking protocol wait pays).
+PrimitiveResult fiber_switch_throughput() {
+  PrimitiveResult out;
+  constexpr std::int64_t kSwitches = 20000;
+  sim::Simulator sim;
+  sim.spawn("sleeper", [&] {
+    for (std::int64_t i = 0; i < kSwitches; ++i) sim.sleep_for(1);
+  });
+  const auto t0 = Clock::now();
+  sim.run();
+  out.seconds = seconds_since(t0);
+  out.ops = kSwitches;
+  return out;
+}
+
+/// Modelled network sends: page-sized messages between 8 hosts, each
+/// scheduled through the link model and delivered by the event loop.
+PrimitiveResult network_send_throughput() {
+  PrimitiveResult out;
+  constexpr int kHosts = 8;
+  constexpr int kSends = 1 << 16;
+  sim::Cluster cluster({}, kHosts);
+  util::StatsRegistry stats;
+  sim::Network net(cluster.sim(), cluster.cost(), stats, kHosts);
+  std::int64_t delivered = 0;
+  const auto t0 = Clock::now();
+  for (int i = 0; i < kSends; ++i) {
+    net.send(i % kHosts, (i + 3) % kHosts, 4096, [&delivered] { ++delivered; });
+  }
+  cluster.sim().run();
+  out.seconds = seconds_since(t0);
+  out.ops = delivered;
+  return out;
+}
+
 /// Barrier-round throughput: 4 processes spinning on barriers (arrival,
 /// interval logging, release broadcast).
 PrimitiveResult barrier_round_throughput() {
@@ -396,7 +434,8 @@ PrimitiveResult barrier_round_throughput() {
 }
 
 /// Barrier rounds through the hierarchical control plane (DESIGN.md §12):
-/// the same spin workload at larger teams, flat vs combining tree, so the
+/// the same spin workload at larger teams, flat (unbounded fanout) vs
+/// combining tree, so the
 /// baseline tracks both the host cost of the tree machinery and the
 /// master-inbound relief it buys.
 struct TreeBarrierResult {
@@ -405,16 +444,13 @@ struct TreeBarrierResult {
   double master_in_per_barrier = 0.0;
 };
 
-TreeBarrierResult barrier_round_tree_throughput(int nprocs,
-                                                dsm::TopologyKind topo,
-                                                int fanout) {
+TreeBarrierResult barrier_round_tree_throughput(int nprocs, int fanout) {
   using namespace dsm;
   TreeBarrierResult out;
   const auto t0 = Clock::now();
   sim::Cluster cluster({}, nprocs);
   DsmConfig cfg;
   cfg.heap_bytes = 1 << 20;
-  cfg.topology = topo;
   cfg.fanout = fanout;
   DsmSystem sys(cluster, cfg);
   // Fewer rounds at the big team: the point is per-barrier shape, not
@@ -456,34 +492,35 @@ std::map<std::string, double> run_primitives_and_write_json() {
   const auto [diff_make, diff_apply] = diff_throughput();
   const auto envelope = envelope_pack_unpack_throughput();
   const auto sim_loop = sim_event_loop_throughput();
+  const auto fiber_switch = fiber_switch_throughput();
+  const auto network_send = network_send_throughput();
   const auto page_fetch = page_fetch_throughput();
   const auto page_fault = page_fault_service_throughput();
   const auto barrier = barrier_round_throughput();
-  // Control-plane sweep: flat vs combining tree at fanout 4 and 8, small
-  // and large teams (at 8 procs fanout 8 the tree degenerates to flat —
-  // the byte-identity guard rides the regression gate for free).
+  // Control-plane sweep: flat (unbounded fanout) vs combining tree at
+  // fanout 4 and 8, small and large teams (at 8 procs fanout 8 the tree
+  // covers the team and is flat — the byte-identity guard rides the
+  // regression gate for free).
   struct TreeSweepPoint {
     int nprocs;
-    dsm::TopologyKind topo;
     int fanout;
     std::string name;
     TreeBarrierResult result;
   };
   std::vector<TreeSweepPoint> tree_sweep;
   for (const int n : {8, 64}) {
-    tree_sweep.push_back({n, dsm::TopologyKind::kFlat, 4,
+    tree_sweep.push_back({n, dsm::kUnboundedFanout,
                           "barrier_round_n" + std::to_string(n) + "_flat",
                           {}});
     for (const int k : {4, 8}) {
-      tree_sweep.push_back({n, dsm::TopologyKind::kTree, k,
+      tree_sweep.push_back({n, k,
                             "barrier_round_n" + std::to_string(n) +
                                 "_tree" + std::to_string(k),
                             {}});
     }
   }
   for (auto& point : tree_sweep) {
-    point.result =
-        barrier_round_tree_throughput(point.nprocs, point.topo, point.fanout);
+    point.result = barrier_round_tree_throughput(point.nprocs, point.fanout);
   }
   const auto migration = home_migration_round();
   // Owner-directory shard sweep: the same first-touch fan-out against the
@@ -503,13 +540,15 @@ std::map<std::string, double> run_primitives_and_write_json() {
   add("diff apply", diff_apply);
   add("envelope pack/unpack", envelope);
   add("sim event loop", sim_loop);
+  add("fiber switch", fiber_switch);
+  add("network send", network_send);
   add("page fetch", page_fetch);
   add("page fault service", page_fault);
   add("barrier round", barrier);
   for (const auto& point : tree_sweep) {
     std::ostringstream label;
     label << "barrier round (n=" << point.nprocs << ", "
-          << (point.topo == dsm::TopologyKind::kFlat
+          << (point.fanout == dsm::kUnboundedFanout
                   ? std::string("flat")
                   : "tree k=" + std::to_string(point.fanout))
           << ", " << std::fixed << std::setprecision(1)
@@ -561,6 +600,8 @@ std::map<std::string, double> run_primitives_and_write_json() {
   emit("diff_apply", diff_apply);
   emit("envelope_pack_unpack", envelope);
   emit("sim_event_loop", sim_loop);
+  emit("fiber_switch", fiber_switch);
+  emit("network_send", network_send);
   emit("page_fetch", page_fetch);
   emit("page_fault_service", page_fault);
   emit("barrier_round", barrier);
@@ -710,7 +751,9 @@ int main(int argc, char** argv) {
   opts.allow_only({"size", "full", "app", "primitives-only", "engine",
                    "check-primitives", "tolerance"});
   const apps::Size size = bench::size_from_options(opts);
-  const dsm::EngineKind engine = bench::engine_from_options(opts);
+  dsm::Knobs knobs;
+  dsm::read_knobs(opts, knobs);
+  const dsm::EngineKind engine = knobs.engine;
   const std::string app = opts.get_string("app", "jacobi");
   const bool check = opts.get_bool("check-primitives", false);
   // Host throughput is noisy across machines and CI runners; the gate only

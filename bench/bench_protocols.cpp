@@ -2,14 +2,14 @@
 // plus the shifting-hotspot placement workload, under both consistency
 // engines — TreadMarks-style lazy release consistency
 // (diff archives, on-demand diff fetch) vs home-based LRC (eager flush to a
-// per-page home, full-page fetch on fault) — and, per engine, under the
-// envelope piggyback modes (off = flat one-segment-per-envelope baseline,
-// release = coalescing at release points, aggressive = + batched fault-side
-// fetches and coalesced replies; DESIGN.md §7) and the owner-directory
-// shard counts (--dir-shards, DESIGN.md §8: 1 = the master-held directory,
-// N = page ranges spread across the first N processes).
+// per-page home, full-page fetch on fault) — and, per engine, with envelope
+// piggybacking off (the flat one-segment-per-envelope baseline) and on
+// (coalescing at release points plus batched fault-side fetches;
+// DESIGN.md §7) and the owner-directory shard counts (--dir-shards,
+// DESIGN.md §8: 1 = the master-held directory, N = page ranges spread
+// across the first N processes).
 //
-// Results go to stdout and to BENCH_protocols.json (schema 8): per
+// Results go to stdout and to BENCH_protocols.json (schema 9): per
 // (engine, dir-shards, piggyback) virtual runtime, host wall-clock
 // (`wall_seconds` — the simulator's own cost, the raw-speed trajectory
 // the hot-path passes optimize), message/envelope count,
@@ -21,24 +21,24 @@
 // timeline (`epochs`, capped at 32 entries plus `epochs_total`: per-process
 // stall, message/byte deltas, placement moves), and the batched-vs-unbatched
 // delta — plus, per (engine, dir-shards), one `--placement adaptive` leg
-// (release mode) with the dsm.placement.{home_moves,shard_moves} counters
+// (piggyback on) with the dsm.placement.{home_moves,shard_moves} counters
 // (DESIGN.md §9), and, at the first shard count, a traced-vs-untraced pair
-// of release-mode legs (`trace_check`: the untraced rerun must carry zero
+// of piggyback-on legs (`trace_check`: the untraced rerun must carry zero
 // obs.* stats and identical counters, the fully-traced rerun writes
 // `--trace` (default BENCH_trace.json) and reports `trace_overhead_pct`
-// host wall-clock overhead), and a `race_check` rerun of the release leg
+// host wall-clock overhead), and a `race_check` rerun of the on leg
 // under --race-check word (`race_check`: must be byte-identical, report
 // zero races on these DRF workloads, and carry `race_overhead_pct` — the
 // detector's host wall-clock cost; DESIGN.md §13).  A leg that crashes
 // mid-run is recorded as {"failed": true, "error": ...} and the sweep
 // continues — the JSON is always written with a trailing `summary`
 // ({ok, violations, crashed_legs}), and any crashed leg makes the exit
-// code non-zero even outside --check-batching.  A final `scaling` section sweeps --scale-nodes team sizes
-// (default 8,64,256 at Size::kTest, hotspot + jacobi) flat vs tree at
-// fanout 8 (DESIGN.md §12), reporting master-inbound control messages per
-// barrier and the flat/tree drop factor; every main leg also runs under
-// --topology/--fanout (default flat) and reports its
-// dsm.ctrl.master_{inbound,outbound} counters.
+// code non-zero even outside --check-batching.  A final `scaling` section
+// sweeps --scale-nodes team sizes (default 8,64,256 at Size::kTest,
+// hotspot + jacobi) at unbounded fanout (flat) vs fanout 8 (DESIGN.md §12),
+// reporting master-inbound control messages per barrier and the drop
+// factor; every main leg runs under --fanout (default unbounded) and
+// reports its dsm.ctrl.master_{inbound,outbound} counters.
 //
 // --check-batching turns the acceptance properties into an exit code: for
 // every workload, engine, and shard count, batching must never increase the
@@ -51,12 +51,11 @@
 // reduce consistency traffic (messages or bytes) below the static one;
 // every attributed leg's time buckets must conserve its runtime exactly;
 // tracing must be free — the untraced and traced reruns must match the
-// release leg's virtual time, messages, bytes, and checksum; and the
+// on leg's virtual time, messages, bytes, and checksum; and the
 // scaling sweep's tree legs must match the flat checksums and barrier
 // counts, strictly cut master inbound/barrier at >= 64 nodes, and cut it
 // >= 10x at 256 nodes.
 #include <chrono>
-#include <cstdlib>
 #include <exception>
 #include <iostream>
 #include <string>
@@ -99,22 +98,24 @@ int main(int argc, char** argv) {
   using namespace anow;
   util::Options opts(argc, argv);
   opts.allow_only({"size", "full", "nodes", "apps", "dir-shards",
-                   "check-batching", "trace", "topology", "fanout",
-                   "scale-nodes", "race-check"});
+                   "check-batching", "trace", "fanout", "scale-nodes",
+                   "race-check"});
   const apps::Size size = bench::size_from_options(opts);
   const int nodes = static_cast<int>(opts.get_int("nodes", 8));
   const bool check_batching = opts.get_bool("check-batching", false);
   const std::string trace_path =
       opts.get_string("trace", "BENCH_trace.json");
-  // Control-plane topology of the main ablation legs (DESIGN.md §12); the
-  // scaling sweep below runs flat vs tree explicitly regardless.
-  const dsm::TopologyKind topology = bench::topology_from_options(opts);
-  const int fanout = bench::fanout_from_options(opts);
-  // --race-check {off,page,word}: run every main leg under the LRC race
-  // detector (DESIGN.md §13).  Any reported race fails the leg; the
-  // dedicated race_check rerun below certifies DRF-ness regardless.
-  const dsm::RaceCheckMode race_check_opt =
-      bench::race_check_from_options(opts);
+  // --fanout: the control plane of the main ablation legs (DESIGN.md §12);
+  // the scaling sweep below runs flat vs tree explicitly regardless.
+  // --race-check word: run every main leg under the LRC race detector
+  // (DESIGN.md §13).  Any reported race fails the leg; the dedicated
+  // race_check rerun below certifies DRF-ness regardless.  Only these two
+  // are read as knobs: --dir-shards is a sweep list and --trace an output
+  // path here.
+  dsm::Knobs knobs;
+  dsm::read_knobs(opts, knobs, {"fanout", "race-check"});
+  const int fanout = knobs.fanout;
+  const dsm::RaceCheckMode race_check_opt = knobs.race_check;
   // --scale-nodes: team sizes for the control-plane scaling sweep (flat vs
   // tree at fanout 8, Size::kTest, hotspot + jacobi).  "none" skips it.
   const std::string scale_nodes_list =
@@ -129,7 +130,7 @@ int main(int argc, char** argv) {
   // Directory shard sweep; the 1 leg is the unsharded baseline.
   std::vector<int> shard_counts;
   for (const auto& tok : split_list(opts.get_string("dir-shards", "1,4"))) {
-    shard_counts.push_back(std::atoi(tok.c_str()));
+    shard_counts.push_back(util::parse_int<int>(tok, "option --dir-shards"));
   }
 
   bench::print_header(
@@ -139,15 +140,14 @@ int main(int argc, char** argv) {
           " nodes.  Fill = segments per envelope; saved = messages below "
           "the piggyback-off baseline of the same engine and shard count; "
           "MasterLkp = owner-lookup segments (page requests + directory "
-          "rounds) inbound at the master.  The adaptive rows rerun the "
-          "release mode with --placement adaptive (home migration + shard "
+          "rounds) inbound at the master.  The adaptive rows rerun "
+          "piggyback on with --placement adaptive (home migration + shard "
           "rebalancing, DESIGN.md §9).");
 
   const dsm::EngineKind engines[] = {dsm::EngineKind::kLrc,
                                      dsm::EngineKind::kHomeLrc};
   const dsm::PiggybackMode modes[] = {dsm::PiggybackMode::kOff,
-                                      dsm::PiggybackMode::kRelease,
-                                      dsm::PiggybackMode::kAggressive};
+                                      dsm::PiggybackMode::kOn};
 
   util::Table t({"App (size)", "Engine", "Shards", "Piggyback", "Time(s)",
                  "Messages", "Saved", "Fill", "MB", "MasterLkp", "ShardLkp",
@@ -156,11 +156,10 @@ int main(int argc, char** argv) {
   util::JsonWriter json;
   json.begin_object();
   json.field("bench", "protocols");
-  json.field("schema_version", 8);
+  json.field("schema_version", 9);
   json.field("size", apps::size_name(size));
   json.field("nodes", nodes);
-  json.field("topology", dsm::topology_kind_name(topology));
-  json.field("fanout", fanout);
+  json.field("fanout", dsm::fanout_name(fanout));
   json.begin_object("workloads");
 
   bool ok = true;
@@ -184,20 +183,20 @@ int main(int argc, char** argv) {
     double app_checksum = 0.0;
     bool have_checksum = false;
     // jacobi acceptance: master-inbound lookups at shard count 1 vs max
-    // (per engine, release mode).
+    // (per engine, piggyback on).
     for (const dsm::EngineKind engine : engines) {
-      json.begin_object(dsm::engine_kind_name(engine));
-      // Release-mode results per shard count: the smallest count is the
+      json.begin_object(dsm::enum_name(engine));
+      // Piggyback-on results per shard count: the smallest count is the
       // lookup baseline, the largest the most-sharded layout (the sweep
       // order on the command line does not matter).
-      std::vector<std::pair<int, ModeResult>> release_by_shards;
+      std::vector<std::pair<int, ModeResult>> on_by_shards;
       for (const int shards : shard_counts) {
         json.begin_object("shards" + std::to_string(shards));
         ModeResult base;  // the kOff run of this (engine, shards)
-        ModeResult release;
-        // One leg = one run; `leg_name` keys the JSON object ("off",
-        // "release", "aggressive" for the static piggyback sweep,
-        // "adaptive" for the placement rerun of release mode).
+        ModeResult on;    // the kOn run
+        // One leg = one run; `leg_name` keys the JSON object ("off", "on"
+        // for the static piggyback sweep, "adaptive" for the placement
+        // rerun of piggyback on).
         auto run_leg = [&](const char* leg_name, dsm::PiggybackMode mode,
                            dsm::PlacementMode placement,
                            bool attribution = true,
@@ -211,7 +210,6 @@ int main(int argc, char** argv) {
           cfg.piggyback = mode;
           cfg.dir_shards = shards;
           cfg.placement = placement;
-          cfg.topology = topology;
           cfg.fanout = fanout;
           cfg.adaptive = false;
           // Explicit per-leg tracing config (never the ambient ANOW_TRACE:
@@ -231,7 +229,7 @@ int main(int argc, char** argv) {
                                std::chrono::steady_clock::now() - wall0)
                                .count();
           const std::string leg = app + "/" +
-                                  dsm::engine_kind_name(engine) + "/shards" +
+                                  dsm::enum_name(engine) + "/shards" +
                                   std::to_string(shards) + "/" + leg_name;
           json.begin_object(leg_name);
           if (!r.ok) {
@@ -243,7 +241,7 @@ int main(int argc, char** argv) {
             fail(leg + " crashed: " + r.error);
             ++crashed_legs;
             auto& row = t.row();
-            row.add(app).add(dsm::engine_kind_name(engine)).add(shards);
+            row.add(app).add(dsm::enum_name(engine)).add(shards);
             row.add(leg_name).add("FAILED");
             return r;
           }
@@ -268,7 +266,7 @@ int main(int argc, char** argv) {
                                  : 0.0;
           auto& row = t.row();
           row.add(r.run.app + " (" + r.run.size_desc + ")");
-          row.add(dsm::engine_kind_name(engine));
+          row.add(dsm::enum_name(engine));
           row.add(shards);
           row.add(leg_name);
           row.add(r.run.seconds, 2);
@@ -379,90 +377,89 @@ int main(int argc, char** argv) {
             if (races != 0) {
               fail(leg + " reported " + std::to_string(races) +
                    " data race(s) on a DRF workload (--race-check " +
-                   dsm::race_check_mode_name(race) + ")");
+                   dsm::enum_name(race) + ")");
             }
           }
           return r;
         };
         for (const dsm::PiggybackMode mode : modes) {
-          ModeResult r = run_leg(dsm::piggyback_mode_name(mode), mode,
+          ModeResult r = run_leg(dsm::enum_name(mode), mode,
                                  dsm::PlacementMode::kStatic,
                                  /*attribution=*/true, std::string(),
                                  race_check_opt);
           if (!r.ok) continue;
           if (mode == dsm::PiggybackMode::kOff) base = r;
-          if (mode == dsm::PiggybackMode::kRelease) release = r;
+          if (mode == dsm::PiggybackMode::kOn) on = r;
           if (mode != dsm::PiggybackMode::kOff && base.ok &&
               r.run.messages > base.run.messages) {
-            fail(app + "/" + std::string(dsm::engine_kind_name(engine)) +
+            fail(app + "/" + std::string(dsm::enum_name(engine)) +
                  "/shards" + std::to_string(shards) + "/" +
-                 dsm::piggyback_mode_name(mode) + " sent " +
+                 dsm::enum_name(mode) + " sent " +
                  std::to_string(r.run.messages) + " messages vs " +
                  std::to_string(base.run.messages) + " with piggyback off");
           }
         }
-        // The adaptive placement leg reruns release mode with the policy
+        // The adaptive placement leg reruns piggyback on with the policy
         // live (DESIGN.md §9).
         const ModeResult adaptive =
-            run_leg("adaptive", dsm::PiggybackMode::kRelease,
+            run_leg("adaptive", dsm::PiggybackMode::kOn,
                     dsm::PlacementMode::kAdaptive,
                     /*attribution=*/true, std::string(), race_check_opt);
-        if (adaptive.ok && release.ok) {
+        if (adaptive.ok && on.ok) {
           const std::string leg =
-              app + "/" + dsm::engine_kind_name(engine) + "/shards" +
+              app + "/" + dsm::enum_name(engine) + "/shards" +
               std::to_string(shards) + "/adaptive";
           if (app == "hotspot") {
             // The shifting-hotspot acceptance property: the home engine
             // must convert its placement moves into a consistency-traffic
             // win (messages or bytes) over the static layout.
             if (engine == dsm::EngineKind::kHomeLrc &&
-                !(adaptive.run.messages < release.run.messages ||
-                  adaptive.consistency_bytes < release.consistency_bytes)) {
+                !(adaptive.run.messages < on.run.messages ||
+                  adaptive.consistency_bytes < on.consistency_bytes)) {
               fail(leg + " did not reduce consistency traffic: " +
                    std::to_string(adaptive.run.messages) + " msgs / " +
                    std::to_string(adaptive.consistency_bytes) +
                    " consistency bytes vs static " +
-                   std::to_string(release.run.messages) + " / " +
-                   std::to_string(release.consistency_bytes));
+                   std::to_string(on.run.messages) + " / " +
+                   std::to_string(on.consistency_bytes));
             }
-          } else if (adaptive.run.messages > release.run.messages) {
+          } else if (adaptive.run.messages > on.run.messages) {
             // Steady-state workloads: adaptive placement must never raise
             // the message count (the policy should decide nothing).
             fail(leg + " raised the steady-state message count: " +
                  std::to_string(adaptive.run.messages) + " vs " +
-                 std::to_string(release.run.messages) + " static");
+                 std::to_string(on.run.messages) + " static");
           }
         }
-        // The batched-vs-unbatched headline delta (release over off).
-        if (base.ok && release.ok) {
+        // The batched-vs-unbatched headline delta (on over off).
+        if (base.ok && on.ok) {
           json.begin_object("batching_delta");
           json.field("messages_off", base.run.messages);
-          json.field("messages_release", release.run.messages);
-          json.field("messages_saved",
-                     base.run.messages - release.run.messages);
+          json.field("messages_on", on.run.messages);
+          json.field("messages_saved", base.run.messages - on.run.messages);
           json.field("saved_pct",
                      base.run.messages > 0
                          ? 100.0 *
                                static_cast<double>(base.run.messages -
-                                                   release.run.messages) /
+                                                   on.run.messages) /
                                static_cast<double>(base.run.messages)
                          : 0.0);
           json.end_object();
         }
         // Tracing-freeness acceptance (DESIGN.md §11), at the first shard
-        // count only: rerun release mode once with no recorder at all and
+        // count only: rerun piggyback on once with no recorder at all and
         // once fully traced (event rings + Chrome JSON export).  Both must
-        // be event-for-event identical to the attributed release leg, and
+        // be event-for-event identical to the attributed on leg, and
         // the wall-clock delta is the recorder's host-side overhead.
         if (shards == shard_counts.front()) {
           const std::string leg = app + "/" +
-                                  dsm::engine_kind_name(engine) + "/shards" +
+                                  dsm::enum_name(engine) + "/shards" +
                                   std::to_string(shards);
           const ModeResult untraced =
-              run_leg("untraced", dsm::PiggybackMode::kRelease,
+              run_leg("untraced", dsm::PiggybackMode::kOn,
                       dsm::PlacementMode::kStatic, /*attribution=*/false);
           const ModeResult traced =
-              run_leg("traced", dsm::PiggybackMode::kRelease,
+              run_leg("traced", dsm::PiggybackMode::kOn,
                       dsm::PlacementMode::kStatic, /*attribution=*/true,
                       trace_path);
           if (untraced.ok) {
@@ -480,13 +477,13 @@ int main(int argc, char** argv) {
             }
           }
           auto identical = [&](const ModeResult& r, const char* which) {
-            if (!r.ok || !release.ok) return;
-            if (r.run.seconds != release.run.seconds ||
-                r.run.messages != release.run.messages ||
-                r.run.bytes != release.run.bytes ||
-                r.run.checksum != release.run.checksum) {
+            if (!r.ok || !on.ok) return;
+            if (r.run.seconds != on.run.seconds ||
+                r.run.messages != on.run.messages ||
+                r.run.bytes != on.run.bytes ||
+                r.run.checksum != on.run.checksum) {
               fail(leg + "/" + which +
-                   " diverged from the release leg (time/messages/bytes/"
+                   " diverged from the on leg (time/messages/bytes/"
                    "checksum) — tracing must not perturb the run");
             }
           };
@@ -504,19 +501,18 @@ int main(int argc, char** argv) {
             json.end_object();
           }
           // Race-detector freeness + DRF certification (DESIGN.md §13):
-          // rerun release mode under --race-check word.  The detector is a
+          // rerun piggyback on under --race-check word.  The detector is a
           // pure observer, so the run must be byte-identical to the
-          // release leg, and the workloads are DRF, so run_leg's race gate
+          // on leg, and the workloads are DRF, so run_leg's race gate
           // above must see zero reports.  The wall-clock delta against the
           // untraced rerun is the detector's host-side overhead.
           const ModeResult racecheck =
-              run_leg("racecheck", dsm::PiggybackMode::kRelease,
+              run_leg("racecheck", dsm::PiggybackMode::kOn,
                       dsm::PlacementMode::kStatic, /*attribution=*/false,
                       std::string(), dsm::RaceCheckMode::kWord);
           identical(racecheck, "racecheck");
           if (racecheck.ok && untraced.ok && untraced.wall_seconds > 0.0) {
             json.begin_object("race_check");
-            json.field("granularity", "word");
             json.field("reports",
                        racecheck.run.stats.counter("obs.race.reports"));
             json.field("segments",
@@ -531,19 +527,19 @@ int main(int argc, char** argv) {
           }
         }
         json.end_object();
-        if (release.ok) release_by_shards.emplace_back(shards, release);
+        if (on.ok) on_by_shards.emplace_back(shards, on);
       }
       // Sharding the directory must shed master-inbound owner-lookup load
       // (it may not grow it) whenever more than one shard count ran.
       const std::pair<int, ModeResult>* lo = nullptr;
       const std::pair<int, ModeResult>* hi = nullptr;
-      for (const auto& entry : release_by_shards) {
+      for (const auto& entry : on_by_shards) {
         if (lo == nullptr || entry.first < lo->first) lo = &entry;
         if (hi == nullptr || entry.first > hi->first) hi = &entry;
       }
       if (lo != nullptr && hi != nullptr && lo->first < hi->first &&
           hi->second.lookups_master > lo->second.lookups_master) {
-        fail(app + "/" + std::string(dsm::engine_kind_name(engine)) +
+        fail(app + "/" + std::string(dsm::enum_name(engine)) +
              ": master-inbound owner lookups rose from " +
              std::to_string(lo->second.lookups_master) + " (shards=" +
              std::to_string(lo->first) + ") to " +
@@ -558,8 +554,9 @@ int main(int argc, char** argv) {
   t.print(std::cout);
 
   // -------------------------------------------------------------------
-  // Control-plane scaling sweep (DESIGN.md §12): flat vs tree (fanout 8)
-  // at growing team sizes, Size::kTest so the 256-node legs stay cheap.
+  // Control-plane scaling sweep (DESIGN.md §12): flat (unbounded fanout)
+  // vs tree (fanout 8) at growing team sizes, Size::kTest so the 256-node
+  // legs stay cheap.
   // The headline metric is master-inbound control messages per barrier:
   // O(N) flat, O(K) through the combining tree.
   // -------------------------------------------------------------------
@@ -567,7 +564,7 @@ int main(int argc, char** argv) {
     constexpr int kScaleFanout = 8;
     std::vector<int> scale_nodes;
     for (const auto& tok : split_list(scale_nodes_list)) {
-      scale_nodes.push_back(std::atoi(tok.c_str()));
+      scale_nodes.push_back(util::parse_int<int>(tok, "option --scale-nodes"));
     }
     const std::vector<std::string> scale_apps = {"hotspot", "jacobi"};
 
@@ -578,35 +575,43 @@ int main(int argc, char** argv) {
         "per barrier; the combining/multicast tree (DESIGN.md §12) must "
         "hold it near the fanout while flat grows with the team.");
 
-    util::Table st({"App", "Nodes", "Topology", "Time(s)", "Barriers",
+    util::Table st({"App", "Nodes", "Fanout", "Time(s)", "Barriers",
                     "MasterIn", "MasterOut", "In/barrier"});
 
     struct ScaleLeg {
       bool ok = false;
       double seconds = 0.0;
       double checksum = 0.0;
+      std::int64_t messages = 0;
+      std::int64_t bytes = 0;
+      std::int64_t segments = 0;
+      std::int64_t consistency_bytes = 0;
       std::int64_t barriers = 0;
       std::int64_t master_in = 0;
       std::int64_t master_out = 0;
       double in_per_barrier = 0.0;
     };
-    auto run_scale_leg = [&](const std::string& app, int n,
-                             dsm::TopologyKind topo) {
+    auto run_scale_leg = [&](const std::string& app, int n, int leg_fanout) {
       harness::RunConfig cfg;
       cfg.app = app;
       cfg.size = apps::Size::kTest;
       cfg.nprocs = n;
       cfg.engine = dsm::EngineKind::kHomeLrc;
-      cfg.piggyback = dsm::PiggybackMode::kRelease;
-      cfg.topology = topo;
-      cfg.fanout = kScaleFanout;
+      cfg.piggyback = dsm::PiggybackMode::kOn;
+      cfg.fanout = leg_fanout;
       cfg.adaptive = false;
+      const std::string fname = dsm::fanout_name(leg_fanout);
       ScaleLeg leg;
       try {
         const harness::RunResult run = harness::run_workload(cfg);
         leg.ok = true;
         leg.seconds = run.seconds;
         leg.checksum = run.checksum;
+        leg.messages = run.messages;
+        leg.bytes = run.bytes;
+        leg.segments = run.stats.counter("dsm.segments");
+        leg.consistency_bytes =
+            run.stats.counter("dsm.consistency_traffic_bytes");
         leg.barriers = run.stats.counter("dsm.barriers");
         leg.master_in = run.stats.counter("dsm.ctrl.master_inbound");
         leg.master_out = run.stats.counter("dsm.ctrl.master_outbound");
@@ -614,21 +619,24 @@ int main(int argc, char** argv) {
             static_cast<double>(leg.master_in) /
             static_cast<double>(leg.barriers > 0 ? leg.barriers : 1);
       } catch (const std::exception& e) {
-        fail("scaling " + app + "/n" + std::to_string(n) + "/" +
-             dsm::topology_kind_name(topo) + " crashed: " + e.what());
+        fail("scaling " + app + "/n" + std::to_string(n) + "/fanout " +
+             fname + " crashed: " + e.what());
         ++crashed_legs;
       }
-      const char* tname = dsm::topology_kind_name(topo);
-      json.begin_object(tname);
+      json.begin_object("fanout_" + fname);
       if (leg.ok) {
         json.field("seconds", leg.seconds);
+        json.field("messages", leg.messages);
+        json.field("segments", leg.segments);
+        json.field("bytes", leg.bytes);
+        json.field("consistency_traffic_bytes", leg.consistency_bytes);
         json.field("barriers", leg.barriers);
         json.field("ctrl_master_inbound", leg.master_in);
         json.field("ctrl_master_outbound", leg.master_out);
         json.field("inbound_per_barrier", leg.in_per_barrier);
         json.field("checksum", leg.checksum);
         auto& row = st.row();
-        row.add(app).add(n).add(tname);
+        row.add(app).add(n).add(fname);
         row.add(leg.seconds, 2);
         row.add(leg.barriers);
         row.add(leg.master_in);
@@ -649,9 +657,9 @@ int main(int argc, char** argv) {
       for (const int n : scale_nodes) {
         json.begin_object("n" + std::to_string(n));
         const ScaleLeg flat =
-            run_scale_leg(app, n, dsm::TopologyKind::kFlat);
+            run_scale_leg(app, n, dsm::kUnboundedFanout);
         const ScaleLeg tree =
-            run_scale_leg(app, n, dsm::TopologyKind::kTree);
+            run_scale_leg(app, n, kScaleFanout);
         const std::string leg = "scaling " + app + "/n" + std::to_string(n);
         if (flat.ok && tree.ok) {
           const double drop =

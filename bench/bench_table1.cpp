@@ -16,11 +16,10 @@ int main(int argc, char** argv) {
   opts.allow_only({"size", "full", "nodes", "engine", "piggyback",
                    "dir-shards", "placement", "trace", "time-breakdown"});
   const apps::Size size = bench::size_from_options(opts);
-  const dsm::EngineKind engine = bench::engine_from_options(opts);
-  const dsm::PiggybackMode piggyback = bench::piggyback_from_options(opts);
-  const int dir_shards = bench::dir_shards_from_options(opts);
-  const dsm::PlacementMode placement = bench::placement_from_options(opts);
-  const std::string trace_file = bench::trace_file_from_options(opts);
+  harness::RunConfig base;
+  dsm::read_knobs(opts, base);
+  const std::string trace_file = base.trace_file;
+  base.trace_file.clear();
   const bool time_breakdown = bench::time_breakdown_from_options(opts);
 
   bench::print_header(
@@ -28,10 +27,10 @@ int main(int argc, char** argv) {
       std::string("Problem size preset: ") + apps::size_name(size) +
           " (use --full for the paper's sizes; paper numbers are for the "
           "paper sizes only); consistency engine: " +
-          dsm::engine_kind_name(engine) + ", piggyback: " +
-          dsm::piggyback_mode_name(piggyback) + ", dir-shards: " +
-          std::to_string(dir_shards) + ", placement: " +
-          dsm::placement_mode_name(placement));
+          dsm::enum_name(base.engine) + ", piggyback: " +
+          dsm::enum_name(base.piggyback) + ", dir-shards: " +
+          std::to_string(base.dir_shards) + ", placement: " +
+          dsm::enum_name(base.placement));
 
   // Paper values for the --full configuration, for side-by-side comparison.
   struct PaperRow {
@@ -67,14 +66,10 @@ int main(int argc, char** argv) {
   for (const auto& app : t1_apps) {
     t.separator();
     for (int nodes : node_counts) {
-      harness::RunConfig cfg;
+      harness::RunConfig cfg = base;
       cfg.app = app;
       cfg.size = size;
       cfg.nprocs = nodes;
-      cfg.engine = engine;
-      cfg.piggyback = piggyback;
-      cfg.dir_shards = dir_shards;
-      cfg.placement = placement;
       cfg.time_attribution = time_breakdown;
       // --trace records the last standard-system run of the sweep (one
       // file, so one designated run).
@@ -129,14 +124,10 @@ int main(int argc, char** argv) {
                "nodes, paper sizes):\n";
   util::Table t2({"App", "Nodes", "Adaptation-point interval (s)"});
   for (const auto& app : bench::table1_apps()) {
-    harness::RunConfig cfg;
+    harness::RunConfig cfg = base;
     cfg.app = app;
     cfg.size = size;
     cfg.nprocs = node_counts.front();
-    cfg.engine = engine;
-    cfg.piggyback = piggyback;
-    cfg.dir_shards = dir_shards;
-    cfg.placement = placement;
     auto run = harness::run_workload(cfg);
     t2.row().add(run.app).add(cfg.nprocs).add(run.adapt_point_interval_s, 3);
   }

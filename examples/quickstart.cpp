@@ -1,8 +1,8 @@
 // Quickstart: run an OpenMP-style parallel program on a simulated NOW and
 // watch it transparently absorb a joining workstation and survive a leave.
 //
-//   ./examples/quickstart [--engine {lrc,home}] [--topology {flat,tree}]
-//                         [--fanout K] [--trace out.json]
+//   ./examples/quickstart [--engine {lrc,home}] [--fanout K]
+//                         [--trace out.json]
 //
 // The program is a small Jacobi relaxation.  The key thing to notice is
 // that the application code never mentions joins or leaves: the iteration
@@ -16,12 +16,13 @@
 // slices alternate with barrier_wait, and the flow arrows show the barrier
 // fan-in/fan-out and page traffic that the join/leave disturb.
 //
-// --topology tree routes the control plane (barrier arrivals/releases,
-// GC rounds, fork/terminate) through a K-ary combining/multicast tree
-// instead of the flat master-centric star (DESIGN.md §12) — at this
-// 4-process scale the tree only matters with --fanout below 3, but the
-// same flags scale the master's inbound load as O(K·log_K N) on big
-// teams (see bench_protocols --scale-nodes).
+// --fanout K routes the control plane (barrier arrivals/releases, GC
+// rounds, fork/terminate) through a K-ary combining/multicast tree instead
+// of the flat master-centric star, which is what the default unbounded
+// fanout gives (DESIGN.md §12) — at this 4-process scale the tree only
+// matters with --fanout below 3, but the same flag scales the master's
+// inbound load as O(K·log_K N) on big teams (see bench_protocols
+// --scale-nodes).
 //
 // ANOW_RACE_CHECK=word turns on the LRC data-race detector (DESIGN.md
 // §13): a pure observer that certifies the program data-race-free (this
@@ -63,23 +64,15 @@ constexpr int kIters = 120;
 
 int main(int argc, char** argv) {
   util::Options opts(argc, argv);
-  opts.allow_only({"engine", "trace", "topology", "fanout"});
+  opts.allow_only({"engine", "fanout", "trace"});
   // A NOW with 4 workstations; one more becomes available later.
   sim::Cluster cluster({}, 5);
   dsm::DsmConfig config;
   config.heap_bytes = 8 << 20;
-  config.engine = dsm::parse_engine_kind(opts.get_choice(
-      "engine", {"lrc", "home"},
-      dsm::engine_kind_name(dsm::engine_kind_from_env())));
-  config.topology = dsm::parse_topology_kind(opts.get_choice(
-      "topology", {"flat", "tree"},
-      dsm::topology_kind_name(dsm::topology_kind_from_env())));
-  config.fanout = static_cast<int>(
-      opts.get_int("fanout", dsm::fanout_from_env()));
-  config.trace_file = opts.get_string("trace", dsm::trace_file_from_env());
-  std::cout << "consistency engine: " << dsm::engine_kind_name(config.engine)
-            << ", control plane: "
-            << dsm::topology_kind_name(config.topology) << "\n";
+  dsm::read_knobs(opts, config);
+  std::cout << "consistency engine: " << dsm::enum_name(config.engine)
+            << ", control-plane fanout: " << dsm::fanout_name(config.fanout)
+            << "\n";
   dsm::DsmSystem dsm(cluster, config);
   ompx::Runtime omp(dsm);
   core::AdaptiveRuntime adapt(dsm);

@@ -71,15 +71,12 @@ void RaceDetector::record(dsm::Uid uid, dsm::GAddr addr, std::size_t len,
   for (dsm::PageId p = dsm::page_of(addr); p < end; ++p) {
     PageAccess& acc = open[p];
     WordMask& mask = is_write ? acc.write : acc.read;
-    std::size_t w0 = 0, w1 = dsm::kWordsPerPage - 1;
-    if (granularity_ == RaceGranularity::kWord) {
-      const dsm::GAddr base = dsm::page_base(p);
-      const dsm::GAddr lo = std::max<dsm::GAddr>(addr, base);
-      const dsm::GAddr hi =
-          std::min<dsm::GAddr>(addr + len, base + dsm::kPageSize);
-      w0 = static_cast<std::size_t>(lo - base) / dsm::kWordSize;
-      w1 = static_cast<std::size_t>(hi - 1 - base) / dsm::kWordSize;
-    }
+    const dsm::GAddr base = dsm::page_base(p);
+    const dsm::GAddr lo = std::max<dsm::GAddr>(addr, base);
+    const dsm::GAddr hi =
+        std::min<dsm::GAddr>(addr + len, base + dsm::kPageSize);
+    const auto w0 = static_cast<std::size_t>(lo - base) / dsm::kWordSize;
+    const auto w1 = static_cast<std::size_t>(hi - 1 - base) / dsm::kWordSize;
     for (std::size_t w = w0; w <= w1; ++w) {
       mask[w / 64] |= std::uint64_t{1} << (w % 64);
     }

@@ -35,10 +35,6 @@
 
 namespace anow::analysis {
 
-/// Detection granularity: page sets the whole mask, word sets one bit per
-/// 8-byte word (dsm::kWordSize — the protocol's own diff granularity).
-enum class RaceGranularity : std::uint8_t { kPage, kWord };
-
 /// One confirmed race: two concurrent segments touched overlapping words of
 /// one page and at least one side wrote.
 struct RaceReport {
@@ -59,8 +55,7 @@ struct RaceReport {
 
 class RaceDetector {
  public:
-  explicit RaceDetector(RaceGranularity granularity)
-      : granularity_(granularity) {}
+  RaceDetector() = default;
 
   RaceDetector(const RaceDetector&) = delete;
   RaceDetector& operator=(const RaceDetector&) = delete;
@@ -147,7 +142,6 @@ class RaceDetector {
   /// Drops retained segments every live process is already ordered after.
   void prune_retained();
 
-  RaceGranularity granularity_;
   /// Per-uid vector clocks; vc_[p][p] is p's current epoch (1-based).
   std::vector<VectorClock> vc_;
   std::vector<bool> live_;

@@ -5,8 +5,8 @@
 // let a later send/flush to that destination carry it.  The coalescing
 // policy lives here and only here: under PiggybackMode::kOff, stage() is
 // send() — every segment departs as its own single-segment envelope, which
-// reproduces the pre-envelope flat send path byte for byte.  Under the
-// buffered modes, staged segments accumulate per destination and the next
+// reproduces the pre-envelope flat send path byte for byte.  Under kOn,
+// staged segments accumulate per destination and the next
 // send()/flush() to that destination merges them, *in staging order, ahead
 // of the sent segment*, into one envelope (DESIGN.md §7).
 //
@@ -33,16 +33,18 @@ class Channel {
   using Sink = std::function<void(Uid to, Envelope env)>;
 
   Channel(Uid self, PiggybackMode mode, Sink sink)
-      : self_(self), mode_(mode), sink_(std::move(sink)) {}
+      : self_(self),
+        buffered_(mode == PiggybackMode::kOn),
+        sink_(std::move(sink)) {}
 
   Channel(const Channel&) = delete;
   Channel& operator=(const Channel&) = delete;
 
-  /// Whether stage() actually buffers (any mode but kOff).  Call sites that
-  /// would otherwise wait for an ack the envelope ordering makes redundant
-  /// check this instead of re-deriving policy from DsmConfig.
-  bool buffered() const { return mode_ != PiggybackMode::kOff; }
-  PiggybackMode mode() const { return mode_; }
+  /// Whether stage() actually buffers (PiggybackMode::kOn).  Call sites
+  /// that would otherwise wait for an ack the envelope ordering makes
+  /// redundant, or fault a page range one page at a time, check this
+  /// instead of re-deriving policy from DsmConfig.
+  bool buffered() const { return buffered_; }
 
   /// Queues `seg` for the next envelope to `to`.  kOff: departs immediately.
   void stage(Uid to, Segment seg) {
@@ -142,7 +144,7 @@ class Channel {
   }
 
   Uid self_;
-  PiggybackMode mode_;
+  bool buffered_;
   Sink sink_;
   // Flat per-destination buffers: a process stages for a handful of peers.
   std::vector<std::pair<Uid, std::vector<Segment>>> buffers_;

@@ -1,199 +1,94 @@
 #include "dsm/config.hpp"
 
+#include <algorithm>
 #include <cstdlib>
+#include <type_traits>
 
 #include "util/check.hpp"
+#include "util/options.hpp"
 
 namespace anow::dsm {
 
-const char* backend_kind_name(BackendKind kind) {
-  switch (kind) {
-    case BackendKind::kSim:
-      return "sim";
-    case BackendKind::kReal:
-      return "real";
+namespace {
+
+/// Parses `value` into the knob `Member` according to its type.
+template <auto Member>
+void assign(Knobs& knobs, std::string_view value, std::string_view what) {
+  auto& field = knobs.*Member;
+  using T = std::remove_cvref_t<decltype(field)>;
+  if constexpr (std::is_enum_v<T>) {
+    field = parse_enum<T>(value, what);
+  } else if constexpr (std::is_same_v<T, int>) {
+    field = util::parse_int<int>(value, what);
+  } else {
+    field = std::string(value);
   }
-  return "?";
 }
 
-BackendKind parse_backend_kind(const std::string& name) {
-  if (name == "sim") return BackendKind::kSim;
-  if (name == "real") return BackendKind::kReal;
-  ANOW_CHECK_MSG(false, "unknown backend '" << name << "' (want sim|real)");
-}
+/// Every knob once: its option name, its environment variable, and how to
+/// parse it.
+struct KnobRow {
+  std::string_view key;
+  const char* env;
+  void (*assign)(Knobs&, std::string_view, std::string_view);
+};
 
-BackendKind backend_from_env() {
-  static const BackendKind kind = [] {
-    const char* env = std::getenv("ANOW_BACKEND");
-    return env != nullptr && *env != '\0' ? parse_backend_kind(env)
-                                          : BackendKind::kSim;
+constexpr KnobRow kKnobs[] = {
+    {"backend", "ANOW_BACKEND", &assign<&Knobs::backend>},
+    {"engine", "ANOW_ENGINE", &assign<&Knobs::engine>},
+    {"piggyback", "ANOW_PIGGYBACK", &assign<&Knobs::piggyback>},
+    {"dir-shards", "ANOW_DIR_SHARDS", &assign<&Knobs::dir_shards>},
+    {"placement", "ANOW_PLACEMENT", &assign<&Knobs::placement>},
+    {"fanout", "ANOW_FANOUT", &assign<&Knobs::fanout>},
+    {"race-check", "ANOW_RACE_CHECK", &assign<&Knobs::race_check>},
+    {"trace", "ANOW_TRACE", &assign<&Knobs::trace_file>},
+};
+
+const Knobs& env_knobs() {
+  static const Knobs knobs = [] {
+    Knobs k = Knobs::builtin();
+    for (const KnobRow& row : kKnobs) {
+      const char* env = std::getenv(row.env);
+      if (env != nullptr && *env != '\0') row.assign(k, env, row.env);
+    }
+    return k;
   }();
-  return kind;
+  return knobs;
 }
 
-const char* engine_kind_name(EngineKind kind) {
-  switch (kind) {
-    case EngineKind::kLrc:
-      return "lrc";
-    case EngineKind::kHomeLrc:
-      return "home";
+}  // namespace
+
+void bad_choice(std::string_view what, std::string_view text,
+                std::span<const char* const> choices) {
+  std::string list;
+  for (const char* c : choices) {
+    if (!list.empty()) list += ",";
+    list += c;
   }
-  return "?";
+  ANOW_CHECK_MSG(false, what << " expects one of {" << list << "}, got '"
+                             << text << "'");
 }
 
-EngineKind parse_engine_kind(const std::string& name) {
-  if (name == "lrc") return EngineKind::kLrc;
-  if (name == "home" || name == "home_lrc") return EngineKind::kHomeLrc;
-  ANOW_CHECK_MSG(false, "unknown engine '" << name << "' (want lrc|home)");
+std::string fanout_name(int fanout) {
+  return fanout == kUnboundedFanout ? "unbounded" : std::to_string(fanout);
 }
 
-const char* piggyback_mode_name(PiggybackMode mode) {
-  switch (mode) {
-    case PiggybackMode::kOff:
-      return "off";
-    case PiggybackMode::kRelease:
-      return "release";
-    case PiggybackMode::kAggressive:
-      return "aggressive";
+Knobs::Knobs() : Knobs(env_knobs()) {}
+
+Knobs Knobs::builtin() { return Knobs(Builtin{}); }
+
+void read_knobs(const util::Options& opts, Knobs& knobs,
+                std::initializer_list<std::string_view> only) {
+  for (const KnobRow& row : kKnobs) {
+    if (only.size() != 0 &&
+        std::find(only.begin(), only.end(), row.key) == only.end()) {
+      continue;
+    }
+    const std::string key(row.key);
+    if (opts.has(key)) {
+      row.assign(knobs, opts.get_string(key, ""), "option --" + key);
+    }
   }
-  return "?";
-}
-
-PiggybackMode parse_piggyback_mode(const std::string& name) {
-  if (name == "off") return PiggybackMode::kOff;
-  if (name == "release") return PiggybackMode::kRelease;
-  if (name == "aggressive") return PiggybackMode::kAggressive;
-  ANOW_CHECK_MSG(false, "unknown piggyback mode '"
-                            << name << "' (want off|release|aggressive)");
-}
-
-PiggybackMode piggyback_mode_from_env() {
-  static const PiggybackMode mode = [] {
-    const char* env = std::getenv("ANOW_PIGGYBACK");
-    return env != nullptr && *env != '\0' ? parse_piggyback_mode(env)
-                                          : PiggybackMode::kRelease;
-  }();
-  return mode;
-}
-
-int dir_shards_from_env() {
-  static const int shards = [] {
-    const char* env = std::getenv("ANOW_DIR_SHARDS");
-    if (env == nullptr || *env == '\0') return 1;
-    const int n = std::atoi(env);
-    ANOW_CHECK_MSG(n >= 1, "ANOW_DIR_SHARDS must be >= 1, got '" << env
-                                                                 << "'");
-    return n;
-  }();
-  return shards;
-}
-
-const char* placement_mode_name(PlacementMode mode) {
-  switch (mode) {
-    case PlacementMode::kStatic:
-      return "static";
-    case PlacementMode::kAdaptive:
-      return "adaptive";
-  }
-  return "?";
-}
-
-PlacementMode parse_placement_mode(const std::string& name) {
-  if (name == "static") return PlacementMode::kStatic;
-  if (name == "adaptive") return PlacementMode::kAdaptive;
-  ANOW_CHECK_MSG(false, "unknown placement mode '"
-                            << name << "' (want static|adaptive)");
-}
-
-PlacementMode placement_mode_from_env() {
-  static const PlacementMode mode = [] {
-    const char* env = std::getenv("ANOW_PLACEMENT");
-    return env != nullptr && *env != '\0' ? parse_placement_mode(env)
-                                          : PlacementMode::kStatic;
-  }();
-  return mode;
-}
-
-const char* topology_kind_name(TopologyKind kind) {
-  switch (kind) {
-    case TopologyKind::kFlat:
-      return "flat";
-    case TopologyKind::kTree:
-      return "tree";
-  }
-  return "?";
-}
-
-TopologyKind parse_topology_kind(const std::string& name) {
-  if (name == "flat") return TopologyKind::kFlat;
-  if (name == "tree") return TopologyKind::kTree;
-  ANOW_CHECK_MSG(false, "unknown topology '" << name << "' (want flat|tree)");
-}
-
-TopologyKind topology_kind_from_env() {
-  static const TopologyKind kind = [] {
-    const char* env = std::getenv("ANOW_TOPOLOGY");
-    return env != nullptr && *env != '\0' ? parse_topology_kind(env)
-                                          : TopologyKind::kFlat;
-  }();
-  return kind;
-}
-
-int fanout_from_env() {
-  static const int fanout = [] {
-    const char* env = std::getenv("ANOW_FANOUT");
-    if (env == nullptr || *env == '\0') return 4;
-    const int n = std::atoi(env);
-    ANOW_CHECK_MSG(n >= 1, "ANOW_FANOUT must be >= 1, got '" << env << "'");
-    return n;
-  }();
-  return fanout;
-}
-
-const char* race_check_mode_name(RaceCheckMode mode) {
-  switch (mode) {
-    case RaceCheckMode::kOff:
-      return "off";
-    case RaceCheckMode::kPage:
-      return "page";
-    case RaceCheckMode::kWord:
-      return "word";
-  }
-  return "?";
-}
-
-RaceCheckMode parse_race_check_mode(const std::string& name) {
-  if (name == "off") return RaceCheckMode::kOff;
-  if (name == "page") return RaceCheckMode::kPage;
-  if (name == "word") return RaceCheckMode::kWord;
-  ANOW_CHECK_MSG(false, "unknown race-check mode '"
-                            << name << "' (want off|page|word)");
-}
-
-RaceCheckMode race_check_from_env() {
-  static const RaceCheckMode mode = [] {
-    const char* env = std::getenv("ANOW_RACE_CHECK");
-    return env != nullptr && *env != '\0' ? parse_race_check_mode(env)
-                                          : RaceCheckMode::kOff;
-  }();
-  return mode;
-}
-
-std::string trace_file_from_env() {
-  static const std::string path = [] {
-    const char* env = std::getenv("ANOW_TRACE");
-    return std::string(env != nullptr ? env : "");
-  }();
-  return path;
-}
-
-EngineKind engine_kind_from_env() {
-  static const EngineKind kind = [] {
-    const char* env = std::getenv("ANOW_ENGINE");
-    return env != nullptr && *env != '\0' ? parse_engine_kind(env)
-                                          : EngineKind::kLrc;
-  }();
-  return kind;
 }
 
 }  // namespace anow::dsm

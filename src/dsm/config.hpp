@@ -1,11 +1,20 @@
 // DSM system configuration.
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
+#include <initializer_list>
+#include <limits>
+#include <span>
 #include <string>
-#include <vector>
+#include <string_view>
 
 #include "dsm/types.hpp"
+
+namespace anow::util {
+class Options;
+}  // namespace anow::util
 
 namespace anow::dsm {
 
@@ -23,7 +32,6 @@ enum class EngineKind : std::uint8_t {
 /// Which execution backend drives the protocol (DESIGN.md §14).
 enum class BackendKind : std::uint8_t {
   /// Discrete-event simulator: fibers, virtual time, modelled network.
-  /// The default, byte-identical to the pre-seam code.
   kSim,
   /// Real hardware: one pthread per DSM process, mmap-privatized heaps,
   /// SIGSEGV write barriers, SPSC-ring transport, wall-clock time.  The
@@ -31,52 +39,20 @@ enum class BackendKind : std::uint8_t {
   kReal,
 };
 
-const char* backend_kind_name(BackendKind kind);
-/// Parses "sim" / "real"; throws on anything else.
-BackendKind parse_backend_kind(const std::string& name);
-/// Default backend: ANOW_BACKEND environment variable ("sim" / "real"),
-/// falling back to kSim.  Lets CI run the whole test suite on real threads
-/// without touching every DsmConfig construction site.
-BackendKind backend_from_env();
-
-const char* engine_kind_name(EngineKind kind);
-/// Parses "lrc" / "home" (also accepts "home_lrc"); throws on anything else.
-EngineKind parse_engine_kind(const std::string& name);
-/// Default engine: ANOW_ENGINE environment variable ("lrc" / "home"),
-/// falling back to kLrc.  Lets CI run the whole test suite under either
-/// engine without touching every DsmConfig construction site.
-EngineKind engine_kind_from_env();
-
-/// How aggressively the transport coalesces segments into shared envelopes
-/// (DESIGN.md §7).  One mechanism — Channel staging — with three policies:
+/// Whether the transport coalesces segments into shared envelopes
+/// (DESIGN.md §7).  One mechanism — Channel staging — switched on or off.
 enum class PiggybackMode : std::uint8_t {
   /// Every segment travels as its own envelope; message counts and traffic
-  /// bytes are identical to the pre-envelope flat send path.
+  /// bytes are identical to the pre-envelope flat send path (the §5.1
+  /// per-message costs calibration_test pins).
   kOff,
-  /// Coalesce at release points: home flushes bound for the master ride the
-  /// release announcement (BarrierArrive / LockRelease) in one envelope,
-  /// and join-barrier releases ride the master's next instruction fan-out
-  /// (fork / GC prepare / terminate) instead of a separate broadcast.
-  kRelease,
-  /// kRelease plus fault-side batching: a multi-page read fault groups its
-  /// full-page fetch requests per source into one envelope.
-  kAggressive,
+  /// Home flushes bound for the master ride the release announcement
+  /// (BarrierArrive / LockRelease) in one envelope, join-barrier releases
+  /// ride the master's next instruction fan-out (fork / GC prepare /
+  /// terminate), and a multi-page fault groups its full-page fetch requests
+  /// per source into one envelope.
+  kOn,
 };
-
-const char* piggyback_mode_name(PiggybackMode mode);
-/// Parses "off" / "release" / "aggressive"; throws on anything else.
-PiggybackMode parse_piggyback_mode(const std::string& name);
-/// Default mode: ANOW_PIGGYBACK environment variable, falling back to
-/// kRelease.  Lets CI run the whole test suite under any mode without
-/// touching every DsmConfig construction site.
-PiggybackMode piggyback_mode_from_env();
-
-/// Default owner-directory shard count: ANOW_DIR_SHARDS environment
-/// variable, falling back to 1 (the unsharded master-held directory, which
-/// is byte-identical to the pre-sharding protocol).  Lets CI run the whole
-/// suite with a sharded directory without touching every DsmConfig
-/// construction site.  Values > nprocs are clamped at DsmSystem::start().
-int dir_shards_from_env();
 
 /// Adaptive placement (DESIGN.md §9): whether the runtime monitors access
 /// traffic and migrates page homes / directory shards at GC rounds.
@@ -93,68 +69,17 @@ enum class PlacementMode : std::uint8_t {
   kAdaptive,
 };
 
-const char* placement_mode_name(PlacementMode mode);
-/// Parses "static" / "adaptive"; throws on anything else.
-PlacementMode parse_placement_mode(const std::string& name);
-/// Default mode: ANOW_PLACEMENT environment variable, falling back to
-/// static.  Lets CI run the whole test suite under adaptive placement
-/// without touching every DsmConfig construction site.
-PlacementMode placement_mode_from_env();
-
-/// Hierarchical control plane (DESIGN.md §12): how collectives (barrier
-/// arrive/release, fork, GC prepare/ack, owner-delta broadcast, terminate)
-/// are routed between the master and the team.
-enum class TopologyKind : std::uint8_t {
-  /// Master-centric flat fan-in/fan-out — byte-identical to the
-  /// pre-topology protocol (no tree segment is ever sent).
-  kFlat,
-  /// K-ary combining/multicast tree over the live team: inbound collective
-  /// segments are merged at interior nodes on the way to the master,
-  /// outbound fan-outs are forwarded down the tree.  Degenerates to flat
-  /// routing when fanout >= team size - 1 (every slave is a root child).
-  kTree,
-};
-
-const char* topology_kind_name(TopologyKind kind);
-/// Parses "flat" / "tree"; throws on anything else.
-TopologyKind parse_topology_kind(const std::string& name);
-/// Default topology: ANOW_TOPOLOGY environment variable ("flat" / "tree"),
-/// falling back to flat.  Lets CI run the whole test suite under the tree
-/// control plane without touching every DsmConfig construction site.
-TopologyKind topology_kind_from_env();
-
-/// Default tree fanout K: ANOW_FANOUT environment variable, falling back
-/// to 4.  Only meaningful under TopologyKind::kTree.
-int fanout_from_env();
-
-/// Default trace output path: the ANOW_TRACE environment variable, else ""
-/// (tracing off).  Non-empty enables full event recording (DESIGN.md §11)
-/// and a Chrome trace-event JSON dump at the end of the run.
-std::string trace_file_from_env();
-
 /// LRC data-race detection (DESIGN.md §13).  The detector is a pure
 /// observer riding the interval/vector-timestamp machinery: it never sends
-/// a message, charges virtual time, or touches page data, so any setting is
-/// byte-identical to kOff on the wire — the modes only trade report
-/// precision against host-side memory.
+/// a message, charges virtual time, or touches page data, so kWord is
+/// byte-identical to kOff on the wire.
 enum class RaceCheckMode : std::uint8_t {
   /// No detector is constructed; zero work on any path.
   kOff,
-  /// Page-granularity access summaries: cheapest, but DRF programs whose
-  /// processes share a boundary page report false positives by design.
-  kPage,
-  /// Word-granularity (8-byte) summaries: the certification mode — a DRF
-  /// program with word-disjoint concurrent accesses reports nothing.
+  /// Word-granularity (8-byte) happens-before checking: a DRF program with
+  /// word-disjoint concurrent accesses reports nothing.
   kWord,
 };
-
-const char* race_check_mode_name(RaceCheckMode mode);
-/// Parses "off" / "page" / "word"; throws on anything else.
-RaceCheckMode parse_race_check_mode(const std::string& name);
-/// Default mode: ANOW_RACE_CHECK environment variable, falling back to off.
-/// Lets CI certify the whole test suite DRF without touching every
-/// DsmConfig construction site.
-RaceCheckMode race_check_from_env();
 
 /// How pids are reassigned when processes leave (paper §5.4 lists "the
 /// process id reassignment algorithm" among the cost factors; Figure 3 shows
@@ -170,36 +95,124 @@ enum class PidStrategy : std::uint8_t {
   kSwapLast,
 };
 
-struct DsmConfig {
+/// Control-plane fanout (DESIGN.md §12) under which every slave is a direct
+/// child of the master: flat master-centric routing, byte-identical to the
+/// pre-topology protocol.  Any fanout K below the team size minus one
+/// builds a K-ary combining/multicast tree instead.
+inline constexpr int kUnboundedFanout = std::numeric_limits<int>::max();
+
+/// Spellings of an enum knob, indexed by enumerator value.
+template <typename E>
+struct EnumNames;
+template <>
+struct EnumNames<BackendKind> {
+  static constexpr std::array<const char*, 2> kNames{"sim", "real"};
+};
+template <>
+struct EnumNames<EngineKind> {
+  static constexpr std::array<const char*, 2> kNames{"lrc", "home"};
+};
+template <>
+struct EnumNames<PiggybackMode> {
+  static constexpr std::array<const char*, 2> kNames{"off", "on"};
+};
+template <>
+struct EnumNames<PlacementMode> {
+  static constexpr std::array<const char*, 2> kNames{"static", "adaptive"};
+};
+template <>
+struct EnumNames<RaceCheckMode> {
+  static constexpr std::array<const char*, 2> kNames{"off", "word"};
+};
+
+template <typename E>
+const char* enum_name(E value) {
+  return EnumNames<E>::kNames[static_cast<std::size_t>(value)];
+}
+
+[[noreturn]] void bad_choice(std::string_view what, std::string_view text,
+                             std::span<const char* const> choices);
+
+/// Parses one of EnumNames<E>; throws CheckError listing the choices.
+/// `what` names the source of the text in the message (an option or an
+/// environment variable).
+template <typename E>
+E parse_enum(std::string_view text, std::string_view what) {
+  const auto& names = EnumNames<E>::kNames;
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    if (text == names[i]) return static_cast<E>(i);
+  }
+  bad_choice(what, text, names);
+}
+
+/// Parses "sim" / "real"; throws on anything else.
+inline BackendKind parse_backend_kind(const std::string& name) {
+  return parse_enum<BackendKind>(name, "backend");
+}
+
+/// "unbounded" for kUnboundedFanout, else the number.
+std::string fanout_name(int fanout);
+
+/// The run-time knobs, declared once: DsmConfig and harness::RunConfig both
+/// derive from this.  A default-constructed Knobs holds the ANOW_*
+/// environment defaults (read once per process), so CI can rerun the whole
+/// suite under any setting without touching a construction site.  Every
+/// knob is also a command-line option of the same name (read_knobs).
+struct Knobs {
+  Knobs();
+
+  /// --backend / ANOW_BACKEND (DESIGN.md §14).  Under kReal, tracing, race
+  /// checking, adaptation events and adaptive placement are rejected at
+  /// start (they ride simulator-only machinery).
+  BackendKind backend = BackendKind::kSim;
+  /// --engine / ANOW_ENGINE.
+  EngineKind engine = EngineKind::kLrc;
+  /// --piggyback / ANOW_PIGGYBACK (DESIGN.md §7).
+  PiggybackMode piggyback = PiggybackMode::kOn;
+  /// --dir-shards / ANOW_DIR_SHARDS (DESIGN.md §8): the page->owner map is
+  /// split into this many contiguous page ranges, each held authoritatively
+  /// by one of the first `dir_shards` processes (uid == shard index), which
+  /// is also seeded with the initial valid copy of its range.  1 keeps the
+  /// whole directory at the master.  Must be >= 1; clamped to nprocs at
+  /// start().
+  int dir_shards = 1;
+  /// --placement / ANOW_PLACEMENT (DESIGN.md §9).
+  PlacementMode placement = PlacementMode::kStatic;
+  /// --fanout / ANOW_FANOUT (DESIGN.md §12): the control plane's K-ary
+  /// tree, recomputed on every join/leave.  Must be >= 1; the unbounded
+  /// default is flat routing.
+  int fanout = kUnboundedFanout;
+  /// --race-check / ANOW_RACE_CHECK (DESIGN.md §13).  Reports surface as
+  /// obs.race.* stats and a "races" section of the trace JSON.
+  RaceCheckMode race_check = RaceCheckMode::kOff;
+  /// --trace / ANOW_TRACE: when non-empty, full event recording
+  /// (DESIGN.md §11) and a Chrome trace-event JSON file written here after
+  /// the run.
+  std::string trace_file;
+
+  /// The defaults written above, ignoring the environment.
+  static Knobs builtin();
+
+ private:
+  struct Builtin {};
+  explicit Knobs(Builtin /*unused*/) {}
+};
+
+/// Overrides `knobs` with every knob option present on the command line
+/// (--backend, --engine, --piggyback, --dir-shards, --placement, --fanout,
+/// --race-check, --trace), or only with those named in `only` when it is
+/// non-empty (for a program that gives some of these names another
+/// meaning); absent options keep their current value.  The values parse
+/// exactly like their ANOW_* variables: an enum must be one of its
+/// EnumNames and an integer must parse whole (its range is DsmSystem's to
+/// check).  Throws CheckError otherwise.
+void read_knobs(const util::Options& opts, Knobs& knobs,
+                std::initializer_list<std::string_view> only = {});
+
+struct DsmConfig : Knobs {
   /// Size of the global shared region; fixed for the lifetime of the system
   /// (TreadMarks pre-maps the shared heap).
   std::int64_t heap_bytes = 16ll << 20;
-
-  /// Execution backend (DESIGN.md §14): the simulator (default) or real
-  /// pthreads + mprotect write barriers.  Defaults to ANOW_BACKEND, else
-  /// sim.  Under kReal, tracing, race checking, adaptation events and
-  /// adaptive placement are rejected at start (they ride simulator-only
-  /// machinery).
-  BackendKind backend = backend_from_env();
-
-  /// Consistency protocol variant (defaults to ANOW_ENGINE, else LRC).
-  EngineKind engine = engine_kind_from_env();
-
-  /// Envelope coalescing policy (defaults to ANOW_PIGGYBACK, else release).
-  PiggybackMode piggyback = piggyback_mode_from_env();
-
-  /// Owner-directory shards (DESIGN.md §8): the page->owner map is split
-  /// into this many contiguous page ranges, each held authoritatively by
-  /// one of the first `dir_shards` processes (uid == shard index), which is
-  /// also seeded with the initial valid copy of its range.  1 keeps the
-  /// whole directory at the master — byte-identical to the unsharded
-  /// protocol.  Clamped to nprocs at start().
-  int dir_shards = dir_shards_from_env();
-
-  /// Adaptive placement (DESIGN.md §9): monitor traffic and migrate page
-  /// homes / directory shards at GC rounds.  Static (the default) is
-  /// byte-identical to the pre-placement protocol.
-  PlacementMode placement = placement_mode_from_env();
 
   /// Placement hysteresis: a page re-homes only after the same sole writer
   /// dominated it for this many consecutive monitoring windows (barrier
@@ -212,16 +225,6 @@ struct DsmConfig {
   /// placement_hysteresis consecutive windows.
   double placement_overload_factor = 2.0;
   std::int64_t placement_min_lookups = 128;
-
-  /// Control-plane topology (DESIGN.md §12): flat master-centric fan-out
-  /// (the default, byte-identical to the pre-topology protocol) or a K-ary
-  /// combining/multicast tree over the live team.
-  TopologyKind topology = topology_kind_from_env();
-
-  /// Tree fanout K (>= 1); ignored under kFlat.  The tree is recomputed on
-  /// every join/leave and degenerates to flat routing whenever
-  /// fanout >= team size - 1.
-  int fanout = fanout_from_env();
 
   /// Protocol for pages not covered by a protocol_override.
   Protocol default_protocol = Protocol::kMultiWriter;
@@ -236,18 +239,6 @@ struct DsmConfig {
   std::int64_t private_image_bytes = 4ll << 20;
 
   PidStrategy pid_strategy = PidStrategy::kShift;
-
-  /// When non-empty, DsmSystem enables the cluster's TraceRecorder in full
-  /// event-recording mode and writes a Chrome trace-event JSON file here
-  /// after run() (DESIGN.md §11).  Defaults to ANOW_TRACE, else off.
-  std::string trace_file = trace_file_from_env();
-
-  /// LRC data-race detection (DESIGN.md §13): off (the default, no detector
-  /// constructed) or page/word-granularity happens-before checking.  Any
-  /// setting is byte-identical on the wire; reports surface as obs.race.*
-  /// stats and a "races" section of the trace JSON.  Defaults to
-  /// ANOW_RACE_CHECK, else off.
-  RaceCheckMode race_check = race_check_from_env();
 };
 
 }  // namespace anow::dsm

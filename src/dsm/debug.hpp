@@ -3,6 +3,8 @@
 
 #include <cstdlib>
 
+#include "util/options.hpp"
+
 namespace anow::dsm {
 
 /// Page selected for protocol-event tracing via ANOW_TRACE_PAGE=<id>
@@ -10,7 +12,7 @@ namespace anow::dsm {
 inline int traced_page() {
   static const int page = [] {
     const char* env = std::getenv("ANOW_TRACE_PAGE");
-    return env ? std::atoi(env) : -1;
+    return env ? util::parse_int<int>(env, "ANOW_TRACE_PAGE") : -1;
   }();
   return page;
 }

@@ -255,12 +255,12 @@ struct ShardMove {
 };
 
 // --- hierarchical control plane (DESIGN.md §12) ----------------------------
-// With --topology tree the collectives stop being flat master-centric
-// fan-ins/fan-outs: inbound collective segments are *combined* at interior
-// nodes of a K-ary tree over the live team, outbound instruction fan-outs
-// are *multicast* down it.  None of these segments exist under
-// --topology flat (the default), which stays byte-identical to the
-// pre-topology protocol.
+// With --fanout K below the team size minus one the collectives stop being
+// flat master-centric fan-ins/fan-outs: inbound collective segments are
+// *combined* at interior nodes of a K-ary tree over the live team,
+// outbound instruction fan-outs are *multicast* down it.  None of these
+// segments exist under the unbounded default fanout, which stays
+// byte-identical to the pre-topology protocol.
 
 /// Combined barrier arrival: one envelope per subtree.  Each non-master
 /// process sends exactly one TreeArrive to its tree parent covering its

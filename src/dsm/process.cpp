@@ -115,7 +115,7 @@ void DsmProcess::read_range(GAddr addr, std::size_t len) {
   // itself trusts — so it is the read set of the current segment.
   if (race_ != nullptr) race_->record_read(uid_, addr, len);
   if (real_) harvest_write_faults();
-  if (channel_.mode() == PiggybackMode::kAggressive && last - first > 1) {
+  if (channel_.buffered() && last - first > 1) {
     fault_in_range(first, last);
     if (real_) heap_sync_all();
     return;
@@ -140,7 +140,7 @@ void DsmProcess::write_range(GAddr addr, std::size_t len) {
   // present and is what the checksums already depend on being accurate.
   if (race_ != nullptr) race_->record_write(uid_, addr, len);
   if (real_) harvest_write_faults();
-  if (channel_.mode() == PiggybackMode::kAggressive && last - first > 1) {
+  if (channel_.buffered() && last - first > 1) {
     // The read side of a multi-page write fault batches exactly like
     // read_range: full-page fetch requests share one envelope per source,
     // diff fetches one round per creator across the span.  The per-page

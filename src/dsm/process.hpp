@@ -182,7 +182,7 @@ class DsmProcess {
 
   // --- fault machinery ---------------------------------------------------------
   void fault_in(PageId page);
-  /// PiggybackMode::kAggressive read path: faults every invalid page of
+  /// PiggybackMode::kOn multi-page path: faults every invalid page of
   /// [first, last) in, batching full-page fetch requests per source (one
   /// envelope each) and diff fetches per creator across all pages.
   void fault_in_range(PageId first, PageId last);

@@ -29,7 +29,7 @@
 // engine performed — byte-identical behaviour, verified by the dir-shards
 // property test and the bench_protocols acceptance gate.
 //
-// Under --topology tree (DESIGN.md §12) the GC delta round becomes
+// Under a control-plane tree (DESIGN.md §12) the GC delta round becomes
 // subtree-aware: the master's cookie-0 DirDeltaRequests multicast down the
 // tree and each holder's partial DirDeltaReply relays hop-by-hop up its
 // ancestor chain instead of straight to the master.  The slice/delta logic

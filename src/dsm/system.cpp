@@ -17,6 +17,10 @@ DsmSystem::DsmSystem(sim::Cluster& cluster, DsmConfig config)
   ANOW_CHECK_MSG(config_.heap_bytes % static_cast<std::int64_t>(kPageSize) ==
                      0,
                  "heap_bytes must be page aligned");
+  ANOW_CHECK_MSG(config_.dir_shards >= 1,
+                 "dir_shards must be >= 1, got " << config_.dir_shards);
+  ANOW_CHECK_MSG(config_.fanout >= 1,
+                 "fanout must be >= 1, got " << config_.fanout);
   if (config_.backend == BackendKind::kReal) {
     // Simulator-only machinery is rejected up front rather than silently
     // producing wrong numbers: the tracer and race detector timestamp with
@@ -67,10 +71,7 @@ DsmSystem::DsmSystem(sim::Cluster& cluster, DsmConfig config)
   // recorder — constructed before start() so processes can cache raw
   // pointers, pure observation afterwards.
   if (config_.race_check != RaceCheckMode::kOff) {
-    race_ = std::make_unique<analysis::RaceDetector>(
-        config_.race_check == RaceCheckMode::kPage
-            ? analysis::RaceGranularity::kPage
-            : analysis::RaceGranularity::kWord);
+    race_ = std::make_unique<analysis::RaceDetector>();
   }
 #ifdef ANOW_PROTOCOL_CHECKS
   checker_ = std::make_unique<analysis::ProtocolChecker>();
@@ -170,8 +171,7 @@ void DsmSystem::start(int nprocs) {
   ANOW_CHECK_MSG(!started_, "start() called twice");
   ANOW_CHECK(nprocs >= 1);
   started_ = true;
-  const int shards =
-      std::min(std::max(config_.dir_shards, 1), nprocs);
+  const int shards = std::min(config_.dir_shards, nprocs);
   shard_map_ = protocol::ShardMap(num_pages(), shards);
   engine_->configure_directory(shard_map_);
   if (placement_adaptive_) policy_.configure(shard_map_);
@@ -572,7 +572,7 @@ void DsmSystem::run_parallel(std::int32_t task_id,
       /*include_queued_updates=*/true);
 
   // channel().send drains the join-barrier release staged for each slave
-  // (PiggybackMode::kRelease), so release + fork share one envelope.
+  // (PiggybackMode::kOn), so release + fork share one envelope.
   // Under the tree topology the fork broadcast is a multicast instead: one
   // envelope per master child, each route carrying [staged release, fork]
   // for its destination in the same order.
@@ -1140,7 +1140,7 @@ sim::HostId DsmSystem::host_of(Uid uid) const {
 }
 
 void DsmSystem::rebuild_topology() {
-  topology_.rebuild(team_, config_.topology, std::max(1, config_.fanout));
+  topology_.rebuild(team_, config_.fanout);
 }
 
 void DsmSystem::fan_out_instructions(

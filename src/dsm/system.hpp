@@ -181,9 +181,9 @@ class DsmSystem {
   const protocol::ShardMap& shard_map() const { return shard_map_; }
 
   /// The control-plane tree over the live team (DESIGN.md §12), rebuilt at
-  /// start() and after every adopt/expel.  active() is false under
-  /// --topology flat (and for degenerate trees), in which case every
-  /// collective uses the flat master-centric path unchanged.
+  /// start() and after every adopt/expel.  active() is false while the
+  /// fanout covers the whole team (the unbounded default), in which case
+  /// every collective uses the flat master-centric path unchanged.
   const topology::Topology& topology() const { return topology_; }
 
   /// Directory attachment parameters for a process's node-side engine:
@@ -347,7 +347,7 @@ class DsmSystem {
   Uid initial_team_end_ = 0;
 
   /// Control-plane tree geometry (DESIGN.md §12), a pure function of
-  /// (team_, config_.topology, config_.fanout).
+  /// (team_, config_.fanout).
   topology::Topology topology_;
 
   // Master: barrier state.

@@ -6,10 +6,8 @@
 
 namespace anow::dsm::topology {
 
-void Topology::rebuild(const std::vector<Uid>& team, TopologyKind kind,
-                       int fanout) {
+void Topology::rebuild(const std::vector<Uid>& team, int fanout) {
   ANOW_CHECK(fanout >= 1);
-  kind_ = kind;
   fanout_ = fanout;
   team_ = team;
   parent_by_uid_.clear();
@@ -31,8 +29,7 @@ void Topology::rebuild(const std::vector<Uid>& team, TopologyKind kind,
 }
 
 bool Topology::active() const {
-  return kind_ == TopologyKind::kTree &&
-         static_cast<int>(team_.size()) - 1 > fanout_;
+  return static_cast<int>(team_.size()) - 1 > fanout_;
 }
 
 bool Topology::is_member(Uid uid) const {

@@ -12,15 +12,14 @@
 // fold to a survivor.
 //
 // Routing policy lives in DsmSystem/DsmProcess; this class only answers
-// geometry questions.  Under TopologyKind::kFlat — or whenever the tree
-// would have no interior node (fanout >= team size - 1) — active() is
-// false and the callers use the flat master-centric paths, byte-identical
-// to the pre-topology protocol.
+// geometry questions.  Whenever the tree would have no interior node
+// (fanout >= team size - 1, which the unbounded default fanout always is)
+// active() is false and the callers use the flat master-centric paths,
+// byte-identical to the pre-topology protocol.
 #pragma once
 
 #include <vector>
 
-#include "dsm/config.hpp"
 #include "dsm/types.hpp"
 
 namespace anow::dsm::topology {
@@ -33,16 +32,14 @@ class Topology {
   /// master, is the root).  Called at start() and after every team
   /// mutation (adopt/expel) — collectives never straddle a rebuild, so no
   /// in-flight combining state can reference the old shape.
-  void rebuild(const std::vector<Uid>& team, TopologyKind kind, int fanout);
+  void rebuild(const std::vector<Uid>& team, int fanout);
 
-  TopologyKind kind() const { return kind_; }
   int fanout() const { return fanout_; }
   int size() const { return static_cast<int>(team_.size()); }
 
-  /// Tree routing in effect: kind == kTree and the tree has at least one
-  /// interior node below the root.  With fanout >= team size - 1 every
-  /// slave is a direct root child, so the tree degenerates to flat and no
-  /// tree segment is ever sent.
+  /// Tree routing in effect: the tree has at least one interior node below
+  /// the root.  With fanout >= team size - 1 every slave is a direct root
+  /// child, so the tree is flat and no tree segment is ever sent.
   bool active() const;
 
   bool is_member(Uid uid) const;
@@ -62,7 +59,6 @@ class Topology {
   Uid next_hop_toward(Uid from, Uid dest) const;
 
  private:
-  TopologyKind kind_ = TopologyKind::kFlat;
   int fanout_ = 1;
   std::vector<Uid> team_;
   // Indexed by uid (uids are small dense-ish ints; kNoUid-padded).

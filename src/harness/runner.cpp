@@ -39,16 +39,8 @@ RunResult run_workload(const RunConfig& config,
     cluster.enable_trace(topts);
   }
   dsm::DsmConfig dsm_cfg = workload->dsm_config();
-  dsm_cfg.backend = config.backend;
-  dsm_cfg.engine = config.engine;
-  dsm_cfg.piggyback = config.piggyback;
-  dsm_cfg.dir_shards = config.dir_shards;
-  dsm_cfg.placement = config.placement;
-  dsm_cfg.topology = config.topology;
-  dsm_cfg.fanout = config.fanout;
-  dsm_cfg.race_check = config.race_check;
+  static_cast<dsm::Knobs&>(dsm_cfg) = config;
   dsm_cfg.pid_strategy = config.pid_strategy;
-  dsm_cfg.trace_file = config.trace_file;
   dsm::DsmSystem system(cluster, dsm_cfg);
   ompx::Runtime rt(system);
   workload->setup(rt);

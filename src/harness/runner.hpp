@@ -19,35 +19,17 @@
 
 namespace anow::harness {
 
-struct RunConfig {
+/// One run: the workload, the team, the adaptation schedule, and the DSM
+/// knobs (inherited; each defaults to its ANOW_* environment variable).
+/// Real-backend runs report wall-clock seconds and cannot trace,
+/// race-check, use adaptive placement, or take adaptation events.
+struct RunConfig : dsm::Knobs {
   std::string app = "jacobi";
   apps::Size size = apps::Size::kBench;
   int nprocs = 8;
-  /// Execution backend (--backend / ANOW_BACKEND; DESIGN.md §14).  kSim is
-  /// the deterministic discrete-event simulator; kReal runs the same
-  /// protocol on pthreads with mmap page privatization and SIGSEGV write
-  /// barriers.  Real runs report wall-clock seconds and cannot trace,
-  /// race-check, use adaptive placement, or take adaptation events.
-  dsm::BackendKind backend = dsm::backend_from_env();
   /// false = the non-adaptive base TreadMarks (no hook installed at all).
   bool adaptive = true;
   std::vector<core::AdaptEvent> events;
-  /// Consistency engine the run uses (--engine / ANOW_ENGINE).
-  dsm::EngineKind engine = dsm::engine_kind_from_env();
-  /// Envelope coalescing policy (--piggyback / ANOW_PIGGYBACK).
-  dsm::PiggybackMode piggyback = dsm::piggyback_mode_from_env();
-  /// Owner-directory shards (--dir-shards / ANOW_DIR_SHARDS; DESIGN.md §8).
-  int dir_shards = dsm::dir_shards_from_env();
-  /// Adaptive placement (--placement / ANOW_PLACEMENT; DESIGN.md §9).
-  dsm::PlacementMode placement = dsm::placement_mode_from_env();
-  /// Control-plane topology (--topology / ANOW_TOPOLOGY; DESIGN.md §12).
-  dsm::TopologyKind topology = dsm::topology_kind_from_env();
-  /// K-ary tree fan-out under --topology tree (--fanout / ANOW_FANOUT).
-  int fanout = dsm::fanout_from_env();
-  /// LRC data-race detection (--race-check / ANOW_RACE_CHECK; DESIGN.md
-  /// §13).  Off by default — the detector perturbs nothing, but skipping
-  /// construction entirely keeps the default run byte-identical for free.
-  dsm::RaceCheckMode race_check = dsm::race_check_from_env();
   dsm::PidStrategy pid_strategy = dsm::PidStrategy::kShift;
   bool gc_before_adapt = true;
   /// Charge the 0.6-0.8 s process-creation cost on joins.  Tests that need
@@ -57,9 +39,6 @@ struct RunConfig {
   std::uint64_t seed = 1;
   /// Extra hosts beyond nprocs available for joins.
   int spare_hosts = 0;
-  /// Non-empty: record full trace events and write a Chrome trace-event
-  /// JSON file here after the run (--trace / ANOW_TRACE; DESIGN.md §11).
-  std::string trace_file = dsm::trace_file_from_env();
   /// Record the per-bucket virtual-time attribution report (span
   /// bookkeeping only, no event ring) even without a trace file.
   bool time_attribution = false;

@@ -69,7 +69,7 @@ struct CostModel {
   /// splitting a multicast's routes per child downward.  Charged once per
   /// forwarded envelope — constant, so per-pair FIFO ordering between
   /// consecutive collectives through the same interior node is preserved.
-  /// Only charged under --topology tree.
+  /// Only charged when the fanout builds a tree with interior nodes.
   Time tree_combine = 10 * kUsec;
 
   // --- adaptation ------------------------------------------------------------

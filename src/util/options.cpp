@@ -49,16 +49,15 @@ std::string Options::get_choice(const std::string& key,
                                     << "}, got '" << value << "'");
 }
 
+void bad_int(std::string_view what, std::string_view text) {
+  ANOW_CHECK_MSG(false, what << " expects an integer, got '" << text << "'");
+}
+
 std::int64_t Options::get_int(const std::string& key,
                               std::int64_t default_value) const {
   auto it = values_.find(key);
   if (it == values_.end()) return default_value;
-  try {
-    return std::stoll(it->second);
-  } catch (const std::exception&) {
-    ANOW_CHECK_MSG(false, "option --" << key << " expects an integer, got '"
-                                      << it->second << "'");
-  }
+  return parse_int<std::int64_t>(it->second, "option --" + key);
 }
 
 double Options::get_double(const std::string& key, double default_value) const {

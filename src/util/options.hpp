@@ -4,12 +4,27 @@
 // options are an error so typos in sweeps don't silently run defaults.
 #pragma once
 
+#include <charconv>
 #include <cstdint>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace anow::util {
+
+[[noreturn]] void bad_int(std::string_view what, std::string_view text);
+
+/// Parses all of `text` as a decimal T: no leading blanks, no trailing
+/// junk, no overflow.  Throws CheckError naming `what` otherwise.
+template <typename T>
+T parse_int(std::string_view text, std::string_view what) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc{} || ptr != end) bad_int(what, text);
+  return value;
+}
 
 class Options {
  public:

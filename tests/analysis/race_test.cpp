@@ -25,12 +25,12 @@
 namespace anow::dsm {
 namespace {
 
-DsmConfig race_config(EngineKind engine, RaceCheckMode mode) {
+DsmConfig race_config(EngineKind engine) {
   DsmConfig cfg;
   cfg.heap_bytes = 1 << 20;  // 256 pages
   cfg.default_protocol = Protocol::kMultiWriter;
   cfg.engine = engine;
-  cfg.race_check = mode;
+  cfg.race_check = RaceCheckMode::kWord;
   return cfg;
 }
 
@@ -60,7 +60,7 @@ class RaceDetectorTest : public ::testing::TestWithParam<EngineKind> {};
 // the report names the page, the word, and both uids.
 TEST_P(RaceDetectorTest, ConcurrentWritesToOneWordAreReported) {
   sim::Cluster cluster({}, 2);
-  DsmSystem sys(cluster, race_config(GetParam(), RaceCheckMode::kWord));
+  DsmSystem sys(cluster, race_config(GetParam()));
 
   auto task = sys.register_task(
       "racy_write", [](DsmProcess& p, const std::vector<std::uint8_t>& a) {
@@ -92,7 +92,7 @@ TEST_P(RaceDetectorTest, ConcurrentWritesToOneWordAreReported) {
 // word range is the overlap of the two accesses, not either access alone.
 TEST_P(RaceDetectorTest, ReadAgainstConcurrentWriteIsReported) {
   sim::Cluster cluster({}, 2);
-  DsmSystem sys(cluster, race_config(GetParam(), RaceCheckMode::kWord));
+  DsmSystem sys(cluster, race_config(GetParam()));
 
   auto task = sys.register_task(
       "racy_read", [](DsmProcess& p, const std::vector<std::uint8_t>& a) {
@@ -125,44 +125,36 @@ TEST_P(RaceDetectorTest, ReadAgainstConcurrentWriteIsReported) {
   EXPECT_TRUE(std::string(r.kind) == "rw" || std::string(r.kind) == "wr");
 }
 
-// Word granularity distinguishes disjoint words of one page (no race);
-// page granularity over-approximates and reports them (the documented
-// false-positive mode).
-TEST_P(RaceDetectorTest, GranularitySeparatesFalseSharing) {
-  for (const RaceCheckMode mode :
-       {RaceCheckMode::kWord, RaceCheckMode::kPage}) {
-    sim::Cluster cluster({}, 2);
-    DsmSystem sys(cluster, race_config(GetParam(), mode));
+// Word granularity tells disjoint words of one page apart: false sharing
+// is not a race.
+TEST_P(RaceDetectorTest, FalseSharingIsNotReported) {
+  sim::Cluster cluster({}, 2);
+  DsmSystem sys(cluster, race_config(GetParam()));
 
-    auto task = sys.register_task(
-        "false_share", [](DsmProcess& p, const std::vector<std::uint8_t>& a) {
-          auto args = unpack<TaskArgs>(a);
-          const GAddr mine = args.addr + p.uid() * 8;
-          p.write_range(mine, 8);
-          p.ptr<std::int64_t>(mine)[0] = p.uid();
-        });
+  auto task = sys.register_task(
+      "false_share", [](DsmProcess& p, const std::vector<std::uint8_t>& a) {
+        auto args = unpack<TaskArgs>(a);
+        const GAddr mine = args.addr + p.uid() * 8;
+        p.write_range(mine, 8);
+        p.ptr<std::int64_t>(mine)[0] = p.uid();
+      });
 
-    sys.start(2);
-    sys.run([&](DsmProcess&) {
-      const GAddr addr = sys.shared_malloc(4096);
-      sys.run_parallel(task, pack(TaskArgs{addr}));
-    });
+  sys.start(2);
+  sys.run([&](DsmProcess&) {
+    const GAddr addr = sys.shared_malloc(4096);
+    sys.run_parallel(task, pack(TaskArgs{addr}));
+  });
 
-    const analysis::RaceDetector* det = sys.race_detector();
-    ASSERT_NE(det, nullptr);
-    if (mode == RaceCheckMode::kWord) {
-      EXPECT_EQ(det->race_count(), 0) << "word mode false positive";
-    } else {
-      EXPECT_GE(det->race_count(), 1) << "page mode must over-approximate";
-    }
-  }
+  const analysis::RaceDetector* det = sys.race_detector();
+  ASSERT_NE(det, nullptr);
+  EXPECT_EQ(det->race_count(), 0) << "false sharing reported as a race";
 }
 
 // The same conflicting pair, properly ordered by a lock, is not a race: the
 // release→grant chain draws the happens-before edge the detector honors.
 TEST_P(RaceDetectorTest, LockOrderedAccessesAreNotReported) {
   sim::Cluster cluster({}, 2);
-  DsmSystem sys(cluster, race_config(GetParam(), RaceCheckMode::kWord));
+  DsmSystem sys(cluster, race_config(GetParam()));
 
   auto task = sys.register_task(
       "locked_add", [](DsmProcess& p, const std::vector<std::uint8_t>& a) {
@@ -194,7 +186,7 @@ TEST_P(RaceDetectorTest, LockOrderedAccessesAreNotReported) {
 // Barrier-separated phases (write, barrier, read by everyone) are DRF.
 TEST_P(RaceDetectorTest, BarrierOrderedPhasesAreNotReported) {
   sim::Cluster cluster({}, 4);
-  DsmSystem sys(cluster, race_config(GetParam(), RaceCheckMode::kWord));
+  DsmSystem sys(cluster, race_config(GetParam()));
 
   auto task = sys.register_task(
       "phases", [](DsmProcess& p, const std::vector<std::uint8_t>& a) {
@@ -226,7 +218,7 @@ INSTANTIATE_TEST_SUITE_P(Engines, RaceDetectorTest,
                          ::testing::Values(EngineKind::kLrc,
                                            EngineKind::kHomeLrc),
                          [](const auto& info) {
-                           return std::string(engine_kind_name(info.param));
+                           return std::string(enum_name(info.param));
                          });
 
 // ---------------------------------------------------------------------------
@@ -241,14 +233,14 @@ struct SweepPoint {
   PiggybackMode piggyback = PiggybackMode::kOff;
   int dir_shards = 1;
   PlacementMode placement = PlacementMode::kStatic;
-  TopologyKind topology = TopologyKind::kFlat;
+  int fanout = kUnboundedFanout;
 };
 
 std::vector<SweepPoint> sweep_points() {
   std::vector<SweepPoint> pts;
   for (const char* app : {"jacobi", "gauss", "fft3d", "nbf", "hotspot"}) {
     for (const EngineKind engine : {EngineKind::kLrc, EngineKind::kHomeLrc}) {
-      pts.push_back({app, engine, piggyback_mode_from_env()});
+      pts.push_back({app, engine, Knobs().piggyback});
     }
   }
   // Feature crosses on the two stencils: sharded directory, adaptive
@@ -258,7 +250,7 @@ std::vector<SweepPoint> sweep_points() {
   pts.push_back({"jacobi", EngineKind::kHomeLrc, PiggybackMode::kOff, 1,
                  PlacementMode::kAdaptive});
   pts.push_back({"hotspot", EngineKind::kLrc, PiggybackMode::kOff, 1,
-                 PlacementMode::kStatic, TopologyKind::kTree});
+                 PlacementMode::kStatic, /*fanout=*/2});
   return pts;
 }
 
@@ -270,7 +262,7 @@ std::vector<SweepPoint> sweep_points() {
 // snapshotted after the adaptation hook, see DsmSystem::run_parallel).
 TEST(RaceSweep, JoinAndLeaveOrderedReownsAreNotReported) {
   for (const EngineKind engine : {EngineKind::kLrc, EngineKind::kHomeLrc}) {
-    SCOPED_TRACE(engine_kind_name(engine));
+    SCOPED_TRACE(enum_name(engine));
     harness::RunConfig cfg;
     cfg.app = "jacobi";
     cfg.size = apps::Size::kTest;
@@ -304,7 +296,7 @@ TEST(RaceSweep, JoinAndLeaveOrderedReownsAreNotReported) {
 
 TEST(RaceSweep, Table1AndHotspotGridCertifiesDrfWithoutPerturbation) {
   for (const SweepPoint& pt : sweep_points()) {
-    SCOPED_TRACE(pt.app + "/" + engine_kind_name(pt.engine) +
+    SCOPED_TRACE(pt.app + "/" + enum_name(pt.engine) +
                  "/shards=" + std::to_string(pt.dir_shards));
     harness::RunConfig cfg;
     cfg.app = pt.app;
@@ -315,8 +307,7 @@ TEST(RaceSweep, Table1AndHotspotGridCertifiesDrfWithoutPerturbation) {
     cfg.piggyback = pt.piggyback;
     cfg.dir_shards = pt.dir_shards;
     cfg.placement = pt.placement;
-    cfg.topology = pt.topology;
-    cfg.fanout = 2;
+    cfg.fanout = pt.fanout;
     cfg.trace_file.clear();
 
     cfg.race_check = RaceCheckMode::kOff;

@@ -137,7 +137,7 @@ INSTANTIATE_TEST_SUITE_P(Apps, AppAdaptCase,
 
 TEST(AppProtocols, OnlyJacobiProducesDiffs) {
   const bool home =
-      dsm::engine_kind_from_env() == dsm::EngineKind::kHomeLrc;
+      dsm::Knobs().engine == dsm::EngineKind::kHomeLrc;
   for (const auto& app : workload_names()) {
     harness::RunConfig cfg;
     cfg.app = app;

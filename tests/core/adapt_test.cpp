@@ -251,7 +251,7 @@ TEST(Adapt, NoEventsMeansNoOverheadPath) {
   sys.run([&](DsmProcess& m) { app.master_main(m); });
   EXPECT_TRUE(app.ok_);
   EXPECT_EQ(adapt.records().size(), 0u);
-  if (dsm::engine_kind_from_env() == dsm::EngineKind::kLrc) {
+  if (dsm::Knobs().engine == dsm::EngineKind::kLrc) {
     EXPECT_EQ(sys.stats().counter_value("dsm.gc_runs"), 0);
   } else {
     // Home-based LRC commits first-touch home assignments through one

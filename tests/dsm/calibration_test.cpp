@@ -18,7 +18,7 @@ struct Args {
 
 /// Remote fetch cost per page: slave owns the pages, master faults them.
 /// Pinned on the uncoalesced path — these tests calibrate the per-message
-/// primitive cost, which envelope batching (--piggyback aggressive) would
+/// primitive cost, which envelope batching (--piggyback on) would
 /// otherwise amortize below the paper's per-fetch range.
 double page_fetch_us(Protocol protocol, bool premap_master) {
   sim::Cluster cluster({}, 2);

@@ -17,6 +17,7 @@
 #include "harness/runner.hpp"
 #include "harness/schedule.hpp"
 #include "sim/cluster.hpp"
+#include "util/check.hpp"
 #include "util/rng.hpp"
 
 namespace anow::dsm {
@@ -62,6 +63,16 @@ TEST(ShardMap, PartitionIsCompleteAndLocalIndexIsDense) {
       ASSERT_EQ(count, map.pages_in_shard(s));
     }
     ASSERT_EQ(total, pages);
+  }
+}
+
+TEST(ShardMap, ShardCountBelowOneIsRejected) {
+  for (const int shards : {0, -2}) {
+    sim::Cluster cluster({}, 2);
+    DsmConfig cfg;
+    cfg.heap_bytes = 1 << 20;
+    cfg.dir_shards = shards;
+    EXPECT_THROW(DsmSystem(cluster, cfg), util::CheckError) << shards;
   }
 }
 
@@ -194,11 +205,10 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(EngineKind::kLrc,
                                          EngineKind::kHomeLrc),
                        ::testing::Values(PiggybackMode::kOff,
-                                         PiggybackMode::kRelease,
-                                         PiggybackMode::kAggressive)),
+                                         PiggybackMode::kOn)),
     [](const ::testing::TestParamInfo<GridParam>& info) {
-      return std::string(engine_kind_name(std::get<0>(info.param))) + "_" +
-             piggyback_mode_name(std::get<1>(info.param));
+      return std::string(enum_name(std::get<0>(info.param))) + "_" +
+             enum_name(std::get<1>(info.param));
     });
 
 // ---------------------------------------------------------------------------
@@ -242,7 +252,7 @@ TEST_P(DirShardsAdaptTest, HolderLeaveAndJoinKeepResultsIntact) {
     // A departing shard holder's authority must go somewhere: to the
     // master (static fold) or to a surviving holder (adaptive placement
     // re-home, DESIGN.md §9) when the suite runs under ANOW_PLACEMENT.
-    if (placement_mode_from_env() == PlacementMode::kAdaptive) {
+    if (Knobs().placement == PlacementMode::kAdaptive) {
       EXPECT_GE(adapted.stats.counter("dsm.placement.shard_moves"), 1)
           << "a departing holder's slice must re-home to a survivor";
     } else {
@@ -259,12 +269,11 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(EngineKind::kLrc,
                                          EngineKind::kHomeLrc),
                        ::testing::Values(PiggybackMode::kOff,
-                                         PiggybackMode::kRelease,
-                                         PiggybackMode::kAggressive),
+                                         PiggybackMode::kOn),
                        ::testing::Values(1, 3, 4)),
     [](const ::testing::TestParamInfo<AdaptParam>& info) {
-      return std::string(engine_kind_name(std::get<0>(info.param))) + "_" +
-             piggyback_mode_name(std::get<1>(info.param)) + "_shards" +
+      return std::string(enum_name(std::get<0>(info.param))) + "_" +
+             enum_name(std::get<1>(info.param)) + "_shards" +
              std::to_string(std::get<2>(info.param));
     });
 

@@ -449,7 +449,7 @@ TEST(Envelope, RandomMixesRoundTripThroughStageFlushDeliver) {
   util::Rng rng(20260728);
   for (int round = 0; round < 50; ++round) {
     std::vector<Envelope> delivered;
-    Channel ch(/*self=*/0, PiggybackMode::kRelease,
+    Channel ch(/*self=*/0, PiggybackMode::kOn,
                [&](Uid /*to*/, Envelope env) {
                  delivered.push_back(std::move(env));
                });
@@ -531,7 +531,7 @@ TEST(Envelope, OffModeSendsEverySegmentAlone) {
 TEST(Envelope, SendDrainsStagedSegmentsAheadOfTheSentOne) {
   util::Rng rng(99);
   std::vector<Envelope> delivered;
-  Channel ch(/*self=*/0, PiggybackMode::kRelease,
+  Channel ch(/*self=*/0, PiggybackMode::kOn,
              [&](Uid, Envelope env) { delivered.push_back(std::move(env)); });
   Segment first = random_segment(rng);
   Segment second = random_segment(rng);
@@ -580,11 +580,11 @@ TEST(Envelope, WireBytesBoundedBySumOfSoloEnvelopes) {
 }
 
 // ---------------------------------------------------------------------------
-// End-to-end: every piggyback mode computes the same result; batching
-// never increases the message count.
+// End-to-end: piggybacking on computes the same result as off and sends
+// fewer messages.
 // ---------------------------------------------------------------------------
 
-TEST(Envelope, PiggybackModesAgreeOnResultsAndBatchingSavesMessages) {
+TEST(Envelope, PiggybackOnAgreesOnResultsAndSavesMessages) {
   struct Outcome {
     std::int64_t sum = 0;
     std::int64_t messages = 0;
@@ -605,7 +605,7 @@ TEST(Envelope, PiggybackModesAgreeOnResultsAndBatchingSavesMessages) {
           Args args;
           std::memcpy(&args, a.data(), sizeof(args));
           // Interleaved writes (multi-writer diffs) + a full read of the
-          // whole range (multi-page faults — the aggressive batching path).
+          // whole range (multi-page faults — the batched fetch path).
           p.read_range(args.addr, kN * 8);
           p.write_range(args.addr, kN * 8);
           auto* data = p.ptr<std::int64_t>(args.addr);
@@ -635,18 +635,15 @@ TEST(Envelope, PiggybackModesAgreeOnResultsAndBatchingSavesMessages) {
   };
 
   const Outcome off = run_mode(PiggybackMode::kOff);
-  const Outcome release = run_mode(PiggybackMode::kRelease);
-  const Outcome aggressive = run_mode(PiggybackMode::kAggressive);
+  const Outcome on = run_mode(PiggybackMode::kOn);
 
-  // Identical numerical results in every mode.
-  EXPECT_EQ(off.sum, release.sum);
-  EXPECT_EQ(off.sum, aggressive.sum);
-  // The protocol work (segments) is mode-independent on this workload;
-  // only the envelope count shrinks as segments share envelopes.
+  // Identical numerical results either way.
+  EXPECT_EQ(off.sum, on.sum);
+  // Off sends every segment as its own envelope; on shares envelopes
+  // between segments and batches multi-page fetches.
   EXPECT_EQ(off.messages, off.segments);
-  EXPECT_LT(release.messages, off.messages);
-  EXPECT_LT(aggressive.messages, release.messages);
-  EXPECT_LE(release.segments, off.segments);
+  EXPECT_LT(on.messages, off.messages);
+  EXPECT_LE(on.segments, off.segments);
 }
 
 }  // namespace

@@ -176,7 +176,7 @@ TEST(HomeLrc, FlushRidesBarrierArriveKeepingHomesComplete) {
   constexpr int kProcs = 4;
   sim::Cluster cluster({}, kProcs);
   DsmConfig cfg = home_config();
-  cfg.piggyback = PiggybackMode::kRelease;
+  cfg.piggyback = PiggybackMode::kOn;
   // The premise (every flush targets the master) needs the master-centric
   // defaults; with a sharded directory first-construct homes are the shard
   // holders and the flush counters legitimately differ.
@@ -224,7 +224,7 @@ TEST(HomeLrc, FlushRidesLockReleaseAheadOfTheNextGrant) {
   constexpr int kRounds = 5;
   sim::Cluster cluster({}, kProcs);
   DsmConfig cfg = home_config();
-  cfg.piggyback = PiggybackMode::kRelease;
+  cfg.piggyback = PiggybackMode::kOn;
   DsmSystem sys(cluster, cfg);
 
   auto task = sys.register_task(

@@ -238,12 +238,11 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(EngineKind::kLrc,
                                          EngineKind::kHomeLrc),
                        ::testing::Values(PiggybackMode::kOff,
-                                         PiggybackMode::kRelease,
-                                         PiggybackMode::kAggressive),
+                                         PiggybackMode::kOn),
                        ::testing::Values(1, 4)),
     [](const ::testing::TestParamInfo<GridParam>& info) {
-      return std::string(engine_kind_name(std::get<0>(info.param))) + "_" +
-             piggyback_mode_name(std::get<1>(info.param)) + "_shards" +
+      return std::string(enum_name(std::get<0>(info.param))) + "_" +
+             enum_name(std::get<1>(info.param)) + "_shards" +
              std::to_string(std::get<2>(info.param));
     });
 
@@ -318,12 +317,11 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(EngineKind::kLrc,
                                          EngineKind::kHomeLrc),
                        ::testing::Values(PiggybackMode::kOff,
-                                         PiggybackMode::kRelease,
-                                         PiggybackMode::kAggressive)),
+                                         PiggybackMode::kOn)),
     [](const ::testing::TestParamInfo<std::tuple<EngineKind, PiggybackMode>>&
            info) {
-      return std::string(engine_kind_name(std::get<0>(info.param))) + "_" +
-             piggyback_mode_name(std::get<1>(info.param));
+      return std::string(enum_name(std::get<0>(info.param))) + "_" +
+             enum_name(std::get<1>(info.param));
     });
 
 // ---------------------------------------------------------------------------
@@ -383,16 +381,15 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(EngineKind::kLrc,
                                          EngineKind::kHomeLrc),
                        ::testing::Values(PiggybackMode::kOff,
-                                         PiggybackMode::kRelease,
-                                         PiggybackMode::kAggressive),
+                                         PiggybackMode::kOn),
                        ::testing::Values(1, 4),
                        ::testing::Values(PlacementMode::kStatic,
                                          PlacementMode::kAdaptive)),
     [](const ::testing::TestParamInfo<AdaptParam>& info) {
-      return std::string(engine_kind_name(std::get<0>(info.param))) + "_" +
-             piggyback_mode_name(std::get<1>(info.param)) + "_shards" +
+      return std::string(enum_name(std::get<0>(info.param))) + "_" +
+             enum_name(std::get<1>(info.param)) + "_shards" +
              std::to_string(std::get<2>(info.param)) + "_" +
-             placement_mode_name(std::get<3>(info.param));
+             enum_name(std::get<3>(info.param));
     });
 
 // ---------------------------------------------------------------------------

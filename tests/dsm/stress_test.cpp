@@ -65,7 +65,7 @@ using StressParam = std::tuple<int, EngineKind>;
 
 std::string stress_param_name(
     const ::testing::TestParamInfo<StressParam>& info) {
-  return std::string(engine_kind_name(std::get<1>(info.param))) + "_s" +
+  return std::string(enum_name(std::get<1>(info.param))) + "_s" +
          std::to_string(std::get<0>(info.param));
 }
 
@@ -307,7 +307,7 @@ INSTANTIATE_TEST_SUITE_P(Engines, EngineStressTest,
                          ::testing::Values(EngineKind::kLrc,
                                            EngineKind::kHomeLrc),
                          [](const ::testing::TestParamInfo<EngineKind>& i) {
-                           return std::string(engine_kind_name(i.param));
+                           return std::string(enum_name(i.param));
                          });
 
 }  // namespace

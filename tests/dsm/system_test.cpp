@@ -20,7 +20,7 @@ namespace anow::dsm {
 namespace {
 
 DsmConfig small_config(Protocol proto = Protocol::kMultiWriter,
-                       EngineKind engine = engine_kind_from_env()) {
+                       EngineKind engine = Knobs().engine) {
   DsmConfig cfg;
   cfg.heap_bytes = 1 << 20;  // 256 pages
   cfg.default_protocol = proto;
@@ -32,7 +32,7 @@ DsmConfig small_config(Protocol proto = Protocol::kMultiWriter,
 using SystemParam = std::tuple<int, EngineKind>;
 
 std::string param_name(const ::testing::TestParamInfo<SystemParam>& info) {
-  return std::string(engine_kind_name(std::get<1>(info.param))) + "_n" +
+  return std::string(enum_name(std::get<1>(info.param))) + "_n" +
          std::to_string(std::get<0>(info.param));
 }
 

@@ -1,11 +1,11 @@
 // Hierarchical control plane (DESIGN.md §12): tree geometry properties
 // (heap layout over pid order, parent/children consistency, next-hop
-// routing, degenerate-tree deactivation), the flat-is-baseline property
-// (--topology flat sends zero tree segments; tree runs compute the same
-// checksums while cutting master inbound control traffic), GC and sharded
+// routing, team-covering fanouts are flat), the flat-is-baseline property
+// (the unbounded default fanout sends zero tree segments; tree runs compute
+// the same checksums while cutting master inbound control traffic), GC and sharded
 // owner-delta rounds routed through the tree, and a mid-run leave of an
 // *interior* tree node whose children must be promoted by the rebuild —
-// all over engine × piggyback × topology.
+// all over engine × piggyback × fanout.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -18,6 +18,7 @@
 #include "harness/runner.hpp"
 #include "harness/schedule.hpp"
 #include "sim/cluster.hpp"
+#include "util/check.hpp"
 
 namespace anow::dsm {
 namespace {
@@ -33,7 +34,7 @@ TEST(Topology, HeapLayoutOverPidOrderNotUidOrder) {
   // `team` (pids), not uid values.
   const std::vector<Uid> team = {0, 5, 3, 1, 4, 2, 6};
   Topology topo;
-  topo.rebuild(team, TopologyKind::kTree, /*fanout=*/2);
+  topo.rebuild(team, /*fanout=*/2);
 
   ASSERT_TRUE(topo.active());
   EXPECT_EQ(topo.parent_of(0), kNoUid);  // root
@@ -55,27 +56,40 @@ TEST(Topology, HeapLayoutOverPidOrderNotUidOrder) {
 
 TEST(Topology, NonMembersHaveNoGeometry) {
   Topology topo;
-  topo.rebuild({0, 1, 2, 3, 4}, TopologyKind::kTree, 2);
+  topo.rebuild({0, 1, 2, 3, 4}, 2);
   EXPECT_FALSE(topo.is_member(9));
   EXPECT_EQ(topo.parent_of(9), kNoUid);
   EXPECT_TRUE(topo.children_of(9).empty());
   EXPECT_EQ(topo.depth_of(9), -1);
 }
 
-TEST(Topology, FlatKindAndDegenerateTreesAreInactive) {
+TEST(Topology, TeamCoveringFanoutsAreFlat) {
   Topology topo;
-  topo.rebuild({0, 1, 2, 3, 4, 5, 6, 7}, TopologyKind::kFlat, 2);
+  // The unbounded default: every slave is a root child at any team size.
+  topo.rebuild({0, 1, 2, 3, 4, 5, 6, 7}, kUnboundedFanout);
   EXPECT_FALSE(topo.active());
+  EXPECT_EQ(topo.children_of(0), (std::vector<Uid>{1, 2, 3, 4, 5, 6, 7}));
+  EXPECT_EQ(topo.parent_of(7), 0);
   // fanout >= team size - 1: every slave is a direct root child, so there
   // is no interior node and tree routing must stay off.
-  topo.rebuild({0, 1, 2, 3}, TopologyKind::kTree, 3);
+  topo.rebuild({0, 1, 2, 3}, 3);
   EXPECT_FALSE(topo.active());
-  topo.rebuild({0, 1, 2, 3}, TopologyKind::kTree, 8);
+  topo.rebuild({0, 1, 2, 3}, 8);
   EXPECT_FALSE(topo.active());
   // One more member tips it over: pid 4 lands under pid 1.
-  topo.rebuild({0, 1, 2, 3, 4}, TopologyKind::kTree, 3);
+  topo.rebuild({0, 1, 2, 3, 4}, 3);
   EXPECT_TRUE(topo.active());
   EXPECT_EQ(topo.parent_of(4), 1);
+}
+
+TEST(Topology, FanoutBelowOneIsRejected) {
+  for (const int fanout : {0, -1}) {
+    sim::Cluster cluster({}, 2);
+    DsmConfig cfg;
+    cfg.heap_bytes = 1 << 20;
+    cfg.fanout = fanout;
+    EXPECT_THROW(DsmSystem(cluster, cfg), util::CheckError) << fanout;
+  }
 }
 
 TEST(Topology, StructuralInvariantsAcrossSizesAndFanouts) {
@@ -84,7 +98,7 @@ TEST(Topology, StructuralInvariantsAcrossSizesAndFanouts) {
     for (int i = 0; i < n; ++i) team[static_cast<std::size_t>(i)] = i;
     for (const int fanout : {1, 2, 3, 4, 8}) {
       Topology topo;
-      topo.rebuild(team, TopologyKind::kTree, fanout);
+      topo.rebuild(team, fanout);
       SCOPED_TRACE("n=" + std::to_string(n) +
                    " fanout=" + std::to_string(fanout));
       EXPECT_EQ(topo.active(), n - 1 > fanout);
@@ -120,7 +134,8 @@ TEST(Topology, StructuralInvariantsAcrossSizesAndFanouts) {
 
 // ---------------------------------------------------------------------------
 // End-to-end grid: a barrier-heavy workload under engine × piggyback,
-// flat vs tree.  Flat must not send one tree segment; tree must agree on
+// unbounded fanout (flat) vs tree.  Flat must not send one tree segment;
+// tree must agree on
 // the result, run the same number of barriers, and cut the master's
 // inbound control traffic.
 // ---------------------------------------------------------------------------
@@ -134,8 +149,7 @@ struct TopoOutcome {
 };
 
 TopoOutcome run_barrier_workload(EngineKind engine, PiggybackMode mode,
-                                 TopologyKind topo, int fanout,
-                                 int dir_shards = 1,
+                                 int fanout, int dir_shards = 1,
                                  std::int64_t gc_threshold = 0) {
   sim::Cluster cluster({}, 8);
   DsmConfig cfg;
@@ -143,7 +157,6 @@ TopoOutcome run_barrier_workload(EngineKind engine, PiggybackMode mode,
   cfg.engine = engine;
   cfg.piggyback = mode;
   cfg.dir_shards = dir_shards;
-  cfg.topology = topo;
   cfg.fanout = fanout;
   if (gc_threshold > 0) cfg.gc_threshold_bytes = gc_threshold;
   DsmSystem sys(cluster, cfg);
@@ -199,13 +212,13 @@ class TopologyGridTest : public ::testing::TestWithParam<GridParam> {};
 TEST_P(TopologyGridTest, FlatIsQuietAndTreeMatchesWithLessMasterInbound) {
   const auto [engine, mode] = GetParam();
   const TopoOutcome flat =
-      run_barrier_workload(engine, mode, TopologyKind::kFlat, 4);
+      run_barrier_workload(engine, mode, kUnboundedFanout);
   for (const int fanout : {2, 4}) {
     SCOPED_TRACE("fanout=" + std::to_string(fanout));
     const TopoOutcome tree =
-        run_barrier_workload(engine, mode, TopologyKind::kTree, fanout);
+        run_barrier_workload(engine, mode, fanout);
 
-    // --topology flat: not one tree segment on the wire.
+    // Unbounded fanout: not one tree segment on the wire.
     EXPECT_EQ(flat.tree_segments, 0);
 
     // Same answer, same barrier count, through the tree.
@@ -224,11 +237,10 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(EngineKind::kLrc,
                                          EngineKind::kHomeLrc),
                        ::testing::Values(PiggybackMode::kOff,
-                                         PiggybackMode::kRelease,
-                                         PiggybackMode::kAggressive)),
+                                         PiggybackMode::kOn)),
     [](const ::testing::TestParamInfo<GridParam>& info) {
-      return std::string(engine_kind_name(std::get<0>(info.param))) + "_" +
-             piggyback_mode_name(std::get<1>(info.param));
+      return std::string(enum_name(std::get<0>(info.param))) + "_" +
+             enum_name(std::get<1>(info.param));
     });
 
 // ---------------------------------------------------------------------------
@@ -242,10 +254,10 @@ class TopologyGcTest : public ::testing::TestWithParam<GridParam> {};
 TEST_P(TopologyGcTest, BarrierGcRoundsAgreeAcrossTopologies) {
   const auto [engine, mode] = GetParam();
   const TopoOutcome flat = run_barrier_workload(
-      engine, mode, TopologyKind::kFlat, 4, /*dir_shards=*/4,
+      engine, mode, kUnboundedFanout, /*dir_shards=*/4,
       /*gc_threshold=*/32 << 10);
   const TopoOutcome tree = run_barrier_workload(
-      engine, mode, TopologyKind::kTree, 2, /*dir_shards=*/4,
+      engine, mode, /*fanout=*/2, /*dir_shards=*/4,
       /*gc_threshold=*/32 << 10);
   EXPECT_GE(flat.gc_runs, 1) << "threshold too high to exercise GC";
   EXPECT_EQ(tree.gc_runs, flat.gc_runs);
@@ -258,11 +270,10 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(EngineKind::kLrc,
                                          EngineKind::kHomeLrc),
                        ::testing::Values(PiggybackMode::kOff,
-                                         PiggybackMode::kRelease,
-                                         PiggybackMode::kAggressive)),
+                                         PiggybackMode::kOn)),
     [](const ::testing::TestParamInfo<GridParam>& info) {
-      return std::string(engine_kind_name(std::get<0>(info.param))) + "_" +
-             piggyback_mode_name(std::get<1>(info.param));
+      return std::string(enum_name(std::get<0>(info.param))) + "_" +
+             enum_name(std::get<1>(info.param));
     });
 
 // ---------------------------------------------------------------------------
@@ -289,12 +300,11 @@ TEST_P(TopologyInteriorLeaveTest, InteriorLeaveJoinKeepsFlatChecksums) {
   cfg.engine = engine;
   cfg.piggyback = mode;
   cfg.dir_shards = 4;
-  cfg.topology = TopologyKind::kFlat;
-  cfg.fanout = 2;
+  cfg.fanout = kUnboundedFanout;
   cfg.adaptive = false;
   const harness::RunResult baseline = harness::run_workload(cfg);
 
-  cfg.topology = TopologyKind::kTree;
+  cfg.fanout = 2;
   cfg.adaptive = true;
   cfg.spare_hosts = 1;
   cfg.events = harness::alternating_leave_join(
@@ -320,11 +330,10 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(EngineKind::kLrc,
                                          EngineKind::kHomeLrc),
                        ::testing::Values(PiggybackMode::kOff,
-                                         PiggybackMode::kRelease,
-                                         PiggybackMode::kAggressive)),
+                                         PiggybackMode::kOn)),
     [](const ::testing::TestParamInfo<LeaveParam>& info) {
-      return std::string(engine_kind_name(std::get<0>(info.param))) + "_" +
-             piggyback_mode_name(std::get<1>(info.param));
+      return std::string(enum_name(std::get<0>(info.param))) + "_" +
+             enum_name(std::get<1>(info.param));
     });
 
 }  // namespace

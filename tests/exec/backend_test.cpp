@@ -107,6 +107,16 @@ TEST(RealHeap, SecondWriteToOpenPageDoesNotTrap) {
 // Differential: sim vs real
 // ---------------------------------------------------------------------------
 
+/// Pins the knobs --backend real refuses, so an ambient ANOW_PLACEMENT,
+/// ANOW_RACE_CHECK or ANOW_TRACE cannot turn a real-backend config into a
+/// guard failure.  The guard tests below set exactly one of them back.
+harness::RunConfig real_compatible(harness::RunConfig cfg) {
+  cfg.placement = dsm::PlacementMode::kStatic;
+  cfg.race_check = dsm::RaceCheckMode::kOff;
+  cfg.trace_file.clear();
+  return cfg;
+}
+
 harness::RunResult run_once(const std::string& app, dsm::BackendKind backend,
                             dsm::EngineKind engine, int nprocs = 4) {
   harness::RunConfig cfg;
@@ -116,7 +126,7 @@ harness::RunResult run_once(const std::string& app, dsm::BackendKind backend,
   cfg.adaptive = false;
   cfg.backend = backend;
   cfg.engine = engine;
-  return harness::run_workload(cfg);
+  return harness::run_workload(real_compatible(cfg));
 }
 
 class BackendDifferential
@@ -153,7 +163,7 @@ INSTANTIATE_TEST_SUITE_P(
                                          dsm::EngineKind::kHomeLrc)),
     [](const auto& info) {
       return std::string(std::get<0>(info.param)) + "_" +
-             dsm::engine_kind_name(std::get<1>(info.param));
+             dsm::enum_name(std::get<1>(info.param));
     });
 
 TEST(BackendDifferential, SimIsDeterministic) {
@@ -179,7 +189,7 @@ harness::RunConfig real_config() {
   cfg.nprocs = 2;
   cfg.adaptive = false;
   cfg.backend = dsm::BackendKind::kReal;
-  return cfg;
+  return real_compatible(cfg);
 }
 
 TEST(BackendGuards, TracingRejectedUnderReal) {
@@ -196,7 +206,7 @@ TEST(BackendGuards, TimeAttributionRejectedUnderReal) {
 
 TEST(BackendGuards, RaceCheckRejectedUnderReal) {
   harness::RunConfig cfg = real_config();
-  cfg.race_check = dsm::RaceCheckMode::kPage;
+  cfg.race_check = dsm::RaceCheckMode::kWord;
   EXPECT_THROW(harness::run_workload(cfg), util::CheckError);
 }
 
@@ -218,7 +228,7 @@ TEST(BackendGuards, AdaptEventsRejectedUnderReal) {
 TEST(BackendGuards, ParseAndNames) {
   EXPECT_EQ(dsm::parse_backend_kind("sim"), dsm::BackendKind::kSim);
   EXPECT_EQ(dsm::parse_backend_kind("real"), dsm::BackendKind::kReal);
-  EXPECT_STREQ(dsm::backend_kind_name(dsm::BackendKind::kReal), "real");
+  EXPECT_STREQ(dsm::enum_name(dsm::BackendKind::kReal), "real");
   EXPECT_THROW(dsm::parse_backend_kind("hardware"), util::CheckError);
 }
 

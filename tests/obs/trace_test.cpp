@@ -214,8 +214,7 @@ struct GridPoint {
 std::vector<GridPoint> grid() {
   std::vector<GridPoint> points;
   for (const auto engine : {dsm::EngineKind::kLrc, dsm::EngineKind::kHomeLrc}) {
-    for (const auto pb : {dsm::PiggybackMode::kOff, dsm::PiggybackMode::kRelease,
-                          dsm::PiggybackMode::kAggressive}) {
+    for (const auto pb : {dsm::PiggybackMode::kOff, dsm::PiggybackMode::kOn}) {
       for (const int shards : {1, 4}) {
         for (const auto pl :
              {dsm::PlacementMode::kStatic, dsm::PlacementMode::kAdaptive}) {
@@ -247,9 +246,9 @@ harness::RunConfig grid_config(const GridPoint& g) {
 
 std::string point_name(const GridPoint& g) {
   std::ostringstream os;
-  os << dsm::engine_kind_name(g.engine) << "/"
-     << dsm::piggyback_mode_name(g.piggyback) << "/shards=" << g.dir_shards
-     << "/" << dsm::placement_mode_name(g.placement);
+  os << dsm::enum_name(g.engine) << "/"
+     << dsm::enum_name(g.piggyback) << "/shards=" << g.dir_shards
+     << "/" << dsm::enum_name(g.placement);
   return os.str();
 }
 

@@ -1,5 +1,6 @@
-// Unit tests for the utility layer: checks, rng, stats, table, options,
-// and the bump arena behind the hot-path payloads (DESIGN.md §10).
+// Unit tests for the utility layer: checks, rng, stats, table, options
+// (and the DSM knob table they feed), and the bump arena behind the
+// hot-path payloads (DESIGN.md §10).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -8,6 +9,7 @@
 #include <set>
 #include <vector>
 
+#include "dsm/config.hpp"
 #include "util/arena.hpp"
 #include "util/check.hpp"
 #include "util/options.hpp"
@@ -293,6 +295,82 @@ TEST(Options, RejectsBadInteger) {
   const char* argv[] = {"prog", "--nodes=abc"};
   Options o(2, argv);
   EXPECT_THROW(o.get_int("nodes", 0), CheckError);
+}
+
+TEST(Options, IntegersMustParseWhole) {
+  const char* argv[] = {"prog", "--nodes", "8x", "--seed=-3",
+                        "--big=99999999999999999999"};
+  Options o(5, argv);
+  EXPECT_THROW(o.get_int("nodes", 0), CheckError);
+  EXPECT_EQ(o.get_int("seed", 0), -3);
+  EXPECT_THROW(o.get_int("big", 0), CheckError);
+}
+
+TEST(ParseInt, RejectsJunkBlanksAndOverflow) {
+  EXPECT_EQ(parse_int<int>("42", "n"), 42);
+  EXPECT_EQ(parse_int<int>("-7", "n"), -7);
+  for (const char* bad : {"", "4abc", " 4", "4 ", "+4", "0x10", "2147483648"}) {
+    EXPECT_THROW(parse_int<int>(bad, "n"), CheckError) << "'" << bad << "'";
+  }
+}
+
+TEST(Knobs, BuiltinDefaults) {
+  const dsm::Knobs k = dsm::Knobs::builtin();
+  EXPECT_EQ(k.backend, dsm::BackendKind::kSim);
+  EXPECT_EQ(k.engine, dsm::EngineKind::kLrc);
+  EXPECT_EQ(k.piggyback, dsm::PiggybackMode::kOn);
+  EXPECT_EQ(k.dir_shards, 1);
+  EXPECT_EQ(k.placement, dsm::PlacementMode::kStatic);
+  EXPECT_EQ(k.fanout, dsm::kUnboundedFanout);
+  EXPECT_EQ(k.race_check, dsm::RaceCheckMode::kOff);
+  EXPECT_TRUE(k.trace_file.empty());
+}
+
+// Options and ANOW_* variables share one parser per knob, so these cases
+// cover ANOW_FANOUT=4abc as well as --fanout 4abc.
+TEST(Knobs, ValuesParseStrictly) {
+  dsm::Knobs k = dsm::Knobs::builtin();
+  auto read = [&k](std::vector<const char*> args) {
+    args.insert(args.begin(), "prog");
+    dsm::read_knobs(Options(static_cast<int>(args.size()), args.data()), k);
+  };
+  read({"--fanout", "4", "--race-check", "word", "--trace", "out.json"});
+  EXPECT_EQ(k.fanout, 4);
+  EXPECT_EQ(k.race_check, dsm::RaceCheckMode::kWord);
+  EXPECT_EQ(k.trace_file, "out.json");
+  EXPECT_THROW(read({"--fanout", "4abc"}), CheckError);
+  EXPECT_EQ(k.fanout, 4);
+  EXPECT_THROW(read({"--dir-shards", "2x"}), CheckError);
+  // The deleted spellings are gone, not aliased.
+  EXPECT_THROW(read({"--piggyback", "aggressive"}), CheckError);
+  EXPECT_THROW(read({"--piggyback", "release"}), CheckError);
+  EXPECT_THROW(read({"--race-check", "page"}), CheckError);
+}
+
+TEST(Knobs, CommandLineOverridesOnlyWhatItNames) {
+  const char* argv[] = {"prog", "--fanout", "8", "--piggyback=off"};
+  dsm::Knobs k = dsm::Knobs::builtin();
+  k.engine = dsm::EngineKind::kHomeLrc;
+  dsm::read_knobs(Options(4, argv), k);
+  EXPECT_EQ(k.fanout, 8);
+  EXPECT_EQ(k.piggyback, dsm::PiggybackMode::kOff);
+  EXPECT_EQ(k.engine, dsm::EngineKind::kHomeLrc);
+  // A program that gives --dir-shards another meaning reads only the
+  // knobs it names.
+  const char* sweep[] = {"prog", "--dir-shards", "1,4", "--fanout", "2"};
+  dsm::read_knobs(Options(5, sweep), k, {"fanout"});
+  EXPECT_EQ(k.fanout, 2);
+  EXPECT_EQ(k.dir_shards, 1);
+}
+
+TEST(Knobs, EnumNamesRoundTrip) {
+  for (const auto mode : {dsm::PiggybackMode::kOff, dsm::PiggybackMode::kOn}) {
+    EXPECT_EQ(dsm::parse_enum<dsm::PiggybackMode>(dsm::enum_name(mode), "x"),
+              mode);
+  }
+  EXPECT_STREQ(dsm::enum_name(dsm::EngineKind::kHomeLrc), "home");
+  EXPECT_EQ(dsm::fanout_name(dsm::kUnboundedFanout), "unbounded");
+  EXPECT_EQ(dsm::fanout_name(8), "8");
 }
 
 TEST(Options, AllowOnlyCatchesTypos) {
