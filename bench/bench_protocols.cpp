@@ -54,7 +54,8 @@
 // on leg's virtual time, messages, bytes, and checksum; and the
 // scaling sweep's tree legs must match the flat checksums and barrier
 // counts, strictly cut master inbound/barrier at >= 64 nodes, and cut it
-// >= 10x at 256 nodes.
+// >= 10x at 256 nodes; a tree leg whose fanout covers the team (n - 1 <=
+// fanout, the degenerate tree) must equal the flat leg in every field.
 #include <chrono>
 #include <exception>
 #include <iostream>
@@ -590,6 +591,7 @@ int main(int argc, char** argv) {
       std::int64_t master_in = 0;
       std::int64_t master_out = 0;
       double in_per_barrier = 0.0;
+      bool operator==(const ScaleLeg&) const = default;
     };
     auto run_scale_leg = [&](const std::string& app, int n, int leg_fanout) {
       harness::RunConfig cfg;
@@ -678,6 +680,12 @@ int main(int argc, char** argv) {
           if (tree.barriers != flat.barriers) {
             fail(leg + ": tree ran " + std::to_string(tree.barriers) +
                  " barriers vs flat " + std::to_string(flat.barriers));
+          }
+          // A fanout covering the team is the degenerate tree, which is
+          // the star itself: every recorded field must be identical.
+          if (n - 1 <= kScaleFanout && !(tree == flat)) {
+            fail(leg + ": fanout " + std::to_string(kScaleFanout) +
+                 " covers the team but differs from the unbounded leg");
           }
           if (n >= 64 && tree.in_per_barrier >= flat.in_per_barrier) {
             fail(leg + ": master inbound/barrier did not drop: tree " +

@@ -95,10 +95,10 @@ enum class PidStrategy : std::uint8_t {
   kSwapLast,
 };
 
-/// Control-plane fanout (DESIGN.md §12) under which every slave is a direct
-/// child of the master: flat master-centric routing, byte-identical to the
-/// pre-topology protocol.  Any fanout K below the team size minus one
-/// builds a K-ary combining/multicast tree instead.
+/// Control-plane fanout (DESIGN.md §12) under which every slave is a leaf
+/// child of the master: the degenerate tree, whose collectives are exactly
+/// the master-centric star.  Any fanout K below the team size minus one
+/// gives the tree interior nodes that combine and multicast.
 inline constexpr int kUnboundedFanout = std::numeric_limits<int>::max();
 
 /// Spellings of an enum knob, indexed by enumerator value.

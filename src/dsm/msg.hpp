@@ -255,16 +255,16 @@ struct ShardMove {
 };
 
 // --- hierarchical control plane (DESIGN.md §12) ----------------------------
-// With --fanout K below the team size minus one the collectives stop being
-// flat master-centric fan-ins/fan-outs: inbound collective segments are
-// *combined* at interior nodes of a K-ary tree over the live team,
-// outbound instruction fan-outs are *multicast* down it.  None of these
-// segments exist under the unbounded default fanout, which stays
-// byte-identical to the pre-topology protocol.
+// Collectives run over a K-ary tree over the live team: inbound collective
+// segments are *combined* at interior nodes, outbound instruction fan-outs
+// are *multicast* down it.  A hop between the master and a leaf child of
+// the master carries the plain segments instead, so none of these exist
+// under the unbounded default fanout, where the tree is the star.
 
 /// Combined barrier arrival: one envelope per subtree.  Each non-master
-/// process sends exactly one TreeArrive to its tree parent covering its
-/// whole subtree — its own arrival merged with its children's.  Flushes are
+/// process below an interior node, and each interior node, sends exactly
+/// one TreeArrive to its tree parent covering its whole subtree — its own
+/// arrival merged with its children's.  Flushes are
 /// the subtree's master-homed piggybacked HomeFlush segments; they are kept
 /// ordered *before* the arrivals and applied first at the master, so the
 /// ack-before-announce invariant survives routing through interior nodes

@@ -473,7 +473,7 @@ void DsmProcess::apply_owner_hints(const OwnerDelta& delta) {
 // Synchronization
 // ---------------------------------------------------------------------------
 
-void DsmProcess::flush_homes(bool divert_master_to_tree) {
+void DsmProcess::flush_homes(bool at_barrier) {
   auto plans = engine_->plan_home_flush();
   if (plans.empty()) return;
   // Diff creation (one page scan per flushed diff) happens on this node.
@@ -525,11 +525,11 @@ void DsmProcess::flush_homes(bool divert_master_to_tree) {
       }
       staged_service += system_.cluster().cost().diff_service_fixed +
                         system_.cluster().cost().diff_apply_time(flush_bytes);
-      if (divert_master_to_tree) {
-        // Tree barrier path: the announcement is a TreeArrive to the
-        // parent, so the flush rides inside it (ordered before the
-        // arrivals, applied first at the master) instead of the master
-        // stage — same piggyback, different vehicle (DESIGN.md §12).
+      if (at_barrier && !arrives_plain()) {
+        // The barrier announcement is a TreeArrive to the parent, so the
+        // flush rides inside it (ordered before the arrivals, applied
+        // first at the master) instead of the master stage — same
+        // piggyback, different vehicle (DESIGN.md §12).
         tree_flushes_pending_.push_back(std::move(flush));
       } else {
         channel_.stage(kMasterUid, std::move(flush));
@@ -565,35 +565,22 @@ void DsmProcess::barrier(std::int32_t barrier_id) {
   // §13).
   if (race_ != nullptr) race_->on_barrier_arrive(uid_);
   Interval iv = engine_->finish_interval();
-  const bool tree = tree_routes_collectives();
-  flush_homes(/*divert_master_to_tree=*/tree);
+  flush_homes(/*at_barrier=*/true);
   BarrierArrive arrive{uid_, barrier_id, std::move(iv), consistency_bytes()};
-  if (tree) {
-    // The arrival climbs the tree: merged with the children's at this node,
-    // one combined envelope per subtree (DESIGN.md §12).
-    tree_post_arrive(barrier_id, std::move(arrive));
-  } else {
+  if (is_master()) {
     // channel_.send drains the flush staged for the master (if any): the
     // arrival and its home data share one envelope, data first.
     channel_.send(kMasterUid, std::move(arrive));
+  } else {
+    // The arrival climbs the tree: merged with the children's at this node,
+    // one combined envelope per subtree (DESIGN.md §12).
+    tree_post_arrive(barrier_id, std::move(arrive));
   }
 
   while (true) {
     Segment m = next_instruction("barrier");
     if (auto* gp = std::get_if<GcPrepare>(&m)) {
-      obs::ScopedSpan gc_span(tracer_, uid_, obs::SpanKind::kGcPrepare);
-      // A shard holder's authoritative slices adopt the delta at the
-      // prepare phase: by the time the master's gc_finish runs (all acks
-      // in), every slice already answers queries with post-GC owners.
-      engine_->apply_delta_to_slices(gp->owners);
-      engine_->note_gc_prepare();
-      engine_->integrate(gp->intervals);
-      gc_validate(gp->owners);
-      if (tree_routes_collectives()) {
-        tree_post_ack();
-      } else {
-        channel_.send(kMasterUid, GcAck{uid_});
-      }
+      handle_gc_prepare(*gp);
       continue;
     }
     auto* rel = std::get_if<BarrierRelease>(&m);
@@ -720,6 +707,22 @@ void DsmProcess::gc_validate(const OwnerDelta& owners) {
   }
 }
 
+void DsmProcess::handle_gc_prepare(const GcPrepare& gp) {
+  obs::ScopedSpan span(tracer_, uid_, obs::SpanKind::kGcPrepare);
+  // A shard holder's authoritative slices adopt the delta at the prepare
+  // phase: by the time the master's gc_finish runs (all acks in), every
+  // slice already answers queries with post-GC owners.
+  engine_->apply_delta_to_slices(gp.owners);
+  engine_->note_gc_prepare();
+  engine_->integrate(gp.intervals);
+  gc_validate(gp.owners);
+  if (is_master()) {
+    channel_.send(kMasterUid, GcAck{uid_});
+  } else {
+    tree_post_ack();
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Message handling (event context — never blocks)
 // ---------------------------------------------------------------------------
@@ -779,11 +782,12 @@ void DsmProcess::handle_segment(Segment seg, Uid src,
           } else if (is_master()) {
             system_.on_dir_delta_reply(std::move(body));
           } else {
-            // Tree barrier GC (DESIGN.md §12): a holder's cookie-0 partial
+            // Barrier GC (DESIGN.md §12): a holder's cookie-0 partial
             // climbs toward the root through this node — re-staged on our
             // channel after the constant interior service charge.
-            ANOW_CHECK(tree_routes_collectives());
             const Uid parent = system_.topology().parent_of(uid_);
+            ANOW_CHECK_MSG(parent != kNoUid,
+                           "delta reply relayed by non-member " << uid_);
             system_.rt().defer(
                 system_.cluster().cost().tree_combine,
                 [this, parent, reply = std::move(body)]() mutable {
@@ -795,7 +799,7 @@ void DsmProcess::handle_segment(Segment seg, Uid src,
             // Root: unpack the subtree.  Flushes first — they were kept
             // ordered ahead of the arrivals the whole way up, so the
             // ack-before-announce invariant holds exactly as it does for
-            // a flat piggybacked envelope (DESIGN.md §7, §12).  They are
+            // a plain piggybacked envelope (DESIGN.md §7, §12).  They are
             // all cookie-0 (writer pre-paid the apply service), so no ack.
             engine_->apply_home_flushes(body.flushes);
             if (checker_ != nullptr) {
@@ -971,12 +975,11 @@ void DsmProcess::handle_dir_delta_request(const DirDeltaRequest& req,
   if (req.want_slice) reply.slice = slice->owners();
   reply.cookie = req.cookie;
   // A barrier-GC round's reply (cookie 0) climbs back through the holder's
-  // parent under the tree topology — the request came down a multicast, and
-  // the partial is relayed hop by hop to the master's GC state machine
-  // (DESIGN.md §12).  Fiber rounds (nonzero cookie) stay direct to src.
-  const Uid to = (req.cookie == 0 && tree_routes_collectives())
-                     ? system_.topology().parent_of(uid_)
-                     : src;
+  // parent — the request came down the tree, and the partial is relayed hop
+  // by hop to the master's GC state machine (DESIGN.md §12); a leaf child
+  // of the master replies straight to it.  Fiber rounds (nonzero cookie)
+  // stay direct to src.
+  const Uid to = req.cookie == 0 ? system_.topology().parent_of(uid_) : src;
   // Record-vs-slice comparison on the holder before the reply leaves.
   const sim::Time service =
       system_.cluster().cost().dir_service +
@@ -1050,8 +1053,8 @@ void DsmProcess::handle_diff_request(const DiffRequest& req, Uid /*src*/) {
 // upward forward.  Multicast splitting is pure event context.
 // ---------------------------------------------------------------------------
 
-bool DsmProcess::tree_routes_collectives() const {
-  return system_.topology().active() && !is_master();
+bool DsmProcess::arrives_plain() const {
+  return is_master() || system_.topology().is_root_leaf(uid_);
 }
 
 void DsmProcess::tree_post_arrive(std::int32_t barrier_id,
@@ -1075,8 +1078,6 @@ void DsmProcess::tree_post_arrive(std::int32_t barrier_id,
 }
 
 void DsmProcess::on_tree_arrive(TreeArrive msg) {
-  ANOW_CHECK_MSG(tree_routes_collectives(),
-                 "combined arrival reached flat-routing node " << uid_);
   if (!tree_arrive_open_) {
     tree_arrive_open_ = true;
     tree_barrier_id_ = msg.barrier_id;
@@ -1110,9 +1111,15 @@ void DsmProcess::maybe_forward_tree_arrive() {
   tree_arrivals_.clear();
   const Uid parent = topo.parent_of(uid_);
   ANOW_CHECK(parent != kNoUid);
+  if (arrives_plain()) {
+    // The vehicle rule: a leaf child of the master sends the star's plain
+    // arrival, behind the master-homed flush flush_homes staged for it.
+    ANOW_CHECK(out.flushes.empty() && out.arrivals.size() == 1);
+    channel_.send(parent, std::move(out.arrivals.front()));
+    return;
+  }
   if (children == 0) {
-    // A leaf's "combine" is just its own segment — sent immediately, the
-    // exact flat send re-aimed at the parent.
+    // A deeper leaf's "combine" is just its own segment — sent at once.
     channel_.send(parent, std::move(out));
     return;
   }
@@ -1135,8 +1142,6 @@ void DsmProcess::tree_post_ack() {
 }
 
 void DsmProcess::on_child_tree_ack(const TreeAck& msg) {
-  ANOW_CHECK_MSG(tree_routes_collectives(),
-                 "combined ack reached flat-routing node " << uid_);
   ANOW_CHECK(msg.count >= 1);
   tree_ack_open_ = true;
   ++tree_child_acks_;
@@ -1156,6 +1161,10 @@ void DsmProcess::maybe_forward_tree_ack() {
   tree_ack_count_ = 0;
   const Uid parent = topo.parent_of(uid_);
   ANOW_CHECK(parent != kNoUid);
+  if (arrives_plain()) {
+    channel_.send(parent, GcAck{uid_});  // the vehicle rule, as above
+    return;
+  }
   if (children == 0) {
     channel_.send(parent, out);
     return;
@@ -1198,7 +1207,7 @@ void DsmProcess::handle_tree_multicast(TreeMulticast msg) {
           channel_.send(to, std::move(mc));
         });
   }
-  // The own route replays the exact envelope a flat fan-out would have
+  // The own route replays the exact envelope a plain send would have
   // delivered: the destination's staged segments (join-barrier release,
   // adopt/drop notices, ...) strictly before the instruction, processed
   // in order with the master as the logical sender.
@@ -1328,16 +1337,7 @@ void DsmProcess::slave_main() {
       continue;
     }
     if (auto* gp = std::get_if<GcPrepare>(&m)) {
-      obs::ScopedSpan gc_span(tracer_, uid_, obs::SpanKind::kGcPrepare);
-      engine_->apply_delta_to_slices(gp->owners);
-      engine_->note_gc_prepare();
-      engine_->integrate(gp->intervals);
-      gc_validate(gp->owners);
-      if (tree_routes_collectives()) {
-        tree_post_ack();
-      } else {
-        channel_.send(kMasterUid, GcAck{uid_});
-      }
+      handle_gc_prepare(*gp);
       continue;
     }
     ANOW_CHECK_MSG(std::holds_alternative<TerminateMsg>(m),

@@ -140,14 +140,16 @@ class DsmProcess {
   void handle_shard_move(ShardMove msg);
 
   // --- hierarchical control plane (DESIGN.md §12) ----------------------------
-  /// Whether this process's collective announcements climb the tree: a
-  /// non-root member of an active tree topology.  The master (root) keeps
-  /// the flat self-send paths; flat topologies route nothing.
-  bool tree_routes_collectives() const;
+  /// The vehicle rule at the master's edge: this process's barrier arrival
+  /// and GC ack reach the master as the star's plain segments — true for
+  /// the master itself (a self-send) and for a leaf child of the master.
+  /// Everyone else's arrival and ack climb the tree in TreeArrive /
+  /// TreeAck.  A fact about the process's position, not a routing mode.
+  bool arrives_plain() const;
   /// Fiber side: contributes this process's own barrier arrival (plus the
-  /// master-homed flushes flush_homes diverted) to the subtree combine and
-  /// forwards the merged TreeArrive to the parent once every child subtree
-  /// has reported.
+  /// master-homed flushes flush_homes held for the TreeArrive) to the
+  /// subtree combine and forwards the merged arrival to the parent once
+  /// every child subtree has reported.
   void tree_post_arrive(std::int32_t barrier_id, BarrierArrive arrival);
   /// Fiber side: contributes this process's own GcAck to the subtree's
   /// combined TreeAck.
@@ -162,8 +164,9 @@ class DsmProcess {
   void handle_tree_multicast(TreeMulticast msg);
   /// Forwards the combined TreeArrive / TreeAck to the parent once complete
   /// (self contributed and every child subtree reported).  Leaves send
-  /// immediately — their "combine" is just their own segment, exactly the
-  /// flat send; interior nodes charge cost().tree_combine first.
+  /// immediately — their "combine" is just their own segment, and a leaf
+  /// child of the master sends it as the plain BarrierArrive / GcAck;
+  /// interior nodes charge cost().tree_combine first.
   void maybe_forward_tree_arrive();
   void maybe_forward_tree_ack();
   void deliver_reply(std::uint64_t cookie, Segment seg,
@@ -201,14 +204,14 @@ class DsmProcess {
   /// Home-based engines: pushes the finished interval's diffs to their
   /// homes (one batched message per home, issued in parallel) and blocks on
   /// the acks.  Must run after finish_interval and before the interval is
-  /// announced to the master.  No-op for archive-based engines.  With
-  /// divert_master_to_tree (the barrier path of a tree-routing process),
-  /// the master-homed piggybacked batch is held in tree_flushes_pending_
-  /// instead of the master stage: the announcement it must precede is a
-  /// TreeArrive to the parent, and the flush rides inside it (ordered
-  /// before the arrivals, applied first at the master), so ack-before-
-  /// announce survives routing through interior nodes.
-  void flush_homes(bool divert_master_to_tree = false);
+  /// announced to the master.  No-op for archive-based engines.  The
+  /// master-homed piggybacked batch is staged on the master channel, ahead
+  /// of the announcement — except at a barrier whose arrival climbs the
+  /// tree (!arrives_plain()): it is then held in tree_flushes_pending_ and
+  /// rides inside the TreeArrive (ordered before the arrivals, applied
+  /// first at the master), so ack-before-announce survives routing through
+  /// interior nodes.
+  void flush_homes(bool at_barrier = false);
   /// Validates pages the engine requires (new homes), then applies the
   /// delta as owner hints.
   void apply_owner_hints(const OwnerDelta& delta);
@@ -218,6 +221,10 @@ class DsmProcess {
   /// with a copy are validated with one batched diff fetch per creator;
   /// the rest go through the normal fault path.
   void gc_validate(const OwnerDelta& owners);
+  /// The GcPrepare instruction, in barrier() or Tmk_wait: adopts the delta
+  /// into held slices, integrates, validates, and acks (the master with a
+  /// self-send, everyone else through the ack combine).
+  void handle_gc_prepare(const GcPrepare& gp);
 
   // --- real-backend write barrier (DESIGN.md §14) ----------------------------
   /// Replays SIGSEGV-trapped first writes into the engine at a protocol
@@ -336,8 +343,8 @@ class DsmProcess {
   bool tree_self_acked_ = false;
   int tree_child_acks_ = 0;  // child TreeAck envelopes received
   std::int32_t tree_ack_count_ = 0;
-  /// Master-homed piggybacked flushes diverted by flush_homes on the
-  /// barrier path; tree_post_arrive moves them into the combine.
+  /// Master-homed piggybacked flushes flush_homes held for the TreeArrive
+  /// on the barrier path; tree_post_arrive moves them into the combine.
   std::vector<HomeFlush> tree_flushes_pending_;
 };
 

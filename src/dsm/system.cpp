@@ -209,35 +209,18 @@ void DsmSystem::run(std::function<void(DsmProcess&)> master_main) {
   DsmProcess* master = processes_.at(kMasterUid).get();
   auto master_body = [this, master, main = std::move(master_main)] {
     main(*master);
-    // Shut down every live process — team members and joiners that were
-    // spawned but never adopted.  channel().send drains any join-barrier
-    // release still staged for the target, so a slave parked in its final
-    // barrier gets [release, terminate] in one envelope.  Under the tree
-    // topology the team members' terminates travel as one multicast (the
-    // routes pull the staged releases, preserving the same [release,
-    // terminate] order per destination); never-adopted joiners are not in
-    // the tree and stay direct.
-    if (topology_.active()) {
-      std::vector<std::pair<Uid, Segment>> msgs;
-      for (Uid uid : team_) {
-        if (uid == kMasterUid || !processes_[uid]->alive()) continue;
-        msgs.emplace_back(uid, TerminateMsg{});
-      }
-      if (!msgs.empty()) fan_out_instructions(std::move(msgs));
-      for (auto& proc : processes_) {
-        if (proc->uid() == kMasterUid || !proc->alive()) continue;
-        if (std::find(team_.begin(), team_.end(), proc->uid()) !=
-            team_.end()) {
-          continue;
-        }
-        channel(kMasterUid).send(proc->uid(), TerminateMsg{});
-      }
-    } else {
-      for (auto& proc : processes_) {
-        if (proc->uid() == kMasterUid || !proc->alive()) continue;
-        channel(kMasterUid).send(proc->uid(), TerminateMsg{});
-      }
+    // Shut down every live process in uid order — team members and joiners
+    // that were spawned but never adopted (not tree members, so their
+    // terminates go plain).  The fan-out delivers any join-barrier release
+    // still staged for a target ahead of its terminate, so a slave parked
+    // in its final barrier gets [release, terminate] in one envelope or
+    // route.
+    std::vector<std::pair<Uid, Segment>> terminates;
+    for (auto& proc : processes_) {
+      if (proc->uid() == kMasterUid || !proc->alive()) continue;
+      terminates.emplace_back(proc->uid(), TerminateMsg{});
     }
+    fan_out_instructions(std::move(terminates));
     master->alive_ = false;
   };
   if (rt_->real()) {
@@ -379,10 +362,9 @@ void DsmSystem::expel(Uid uid) {
   }
   if (race_ != nullptr) race_->on_expel(uid);
   rebuild_topology();
-  // The terminate stays direct even under the tree topology: the send
-  // drains the leaver's staged join-barrier release, preserving the
-  // [release, terminate] envelope (drain-before-departure), and the leaver
-  // is no longer in the rebuilt tree anyway.
+  // The leaver is no longer in the rebuilt tree, so its terminate is a
+  // plain send: it drains the leaver's staged join-barrier release,
+  // preserving the [release, terminate] envelope (drain-before-departure).
   channel(kMasterUid).send(uid, TerminateMsg{});
   engine_->forget_uid(uid);
 }
@@ -571,11 +553,9 @@ void DsmSystem::run_parallel(std::int32_t task_id,
   const auto commit = engine_->take_pending_commit(
       /*include_queued_updates=*/true);
 
-  // channel().send drains the join-barrier release staged for each slave
-  // (PiggybackMode::kOn), so release + fork share one envelope.
-  // Under the tree topology the fork broadcast is a multicast instead: one
-  // envelope per master child, each route carrying [staged release, fork]
-  // for its destination in the same order.
+  // The fan-out delivers the join-barrier release staged for each slave
+  // (PiggybackMode::kOn) ahead of its fork: release + fork share one
+  // envelope, or one route of a multicast.
   std::vector<std::pair<Uid, Segment>> routed;
   for (Uid uid : team_) {
     if (uid == kMasterUid) continue;
@@ -586,13 +566,9 @@ void DsmSystem::run_parallel(std::int32_t task_id,
     fork.intervals = engine_->collect_undelivered(uid);
     fork.gc_commit = commit.gc_commit;
     fork.owner_delta = commit.delta;
-    if (topology_.active()) {
-      routed.emplace_back(uid, std::move(fork));
-    } else {
-      channel(kMasterUid).send(uid, std::move(fork));
-    }
+    routed.emplace_back(uid, std::move(fork));
   }
-  if (!routed.empty()) fan_out_instructions(std::move(routed));
+  fan_out_instructions(std::move(routed));
 
   // The master executes the construct too (it is part of the team), then
   // completes the Tmk_join barrier with everyone.
@@ -693,17 +669,15 @@ void DsmSystem::release_barrier() {
       // After a join barrier a slave does nothing but wait for the next
       // instruction (fork / GC prepare / terminate), so its release rides
       // that fan-out instead of paying its own envelope.  Every
-      // instruction path departs via channel().send, which drains this
-      // stage first — the slave always pops the release before the
-      // instruction.  Under the tree topology the instruction fan-out
-      // pulls the stage into the destination's multicast route, same
-      // order.  The master itself resumes through the immediate path
-      // below (it must return from barrier() to fork again), which also
-      // keeps the barrier service charge on the critical path.
+      // instruction departs through fan_out_instructions, which delivers
+      // this stage first — the slave always pops the release before the
+      // instruction.  The master itself resumes through the immediate
+      // path below (it must return from barrier() to fork again), which
+      // also keeps the barrier service charge on the critical path.
       channel(kMasterUid).stage(uid, std::move(rel));
       continue;
     }
-    if (topology_.active() && uid != kMasterUid) {
+    if (uid != kMasterUid) {
       routed.emplace_back(uid, std::move(rel));
       continue;
     }
@@ -712,8 +686,8 @@ void DsmSystem::release_barrier() {
     });
   }
   if (!routed.empty()) {
-    // One multicast per master child after the same aggregate service
-    // charge (the master still serializes over the arrivals it merged).
+    // One fan-out after the same aggregate service charge (the master
+    // still serializes over the arrivals it merged).
     rt_->defer(service, [this, routed = std::move(routed)]() mutable {
       fan_out_instructions(std::move(routed));
     });
@@ -791,24 +765,16 @@ void DsmSystem::begin_gc_at_barrier() {
   stats().counter("dsm.dir.delta_rounds")++;
   dir_partials_.clear();
   dir_partials_outstanding_ = static_cast<int>(requests.size());
-  // Under the tree topology the shard-holder round is subtree-aware: the
-  // requests ride one multicast per master child, and the cookie-0 replies
-  // climb back up through the holders' parents (handle_dir_delta_request /
-  // the relay in handle_segment).
-  if (topology_.active()) {
-    std::vector<std::pair<Uid, Segment>> routed;
-    routed.reserve(requests.size());
-    for (auto& [holder, req] : requests) {
-      req.cookie = 0;  // route the reply to on_dir_delta_reply
-      routed.emplace_back(holder, std::move(req));
-    }
-    fan_out_instructions(std::move(routed));
-    return;
-  }
+  // The requests go down the tree like any instruction, and the cookie-0
+  // replies climb back up through the holders' parents
+  // (handle_dir_delta_request / the relay in handle_segment).
+  std::vector<std::pair<Uid, Segment>> routed;
+  routed.reserve(requests.size());
   for (auto& [holder, req] : requests) {
     req.cookie = 0;  // route the reply to on_dir_delta_reply
-    channel(kMasterUid).send(holder, std::move(req));
+    routed.emplace_back(holder, std::move(req));
   }
+  fan_out_instructions(std::move(routed));
 }
 
 void DsmSystem::on_dir_delta_reply(DirDeltaReply msg) {
@@ -838,17 +804,16 @@ void DsmSystem::start_gc_prepare(OwnerDelta delta) {
     GcPrepare gp;
     gp.owners = gc_delta_;
     gp.intervals = engine_->collect_undelivered(uid);
-    // Tree topology: the prepare fan-out is a multicast (the routes also
-    // pull any staged HomeMove/ShardMove ahead of each prepare, keeping
-    // the adopt-before-prepare order).  The master's own prepare stays a
-    // direct self-send — it is the root.
-    if (topology_.active() && uid != kMasterUid) {
-      routed.emplace_back(uid, std::move(gp));
-    } else {
+    // The fan-out delivers any staged HomeMove/ShardMove ahead of each
+    // prepare, keeping the adopt-before-prepare order.  The master's own
+    // prepare is a self-send — it is the root.
+    if (uid == kMasterUid) {
       channel(kMasterUid).send(uid, std::move(gp));
+    } else {
+      routed.emplace_back(uid, std::move(gp));
     }
   }
-  if (!routed.empty()) fan_out_instructions(std::move(routed));
+  fan_out_instructions(std::move(routed));
 }
 
 OwnerDelta DsmSystem::collect_gc_delta() {
@@ -968,13 +933,9 @@ void DsmSystem::gc_at_fork() {
       GcPrepare gp;
       gp.owners = delta;
       gp.intervals = engine_->collect_undelivered(uid);
-      if (topology_.active()) {
-        routed.emplace_back(uid, std::move(gp));
-      } else {
-        channel(kMasterUid).send(uid, std::move(gp));
-      }
+      routed.emplace_back(uid, std::move(gp));
     }
-    if (!routed.empty()) fan_out_instructions(std::move(routed));
+    fan_out_instructions(std::move(routed));
     obs::ScopedSpan span(tracer_, kMasterUid, obs::SpanKind::kGcCommit);
     rt_->wait(gc_fork_wp_, "gc acks");
     // on_gc_ack performed the master-side gc_finish (the pending commit now
@@ -1145,27 +1106,37 @@ void DsmSystem::rebuild_topology() {
 
 void DsmSystem::fan_out_instructions(
     std::vector<std::pair<Uid, Segment>> msgs) {
-  ANOW_CHECK(topology_.active());
-  // One multicast per master child; routes grouped by which child's
-  // subtree holds the destination.  Pulling the stage here (not at a
-  // direct send) keeps the no-overtaking rule: the staged segments still
-  // precede the instruction inside the route, and nothing for this
-  // destination is left behind to be overtaken.
-  std::vector<std::pair<Uid, TreeMulticast>> by_child;
+  // The vehicle is chosen per destination at the master's edge (DESIGN.md
+  // §12).  A destination whose subtree is only itself — a leaf child of
+  // the master, or a joiner not yet in the tree — gets one plain segment
+  // per instruction; channel().send drains what is staged for it first, so
+  // it receives exactly the star's envelope.  Everyone else rides one
+  // multicast per interior master child, routes grouped by which child's
+  // subtree holds the destination, departing where its first destination
+  // stood in the input.  Pulling the stage into the route keeps the
+  // no-overtaking rule: the staged segments still precede the instruction
+  // inside the route, and nothing for this destination is left behind to
+  // be overtaken.
+  std::vector<std::pair<Uid, Segment>> departures;
   for (auto& [dest, seg] : msgs) {
-    ANOW_CHECK_MSG(dest != kMasterUid, "multicast route to the root");
-    const Uid child = topology_.next_hop_toward(kMasterUid, dest);
-    auto it = std::find_if(by_child.begin(), by_child.end(),
-                           [child](const auto& e) { return e.first == child; });
-    if (it == by_child.end()) {
-      by_child.emplace_back(child, TreeMulticast{});
-      it = std::prev(by_child.end());
+    ANOW_CHECK_MSG(dest != kMasterUid, "fan-out to the root");
+    if (!topology_.is_member(dest) || topology_.is_root_leaf(dest)) {
+      departures.emplace_back(dest, std::move(seg));
+      continue;
     }
-    // One route per destination: consecutive segments for the same dest
-    // (e.g. the delta requests of two shards held by one process) merge
-    // into its existing route, in batch order — the same envelope the flat
-    // path's stage+send would have produced.
-    auto& routes = it->second.routes;
+    // An interior child is never itself a plain destination, so the
+    // departure to it is its multicast.
+    const Uid child = topology_.next_hop_toward(kMasterUid, dest);
+    auto it = std::find_if(departures.begin(), departures.end(),
+                           [child](const auto& d) { return d.first == child; });
+    if (it == departures.end()) {
+      departures.emplace_back(child, TreeMulticast{});
+      it = std::prev(departures.end());
+    }
+    // One route per destination: segments for the same dest (e.g. the
+    // delta requests of two shards held by one process) merge into its
+    // existing route, in batch order.
+    auto& routes = std::get<TreeMulticast>(it->second).routes;
     auto rit = std::find_if(routes.begin(), routes.end(),
                             [d = dest](const auto& r) { return r.dest == d; });
     if (rit == routes.end()) {
@@ -1177,8 +1148,8 @@ void DsmSystem::fan_out_instructions(
     }
     rit->segments.push_back(std::move(seg));
   }
-  for (auto& [child, mc] : by_child) {
-    channel(kMasterUid).send(child, std::move(mc));
+  for (auto& [to, seg] : departures) {
+    channel(kMasterUid).send(to, std::move(seg));
   }
 }
 

@@ -181,9 +181,9 @@ class DsmSystem {
   const protocol::ShardMap& shard_map() const { return shard_map_; }
 
   /// The control-plane tree over the live team (DESIGN.md §12), rebuilt at
-  /// start() and after every adopt/expel.  active() is false while the
-  /// fanout covers the whole team (the unbounded default), in which case
-  /// every collective uses the flat master-centric path unchanged.
+  /// start() and after every adopt/expel.  While the fanout covers the
+  /// whole team (the unbounded default) every slave is a leaf child of the
+  /// master, and the tree's collectives are the master-centric star.
   const topology::Topology& topology() const { return topology_; }
 
   /// Directory attachment parameters for a process's node-side engine:
@@ -264,13 +264,15 @@ class DsmSystem {
   /// node's children: the heap layout over the compacted pid order
   /// reattaches every orphaned subtree.
   void rebuild_topology();
-  /// Tree multicast (DESIGN.md §12): wraps one segment per destination team
-  /// member into per-destination routes — each prefixed with everything
-  /// staged on the master channel for that destination, preserving the
-  /// no-overtaking rule (a staged join-barrier release still precedes the
-  /// instruction, inside the route) — groups the routes by master child and
-  /// sends one TreeMulticast envelope per child.  Only called when
-  /// topology_.active(); destinations must not include the master.
+  /// The master's only fan-out (DESIGN.md §12): fork, barrier release, GC
+  /// prepare, cookie-0 delta request, terminate.  A leaf child of the
+  /// master (or a joiner outside the tree) gets one plain send per segment,
+  /// in input order, after whatever is staged for it — the star's envelope.
+  /// Destinations below an interior child are wrapped into per-destination
+  /// routes — each prefixed with everything staged on the master channel
+  /// for that destination, preserving the no-overtaking rule — grouped by
+  /// master child, one TreeMulticast envelope per child.  Destinations must
+  /// not include the master.
   void fan_out_instructions(std::vector<std::pair<Uid, Segment>> msgs);
 
   sim::Cluster& cluster_;

@@ -28,8 +28,9 @@ void Topology::rebuild(const std::vector<Uid>& team, int fanout) {
   }
 }
 
-bool Topology::active() const {
-  return static_cast<int>(team_.size()) - 1 > fanout_;
+bool Topology::is_root_leaf(Uid uid) const {
+  return !team_.empty() && parent_of(uid) == team_[0] &&
+         children_of(uid).empty();
 }
 
 bool Topology::is_member(Uid uid) const {

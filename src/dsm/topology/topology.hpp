@@ -12,10 +12,10 @@
 // fold to a survivor.
 //
 // Routing policy lives in DsmSystem/DsmProcess; this class only answers
-// geometry questions.  Whenever the tree would have no interior node
-// (fanout >= team size - 1, which the unbounded default fanout always is)
-// active() is false and the callers use the flat master-centric paths,
-// byte-identical to the pre-topology protocol.
+// geometry questions.  The star is not a special case: under a fanout that
+// covers the team (fanout >= team size - 1, which the unbounded default
+// always is) every slave is a leaf child of the root, and collectives cross
+// such a hop as the plain segments the master-centric protocol always sent.
 #pragma once
 
 #include <vector>
@@ -37,12 +37,12 @@ class Topology {
   int fanout() const { return fanout_; }
   int size() const { return static_cast<int>(team_.size()); }
 
-  /// Tree routing in effect: the tree has at least one interior node below
-  /// the root.  With fanout >= team size - 1 every slave is a direct root
-  /// child, so the tree is flat and no tree segment is ever sent.
-  bool active() const;
-
   bool is_member(Uid uid) const;
+
+  /// A member whose parent is the root and whose subtree is only itself.
+  /// The hop between it and the root needs no combining or routing, so
+  /// collectives cross it as plain segments (the vehicle rule).
+  bool is_root_leaf(Uid uid) const;
 
   /// Parent uid; kNoUid for the root and for non-members.
   Uid parent_of(Uid uid) const;

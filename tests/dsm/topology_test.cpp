@@ -1,14 +1,19 @@
 // Hierarchical control plane (DESIGN.md §12): tree geometry properties
 // (heap layout over pid order, parent/children consistency, next-hop
-// routing, team-covering fanouts are flat), the flat-is-baseline property
-// (the unbounded default fanout sends zero tree segments; tree runs compute
-// the same checksums while cutting master inbound control traffic), GC and sharded
-// owner-delta rounds routed through the tree, and a mid-run leave of an
-// *interior* tree node whose children must be promoted by the rebuild —
-// all over engine × piggyback × fanout.
+// routing, team-covering fanouts are the star), the flat-is-baseline
+// property (the unbounded default fanout sends zero tree segments; tree runs
+// compute the same checksums while cutting master inbound control traffic),
+// GC and sharded owner-delta rounds routed through the tree, the mixed edge
+// (leaf children of the master stay plain beside an interior sibling), the
+// star's envelopes pinned under every team-covering fanout, and a mid-run
+// leave of an *interior* tree node whose children must be promoted by the
+// rebuild — all over engine × piggyback × fanout.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cstring>
+#include <iterator>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -36,7 +41,6 @@ TEST(Topology, HeapLayoutOverPidOrderNotUidOrder) {
   Topology topo;
   topo.rebuild(team, /*fanout=*/2);
 
-  ASSERT_TRUE(topo.active());
   EXPECT_EQ(topo.parent_of(0), kNoUid);  // root
   EXPECT_EQ(topo.depth_of(0), 0);
   // parent of pid i is team[(i - 1) / 2].
@@ -64,22 +68,28 @@ TEST(Topology, NonMembersHaveNoGeometry) {
 }
 
 TEST(Topology, TeamCoveringFanoutsAreFlat) {
-  Topology topo;
-  // The unbounded default: every slave is a root child at any team size.
-  topo.rebuild({0, 1, 2, 3, 4, 5, 6, 7}, kUnboundedFanout);
-  EXPECT_FALSE(topo.active());
-  EXPECT_EQ(topo.children_of(0), (std::vector<Uid>{1, 2, 3, 4, 5, 6, 7}));
-  EXPECT_EQ(topo.parent_of(7), 0);
-  // fanout >= team size - 1: every slave is a direct root child, so there
-  // is no interior node and tree routing must stay off.
-  topo.rebuild({0, 1, 2, 3}, 3);
-  EXPECT_FALSE(topo.active());
-  topo.rebuild({0, 1, 2, 3}, 8);
-  EXPECT_FALSE(topo.active());
+  // fanout >= team size - 1 (the unbounded default at any team size): every
+  // slave is a root child with no children of its own — the star.
+  const auto expect_star = [](const std::vector<Uid>& team, int fanout) {
+    SCOPED_TRACE("n=" + std::to_string(team.size()) +
+                 " fanout=" + fanout_name(fanout));
+    Topology topo;
+    topo.rebuild(team, fanout);
+    EXPECT_EQ(topo.children_of(team[0]),
+              std::vector<Uid>(team.begin() + 1, team.end()));
+    for (std::size_t i = 1; i < team.size(); ++i) {
+      EXPECT_EQ(topo.parent_of(team[i]), team[0]);
+      EXPECT_TRUE(topo.children_of(team[i]).empty());
+    }
+  };
+  expect_star({0, 1, 2, 3, 4, 5, 6, 7}, kUnboundedFanout);
+  expect_star({0, 1, 2, 3}, 3);
+  expect_star({0, 1, 2, 3}, 8);
   // One more member tips it over: pid 4 lands under pid 1.
+  Topology topo;
   topo.rebuild({0, 1, 2, 3, 4}, 3);
-  EXPECT_TRUE(topo.active());
   EXPECT_EQ(topo.parent_of(4), 1);
+  EXPECT_EQ(topo.children_of(1), (std::vector<Uid>{4}));
 }
 
 TEST(Topology, FanoutBelowOneIsRejected) {
@@ -101,9 +111,10 @@ TEST(Topology, StructuralInvariantsAcrossSizesAndFanouts) {
       topo.rebuild(team, fanout);
       SCOPED_TRACE("n=" + std::to_string(n) +
                    " fanout=" + std::to_string(fanout));
-      EXPECT_EQ(topo.active(), n - 1 > fanout);
       std::size_t total_children = 0;
+      int max_depth = 0;
       for (const Uid u : team) {
+        max_depth = std::max(max_depth, topo.depth_of(u));
         const auto& kids = topo.children_of(u);
         total_children += kids.size();
         EXPECT_LE(static_cast<int>(kids.size()), fanout);
@@ -128,6 +139,8 @@ TEST(Topology, StructuralInvariantsAcrossSizesAndFanouts) {
       }
       // Everyone but the root is somebody's child exactly once.
       EXPECT_EQ(total_children, static_cast<std::size_t>(n - 1));
+      // The tree is the star exactly when the fanout covers the team.
+      EXPECT_EQ(max_depth <= 1, n - 1 <= fanout);
     }
   }
 }
@@ -140,19 +153,47 @@ TEST(Topology, StructuralInvariantsAcrossSizesAndFanouts) {
 // inbound control traffic.
 // ---------------------------------------------------------------------------
 
+// The counters the star pin compares, in StarPin order; the pin's last
+// entry is the master's virtual ns when its main returns.
+constexpr const char* kStarCounters[] = {
+    "net.messages",
+    "net.bytes",
+    "dsm.segments",
+    "dsm.consistency_traffic_bytes",
+    "dsm.ctrl.master_inbound",
+    "dsm.ctrl.master_outbound",
+    "dsm.seg.barrier_arrive.msgs",
+    "dsm.seg.barrier_release.msgs",
+    "dsm.seg.fork.msgs",
+    "dsm.seg.gc_prepare.msgs",
+    "dsm.seg.gc_ack.msgs",
+    "dsm.seg.dir_delta_request.msgs",
+    "dsm.seg.terminate.msgs",
+};
+constexpr std::size_t kNumStarCounters = std::size(kStarCounters);
+using StarPin = std::array<std::int64_t, kNumStarCounters + 1>;
+
 struct TopoOutcome {
   std::int64_t sum = 0;
   std::int64_t barriers = 0;
   std::int64_t gc_runs = 0;
   std::int64_t master_inbound = 0;
   std::int64_t tree_segments = 0;
+  std::int64_t barrier_arrives = 0;
+  std::int64_t tree_arrives = 0;
+  std::int64_t gc_acks = 0;
+  StarPin star{};
 };
 
+/// `base` supplies the knobs the arguments do not set (the ANOW_*
+/// environment defaults unless a caller pins them).
 TopoOutcome run_barrier_workload(EngineKind engine, PiggybackMode mode,
                                  int fanout, int dir_shards = 1,
-                                 std::int64_t gc_threshold = 0) {
+                                 std::int64_t gc_threshold = 0,
+                                 const Knobs& base = Knobs{}) {
   sim::Cluster cluster({}, 8);
   DsmConfig cfg;
+  static_cast<Knobs&>(cfg) = base;
   cfg.heap_bytes = 1 << 20;
   cfg.engine = engine;
   cfg.piggyback = mode;
@@ -194,6 +235,7 @@ TopoOutcome run_barrier_workload(EngineKind engine, PiggybackMode mode,
     master.read_range(addr, kWords * 8);
     const auto* d = master.cptr<std::int64_t>(addr);
     for (std::int64_t i = 0; i < kWords; ++i) out.sum += d[i];
+    out.star[kNumStarCounters] = master.now();
   });
   const auto& stats = sys.stats();
   out.barriers = stats.counter_value("dsm.barriers");
@@ -202,6 +244,12 @@ TopoOutcome run_barrier_workload(EngineKind engine, PiggybackMode mode,
   out.tree_segments = stats.counter_value("dsm.seg.tree_arrive.msgs") +
                       stats.counter_value("dsm.seg.tree_ack.msgs") +
                       stats.counter_value("dsm.seg.tree_multicast.msgs");
+  out.barrier_arrives = stats.counter_value("dsm.seg.barrier_arrive.msgs");
+  out.tree_arrives = stats.counter_value("dsm.seg.tree_arrive.msgs");
+  out.gc_acks = stats.counter_value("dsm.seg.gc_ack.msgs");
+  for (std::size_t i = 0; i < kNumStarCounters; ++i) {
+    out.star[i] = stats.counter_value(kStarCounters[i]);
+  }
   return out;
 }
 
@@ -275,6 +323,145 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string(enum_name(std::get<0>(info.param))) + "_" +
              enum_name(std::get<1>(info.param));
     });
+
+// ---------------------------------------------------------------------------
+// The mixed edge: 8 procs at fanout 4 make uid 1 an interior node (children
+// 5, 6, 7) and uids 2, 3, 4 leaf children of the master.  The leaves talk to
+// the master in plain segments, exactly as under the star; only uid 1's
+// subtree combines.  Per barrier that is four BarrierArrives (three leaves
+// plus the master's self-send) and four TreeArrives (5, 6, 7 into uid 1,
+// then uid 1 into the master); per barrier GC, four GcAcks.
+// ---------------------------------------------------------------------------
+
+class TopologyMixedEdgeTest : public ::testing::TestWithParam<GridParam> {};
+
+TEST_P(TopologyMixedEdgeTest, LeafChildrenOfTheMasterStayPlain) {
+  const auto [engine, mode] = GetParam();
+  const TopoOutcome flat = run_barrier_workload(engine, mode, kUnboundedFanout);
+  const TopoOutcome mixed = run_barrier_workload(engine, mode, /*fanout=*/4);
+  EXPECT_EQ(mixed.sum, flat.sum);
+  EXPECT_EQ(mixed.barriers, flat.barriers);
+  EXPECT_EQ(mixed.barrier_arrives, 4 * mixed.barriers);
+  EXPECT_EQ(mixed.tree_arrives, 4 * mixed.barriers);
+
+  const TopoOutcome flat_gc = run_barrier_workload(
+      engine, mode, kUnboundedFanout, /*dir_shards=*/4,
+      /*gc_threshold=*/32 << 10);
+  const TopoOutcome mixed_gc = run_barrier_workload(
+      engine, mode, /*fanout=*/4, /*dir_shards=*/4,
+      /*gc_threshold=*/32 << 10);
+  EXPECT_GE(mixed_gc.gc_runs, 1);
+  EXPECT_EQ(mixed_gc.sum, flat_gc.sum);
+  EXPECT_EQ(mixed_gc.gc_acks, 4 * mixed_gc.gc_runs);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Grid, TopologyMixedEdgeTest,
+    ::testing::Combine(::testing::Values(EngineKind::kLrc,
+                                         EngineKind::kHomeLrc),
+                       ::testing::Values(PiggybackMode::kOff,
+                                         PiggybackMode::kOn)),
+    [](const ::testing::TestParamInfo<GridParam>& info) {
+      return std::string(enum_name(std::get<0>(info.param))) + "_" +
+             enum_name(std::get<1>(info.param));
+    });
+
+// ---------------------------------------------------------------------------
+// The star, pinned.  Under a fanout covering the team every slave is a leaf
+// child of the master, and the degenerate tree must exchange exactly the
+// envelopes of the master-centric star: the values below were recorded
+// from the star's own code path (before it was expressed as the degenerate
+// tree) under the built-in knob defaults.  Fanout n - 1 = 7 and any larger
+// fanout must reproduce them too.
+// ---------------------------------------------------------------------------
+
+struct StarCase {
+  EngineKind engine;
+  PiggybackMode mode;
+  int dir_shards;
+  std::int64_t gc_threshold;
+  StarPin pin;
+};
+
+const StarCase kStarCases[] = {
+    // clang-format off
+    {EngineKind::kLrc, PiggybackMode::kOff, 1, 0,
+     {845, 1011256, 845, 898536, 180, 257, 160,
+      160, 70, 0, 0, 0, 7, 50888745}},
+    {EngineKind::kLrc, PiggybackMode::kOff, 4, 32 << 10,
+     {611, 463816, 611, 332432, 192, 269, 160,
+      160, 70, 8, 8, 3, 7, 31523241}},
+    {EngineKind::kLrc, PiggybackMode::kOn, 1, 0,
+     {733, 1002856, 803, 897808, 180, 257, 160,
+      160, 70, 0, 0, 0, 7, 48977550}},
+    {EngineKind::kLrc, PiggybackMode::kOn, 4, 32 << 10,
+     {539, 458616, 609, 332344, 192, 269, 160,
+      160, 70, 8, 8, 3, 7, 27014374}},
+    {EngineKind::kHomeLrc, PiggybackMode::kOff, 1, 0,
+     {727, 691004, 727, 522828, 198, 275, 160,
+      160, 70, 16, 16, 0, 7, 42469908}},
+    {EngineKind::kHomeLrc, PiggybackMode::kOff, 4, 32 << 10,
+     {715, 664928, 715, 510384, 198, 275, 160,
+      160, 70, 16, 16, 0, 7, 40647828}},
+    {EngineKind::kHomeLrc, PiggybackMode::kOn, 1, 0,
+     {641, 684748, 719, 522636, 198, 275, 160,
+      160, 70, 16, 16, 0, 7, 42142686}},
+    {EngineKind::kHomeLrc, PiggybackMode::kOn, 4, 32 << 10,
+     {627, 658520, 706, 510168, 198, 275, 160,
+      160, 70, 16, 16, 0, 7, 40464377}},
+    // clang-format on
+};
+
+TEST(TopologyStarPin, TeamCoveringFanoutsSendTheStarsEnvelopes) {
+  for (const StarCase& c : kStarCases) {
+    for (const int fanout : {kUnboundedFanout, 7, 1000}) {
+      SCOPED_TRACE(std::string(enum_name(c.engine)) + "_" +
+                   enum_name(c.mode) +
+                   " dir_shards=" + std::to_string(c.dir_shards) +
+                   " fanout=" + fanout_name(fanout));
+      const TopoOutcome out =
+          run_barrier_workload(c.engine, c.mode, fanout, c.dir_shards,
+                               c.gc_threshold, Knobs::builtin());
+      for (std::size_t i = 0; i < kNumStarCounters; ++i) {
+        EXPECT_EQ(out.star[i], c.pin[i]) << kStarCounters[i];
+      }
+      EXPECT_EQ(out.star[kNumStarCounters], c.pin[kNumStarCounters])
+          << "master virtual ns";
+      EXPECT_EQ(out.tree_segments, 0);
+    }
+  }
+}
+
+TEST(TopologyStarPin, JoinLeaveRunUnderCoveringFanouts) {
+  for (const int fanout : {kUnboundedFanout, 7, 1000}) {
+    SCOPED_TRACE("fanout=" + fanout_name(fanout));
+    harness::RunConfig cfg;
+    static_cast<Knobs&>(cfg) = Knobs::builtin();
+    cfg.app = "jacobi";
+    cfg.size = apps::Size::kTest;
+    cfg.nprocs = 6;
+    cfg.engine = EngineKind::kHomeLrc;
+    cfg.piggyback = PiggybackMode::kOn;
+    cfg.dir_shards = 4;
+    cfg.fanout = fanout;
+    cfg.adaptive = false;
+    const harness::RunResult baseline = harness::run_workload(cfg);
+    EXPECT_EQ(baseline.seconds, 0.030469605);
+
+    cfg.adaptive = true;
+    cfg.spare_hosts = 1;
+    cfg.events = harness::alternating_leave_join(
+        sim::from_seconds(baseline.seconds * 0.25),
+        sim::from_seconds(baseline.seconds * 0.2), /*leave_host=*/1,
+        /*pairs=*/1);
+    const harness::RunResult run = harness::run_workload(cfg);
+    EXPECT_GE(run.leaves, 1);
+    EXPECT_EQ(run.seconds, 0.200980242);
+    EXPECT_EQ(run.messages, 521);
+    EXPECT_EQ(run.bytes, 770570);
+    EXPECT_EQ(run.checksum, 116.263671875);
+  }
+}
 
 // ---------------------------------------------------------------------------
 // Interior-node leave: with 6 procs at fanout 2, host 1 carries uid 1 —

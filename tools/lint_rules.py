@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Repo-specific lint rules (DESIGN.md §13).
 
-Three structural conventions that clang-tidy cannot express, enforced as
+Five structural conventions that clang-tidy cannot express, enforced as
 baselines so existing, reviewed occurrences stay legal while new ones fail
 the lint CI job:
 
@@ -25,6 +25,14 @@ the lint CI job:
    allocation, no locks, no stdio streams, no exceptions, no C++
    containers.  Any token from the forbidden list appearing in that TU
    fails the lint.
+
+5. one-collective-path — the master's collectives (fork, barrier release,
+   GC prepare, delta round, terminate) leave through
+   DsmSystem::fan_out_instructions, which picks the vehicle per
+   destination: the star is the degenerate tree, not a second code path
+   (DESIGN.md §12).  The per-file count of direct master-channel sends in
+   system.cpp may not grow, and the global routing-mode predicates the
+   star used to branch on may not reappear anywhere under src/.
 
 Exit code 0 = clean, 1 = violation (message names the rule and the line).
 Run from anywhere: paths resolve relative to the repo root.
@@ -90,6 +98,19 @@ SIGNAL_HANDLER_FORBIDDEN = [
     (r"std::string\b", "heap allocation"),
     (r"std::vector\b", "heap allocation"),
 ]
+
+# --- rule 5: collective fan-outs go through fan_out_instructions ---------
+# Baseline = the reviewed direct sends: point-to-point messages (lock
+# grants, shard moves, the expel-time terminate, the joiner's page map),
+# the master fiber's directory RPC rounds, the master's self-sends, and
+# fan_out_instructions' own send.
+
+MASTER_SEND_BASELINE = {
+    "src/dsm/system.cpp": 10,
+}
+
+MODE_PREDICATES = ["topology_.active", "topology().active",
+                   "tree_routes_collectives"]
 
 CODE_SUFFIXES = {".cpp", ".hpp"}
 SCAN_DIRS = ["src", "bench", "tests", "examples"]
@@ -217,12 +238,41 @@ def check_signal_handler_safety(violations):
                 )
 
 
+def check_one_collective_path(violations):
+    send = re.compile(r"\bchannel\(kMasterUid\)\.send\(")
+    for name, allowed in MASTER_SEND_BASELINE.items():
+        path = REPO / name
+        if not path.is_file():
+            continue
+        hits = [lineno for lineno, line in
+                enumerate(path.read_text().splitlines(), 1)
+                if send.search(strip_comments(line))]
+        if len(hits) > allowed:
+            violations.append(
+                f"{name}: [one-collective-path] {len(hits)} direct "
+                f"channel(kMasterUid).send( calls (baseline {allowed}; lines "
+                f"{hits}) — send collectives through fan_out_instructions"
+            )
+    for path in sorted((REPO / "src").rglob("*")):
+        if path.suffix not in CODE_SUFFIXES:
+            continue
+        for lineno, line in enumerate(path.read_text().splitlines(), 1):
+            for token in MODE_PREDICATES:
+                if token in line:
+                    violations.append(
+                        f"{rel(path)}:{lineno}: [one-collective-path] "
+                        f"'{token}' — collectives have one path; decide by "
+                        "the process's position in the tree instead"
+                    )
+
+
 def main() -> int:
     violations = []
     check_send_envelope(violations)
     check_stats_lookups(violations)
     check_compute_in_span(violations)
     check_signal_handler_safety(violations)
+    check_one_collective_path(violations)
     if violations:
         for v in violations:
             print(v)
