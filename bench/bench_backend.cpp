@@ -6,7 +6,8 @@
 //  1. pios-style microbench sweeps (host wall-clock): fork/join latency of
 //     an empty parallel region, first-read page *touch* cost (remote fetch
 //     per page), and page *scrub* cost (write-barrier trap + diff per page)
-//     over a range of region sizes.
+//     over regions of 16 to 1024 pages, so any per-choke-point cost that
+//     grows with the heap shows as a rising us/op.
 //  2. wall-clock application legs: jacobi and hotspot at bench size, with
 //     the differential guarantee that sim and real checksums are
 //     bit-identical.
@@ -221,7 +222,7 @@ int main(int argc, char** argv) {
   sweeps.push_back({"fork_join",
                     fork_join(dsm::BackendKind::kSim, nprocs, 200),
                     fork_join(dsm::BackendKind::kReal, nprocs, 200)});
-  for (const std::int32_t npages : {16, 64, 256}) {
+  for (const std::int32_t npages : {16, 64, 256, 1024}) {
     sweeps.push_back(
         {"touch_p" + std::to_string(npages),
          touch_sweep(dsm::BackendKind::kSim, nprocs, npages, 20),

@@ -88,10 +88,11 @@ std::pair<PrimitiveResult, PrimitiveResult> diff_throughput() {
 }
 
 /// SIGSEGV write-barrier service cost (the real backend's page fault
-/// primitive, DESIGN.md §14): protect a RealHeap page read-only, store one
-/// word (trap -> twin snapshot -> mprotect RW), then harvest the trap list.
-/// One op = one serviced write fault; the dominant terms are the kernel
-/// signal round trip and the 4 KiB twin copy.
+/// primitive, DESIGN.md §14): protect the RealHeap read-only (one ranged
+/// set_access), store one word per page (trap -> twin snapshot -> mprotect
+/// RW), then harvest the trap list.  One op = one serviced write fault; the
+/// dominant terms are the kernel signal round trip and the 4 KiB twin
+/// copy.
 PrimitiveResult page_fault_service_throughput() {
   constexpr std::int32_t kPages = 256;
   constexpr int kRounds = 200;
@@ -100,9 +101,7 @@ PrimitiveResult page_fault_service_throughput() {
   PrimitiveResult out;
   const auto t0 = Clock::now();
   for (int r = 0; r < kRounds; ++r) {
-    for (std::int32_t p = 0; p < kPages; ++p) {
-      heap.set_access(p, exec::PageAccess::kRead);
-    }
+    heap.set_access(0, kPages, exec::PageAccess::kRead);
     volatile std::uint8_t* app = heap.app_base();
     for (std::int32_t p = 0; p < kPages; ++p) {
       app[static_cast<std::size_t>(p) * exec::kPageBytes] =

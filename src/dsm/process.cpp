@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <iostream>
+#include <utility>
 
 #include "dsm/debug.hpp"
 #include "dsm/system.hpp"
@@ -52,27 +53,28 @@ DsmProcess::DsmProcess(DsmSystem& system, Uid uid, sim::HostId host)
   engine_->attach_node(uid_, heap_->prot_base(), system_.num_pages(),
                        system_.protocol_table(), system_.stats(),
                        system_.node_dir_init_for(uid_));
+  // The correctness-analysis observers exist before any process when
+  // configured in (DESIGN.md §13), so the cached pointers are stable and
+  // every hook below is a single pointer test.  They are cached before the
+  // first heap_sync so its protections are checked too.
+  race_ = system_.race_detector();
+  checker_ = system_.protocol_checker();
+  engine_->set_checker(checker_);
   if (real_) {
     trap_buf_.resize(static_cast<std::size_t>(system_.num_pages()));
     scratch_page_.resize(kPageSize);
-    heap_sync_all();  // protections from the seeded engine state
+    heap_sync();  // attach_node logged every page: the seeded state
     // Bracket every inbound envelope with harvest + resync, so handlers
     // (serve, flush-apply, exclusivity revocation) always see replayed app
     // writes and leave protections consistent (DESIGN.md §14).
     system_.rt().set_delivery_hooks(
-        uid_, [this] { harvest_write_faults(); }, [this] { heap_sync_all(); });
+        uid_, [this] { harvest_write_faults(); }, [this] { heap_sync(); });
   }
   // The recorder (if any) was enabled before this process was constructed
   // (DsmSystem's constructor runs first), so the cached pointer is stable
   // for the process's lifetime.
   tracer_ = system_.cluster().trace();
   if (tracer_ != nullptr) tracer_->attach_process(uid_);
-  // Same lifecycle for the correctness-analysis observers (DESIGN.md §13):
-  // both exist before any process when configured in, so the cached
-  // pointers are stable and every hook below is a single pointer test.
-  race_ = system_.race_detector();
-  checker_ = system_.protocol_checker();
-  engine_->set_checker(checker_);
   // Hot-path counters are interned once: the fault/sync/flush paths bump
   // them per event and must not pay a map lookup each time.
   auto& stats = system_.stats();
@@ -117,7 +119,7 @@ void DsmProcess::read_range(GAddr addr, std::size_t len) {
   if (real_) harvest_write_faults();
   if (channel_.buffered() && last - first > 1) {
     fault_in_range(first, last);
-    if (real_) heap_sync_all();
+    if (real_) heap_sync();
     return;
   }
   for (PageId p = first; p < last; ++p) {
@@ -126,7 +128,7 @@ void DsmProcess::read_range(GAddr addr, std::size_t len) {
       fault_in(p);
     }
   }
-  if (real_) heap_sync_all();
+  if (real_) heap_sync();
 }
 
 void DsmProcess::write_range(GAddr addr, std::size_t len) {
@@ -207,7 +209,7 @@ void DsmProcess::write_range(GAddr addr, std::size_t len) {
                        << *cptr<std::int64_t>(page_base(p)));
     ++accessed_since_fork_;
   }
-  if (real_) heap_sync_all();
+  if (real_) heap_sync();
 }
 
 // ---------------------------------------------------------------------------
@@ -599,7 +601,7 @@ void DsmProcess::barrier(std::int32_t barrier_id) {
     if (race_ != nullptr) race_->on_barrier_release(uid_);
     // Invalidation notices just integrated must revoke app-view access
     // before application code resumes.
-    if (real_) heap_sync_all();
+    if (real_) heap_sync();
     return;
   }
 }
@@ -618,7 +620,7 @@ void DsmProcess::lock_acquire(std::int32_t lock_id) {
   // Grant received: accesses before the acquire keep their pre-join clock
   // (segment closed), then this process joins the release chain's clock.
   if (race_ != nullptr) race_->on_lock_acquire(uid_, lock_id);
-  if (real_) heap_sync_all();  // grant-borne invalidations
+  if (real_) heap_sync();  // grant-borne invalidations
 }
 
 void DsmProcess::lock_release(std::int32_t lock_id) {
@@ -636,7 +638,7 @@ void DsmProcess::lock_release(std::int32_t lock_id) {
   // Releases are asynchronous in TreadMarks: no reply awaited.
   // finish_interval cleared the dirty set: the next write to each page must
   // trap again.
-  if (real_) heap_sync_all();
+  if (real_) heap_sync();
 }
 
 void DsmProcess::compute(double cpu_seconds) {
@@ -1316,7 +1318,7 @@ void DsmProcess::run_task(const ForkMsg& fork) {
   accessed_since_fork_ = 0;
   // Fork-borne invalidations/commits must revoke app-view access before
   // the task body runs.
-  if (real_) heap_sync_all();
+  if (real_) heap_sync();
   system_.run_task_body(fork.task_id, *this, fork.args);
   barrier(kJoinBarrierId);
 }
@@ -1352,7 +1354,7 @@ void DsmProcess::slave_main() {
 // ---------------------------------------------------------------------------
 
 exec::PageAccess DsmProcess::desired_access(PageId page) const {
-  const auto& pm = engine_->page(page);
+  const auto& pm = std::as_const(*engine_).page(page);
   if (!pm.is_valid()) return exec::PageAccess::kNone;
   if (pm.dirty || (pm.exclusive && pm.exclusive_rw)) {
     return exec::PageAccess::kWrite;
@@ -1360,11 +1362,31 @@ exec::PageAccess DsmProcess::desired_access(PageId page) const {
   return exec::PageAccess::kRead;
 }
 
-void DsmProcess::heap_sync_all() {
+void DsmProcess::heap_sync() {
   if (!real_) return;
-  const PageId n = system_.num_pages();
-  for (PageId p = 0; p < n; ++p) {
-    heap_->set_access(p, desired_access(p));
+  engine_->take_changed_pages(sync_pages_);
+  const std::size_t n = sync_pages_.size();
+  for (std::size_t i = 0; i < n;) {
+    const PageId first = sync_pages_[i];
+    const exec::PageAccess a = desired_access(first);
+    std::size_t j = i + 1;
+    while (j < n && sync_pages_[j] == first + static_cast<PageId>(j - i) &&
+           desired_access(sync_pages_[j]) == a) {
+      ++j;
+    }
+    heap_->set_access(first, static_cast<std::int32_t>(j - i), a);
+    i = j;
+  }
+  if (checker_ != nullptr) {
+    // Oracle: the log-driven sync must leave the app view exactly where a
+    // rescan of the whole heap would.
+    for (PageId p = 0; p < system_.num_pages(); ++p) {
+      ANOW_CHECK_MSG(heap_->access(p) == desired_access(p),
+                     "protection sync: uid " << uid_ << " page " << p
+                         << " is at access "
+                         << static_cast<int>(heap_->access(p)) << ", want "
+                         << static_cast<int>(desired_access(p)));
+    }
   }
 }
 

@@ -234,9 +234,17 @@ class DsmProcess {
   /// then the application's bytes are restored.  No-op under the simulator
   /// and when nothing trapped.
   void harvest_write_faults();
-  /// Re-derives every page's app-view protection from engine state.  No-op
-  /// under the simulator.
-  void heap_sync_all();
+  /// Brings the app view's protections up to date with engine state at a
+  /// choke point (DESIGN.md §14).  Only pages the engine logged as changed
+  /// since the last sync are re-derived, walked in page order, with one
+  /// set_access per run of consecutive pages wanting the same protection.
+  /// Every trapped page reaches the log through harvest_write_faults, so a
+  /// sync after a harvest leaves each page at desired_access; with the
+  /// protocol checker installed that is asserted over the whole heap.
+  /// No-op under the simulator.
+  void heap_sync();
+  /// Reads engine state through the const page() overload: the mutable one
+  /// would re-log every page the sync derives.
   exec::PageAccess desired_access(PageId page) const;
 
   // --- slave main loop --------------------------------------------------------------
@@ -284,6 +292,8 @@ class DsmProcess {
   /// the single-threaded-process invariant).
   std::vector<std::int32_t> trap_buf_;
   std::vector<std::uint8_t> scratch_page_;
+  /// Scratch for heap_sync: the drained changed-page log.
+  std::vector<PageId> sync_pages_;
   std::unique_ptr<protocol::ConsistencyEngine> engine_;
   /// Outbound transport: all sends depart through here (DESIGN.md §7).
   Channel channel_;

@@ -225,7 +225,7 @@ void DsmSystem::run(std::function<void(DsmProcess&)> master_main) {
   };
   if (rt_->real()) {
     master->harvest_write_faults();  // init-phase writes, pre-thread-launch
-    master->heap_sync_all();
+    master->heap_sync();
     rt_->run(std::move(master_body));
   } else {
     master->fiber_ =
@@ -582,7 +582,7 @@ void DsmSystem::run_parallel(std::int32_t task_id,
   master.apply_owner_hints(commit.delta);
   master.accessed_since_fork_ = 0;
   master.engine().begin_construct();
-  master.heap_sync_all();
+  master.heap_sync();
   run_task_body(task_id, master, args);
   master.barrier(kJoinBarrierId);
 }
@@ -950,7 +950,7 @@ void DsmSystem::gc_at_fork() {
   // commit on the next ForkMsg (gc_commit flag) assembled from the engine's
   // pending commit.
   master.engine().gc_commit_node(delta);
-  master.heap_sync_all();
+  master.heap_sync();
 }
 
 // ---------------------------------------------------------------------------
@@ -1044,7 +1044,7 @@ void DsmSystem::restore_master_region(const std::vector<std::uint8_t>& region,
   std::copy(region.begin(), region.end(), master.heap_->prot_base());
   heap_brk_ = heap_brk;
   engine_->reset_owners_to_master();
-  master.heap_sync_all();
+  master.heap_sync();
   if (placement_adaptive_) {
     monitor_.reset();
     policy_.reset(shard_map_);
@@ -1068,7 +1068,7 @@ std::int64_t DsmSystem::master_collect_all_pages() {
       ++fetched;
     }
   }
-  master.heap_sync_all();
+  master.heap_sync();
   return fetched;
 }
 

@@ -112,11 +112,22 @@ RealHeap::~RealHeap() {
   munmap(prot_, bytes_);
 }
 
-void RealHeap::set_access(std::int32_t page, PageAccess a) {
-  const auto p = static_cast<std::size_t>(page);
-  if (static_cast<PageAccess>(access_[p]) == a) return;
-  access_[p] = static_cast<std::uint8_t>(a);
-  ANOW_CHECK(mprotect(app_ + p * kPageBytes, kPageBytes, prot_for(a)) == 0);
+void RealHeap::set_access(std::int32_t first, std::int32_t count,
+                          PageAccess a) {
+  const auto want = static_cast<std::uint8_t>(a);
+  auto p = static_cast<std::size_t>(first);
+  const std::size_t end = p + static_cast<std::size_t>(count);
+  while (p < end) {
+    if (access_[p] == want) {
+      ++p;
+      continue;
+    }
+    const std::size_t run = p;
+    while (p < end && access_[p] != want) access_[p++] = want;
+    ANOW_CHECK(mprotect(app_ + run * kPageBytes, (p - run) * kPageBytes,
+                        prot_for(a)) == 0);
+    ++protect_calls_;
+  }
 }
 
 std::size_t RealHeap::take_write_faults(std::int32_t* out) {

@@ -11,7 +11,8 @@
 // twice: the app view carries per-page mprotect state driving the SIGSEGV
 // write barrier (fault_handler.cpp), while the protocol view stays
 // PROT_READ|PROT_WRITE so protocol writes never trap.  Desired page
-// protection is derived from engine state by the owning DsmProcess:
+// protection is derived from engine state by the owning DsmProcess, for the
+// pages the engine logged as changed (DsmProcess::heap_sync):
 //
 //    invalid (no copy / pending notices)  -> kNone   (touch = app bug)
 //    valid, clean, tracked                -> kRead   (first write traps)
@@ -45,7 +46,13 @@ class ProcessHeap {
   virtual bool real() const { return false; }
 
   // Real-backend surface; no-ops on SimHeap so call sites stay branch-free.
-  virtual void set_access(std::int32_t /*page*/, PageAccess /*a*/) {}
+  /// Sets the app-view protection of pages [first, first + count) to `a`.
+  /// RealHeap skips pages already recorded at `a` and issues one mprotect
+  /// per maximal sub-run of the rest, so a caller that hands over whole
+  /// runs of equal protection pays one system call (and one TLB shootdown)
+  /// per run, not per page.
+  virtual void set_access(std::int32_t /*first*/, std::int32_t /*count*/,
+                          PageAccess /*a*/) {}
   virtual PageAccess access(std::int32_t /*page*/) const {
     return PageAccess::kWrite;
   }
@@ -80,7 +87,8 @@ class RealHeap final : public ProcessHeap {
   ~RealHeap() override;
 
   bool real() const override { return true; }
-  void set_access(std::int32_t page, PageAccess a) override;
+  void set_access(std::int32_t first, std::int32_t count,
+                  PageAccess a) override;
   PageAccess access(std::int32_t page) const override {
     return static_cast<PageAccess>(access_[static_cast<std::size_t>(page)]);
   }
@@ -88,12 +96,16 @@ class RealHeap final : public ProcessHeap {
   const std::uint8_t* fault_twin(std::int32_t page) const override {
     return twins_.get() + static_cast<std::size_t>(page) * kPageBytes;
   }
+  /// mprotect calls issued by set_access so far (the fault handler's own
+  /// are not counted).
+  std::int64_t protect_calls() const { return protect_calls_; }
 
  private:
   std::unique_ptr<std::uint8_t[]> access_;
   std::unique_ptr<std::uint8_t[]> twins_;
   std::unique_ptr<std::int32_t[]> trap_list_;
   detail::HeapDesc desc_;
+  std::int64_t protect_calls_ = 0;
 };
 
 }  // namespace anow::exec

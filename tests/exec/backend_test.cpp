@@ -68,7 +68,7 @@ TEST(SpscQueue, FifoAcrossThreads) {
 TEST(RealHeap, ViewsAliasTheSamePages) {
   exec::RealHeap heap(4 * exec::kPageBytes);
   heap.prot_base()[10] = 0x5A;  // protocol view is always writable
-  heap.set_access(0, exec::PageAccess::kRead);
+  heap.set_access(0, 1, exec::PageAccess::kRead);
   EXPECT_EQ(heap.app_base()[10], 0x5A);  // same physical page
 }
 
@@ -76,7 +76,7 @@ TEST(RealHeap, WriteTrapCapturesPreWriteImageAndOpensPage) {
   exec::RealHeap heap(4 * exec::kPageBytes);
   std::uint8_t* page1_prot = heap.prot_base() + exec::kPageBytes;
   std::memset(page1_prot, 0xAB, exec::kPageBytes);
-  heap.set_access(1, exec::PageAccess::kRead);
+  heap.set_access(1, 1, exec::PageAccess::kRead);
 
   // First store to a read-protected page: the SIGSEGV handler snapshots the
   // pre-write image into the twin arena, logs the trap, and opens the page.
@@ -96,11 +96,50 @@ TEST(RealHeap, WriteTrapCapturesPreWriteImageAndOpensPage) {
 
 TEST(RealHeap, SecondWriteToOpenPageDoesNotTrap) {
   exec::RealHeap heap(2 * exec::kPageBytes);
-  heap.set_access(0, exec::PageAccess::kRead);
+  heap.set_access(0, 1, exec::PageAccess::kRead);
   heap.app_base()[0] = 1;  // traps
   heap.app_base()[1] = 2;  // page already open: no trap
   std::vector<std::int32_t> traps(2);
   EXPECT_EQ(heap.take_write_faults(traps.data()), 1u);
+}
+
+// Ranged set_access: one mprotect per maximal sub-run whose recorded state
+// differs from the target, none for pages already there.
+
+TEST(RealHeap, RangedSetAccessIsOneCallPerRun) {
+  exec::RealHeap heap(8 * exec::kPageBytes);  // fresh: every page kNone
+  heap.set_access(0, 8, exec::PageAccess::kRead);
+  EXPECT_EQ(heap.protect_calls(), 1);
+  for (std::int32_t p = 0; p < 8; ++p) {
+    EXPECT_EQ(heap.access(p), exec::PageAccess::kRead);
+  }
+}
+
+TEST(RealHeap, RangedSetAccessSkipsPagesAlreadyThere) {
+  exec::RealHeap heap(8 * exec::kPageBytes);
+  heap.set_access(2, 2, exec::PageAccess::kRead);
+  EXPECT_EQ(heap.protect_calls(), 1);
+  // Pages 2-3 already read-only: the range splits into 0-1 and 4-7.
+  heap.set_access(0, 8, exec::PageAccess::kRead);
+  EXPECT_EQ(heap.protect_calls(), 3);
+  // Re-applying the current state costs nothing.
+  heap.set_access(0, 8, exec::PageAccess::kRead);
+  heap.set_access(3, 4, exec::PageAccess::kRead);
+  EXPECT_EQ(heap.protect_calls(), 3);
+
+  // Every page really is read-only: each one's first store traps exactly
+  // once, a second store to it does not.
+  volatile std::uint8_t* app = heap.app_base();
+  for (std::int32_t p = 0; p < 8; ++p) {
+    app[static_cast<std::size_t>(p) * exec::kPageBytes] = 1;
+    app[static_cast<std::size_t>(p) * exec::kPageBytes + 1] = 2;
+  }
+  std::vector<std::int32_t> traps(8);
+  ASSERT_EQ(heap.take_write_faults(traps.data()), 8u);
+  for (std::int32_t p = 0; p < 8; ++p) {
+    EXPECT_EQ(traps[static_cast<std::size_t>(p)], p);
+    EXPECT_EQ(heap.access(p), exec::PageAccess::kWrite);
+  }
 }
 
 // ---------------------------------------------------------------------------

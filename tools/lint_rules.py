@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Repo-specific lint rules (DESIGN.md §13).
 
-Five structural conventions that clang-tidy cannot express, enforced as
+Six structural conventions that clang-tidy cannot express, enforced as
 baselines so existing, reviewed occurrences stay legal while new ones fail
 the lint CI job:
 
@@ -33,6 +33,15 @@ the lint CI job:
    (DESIGN.md §12).  The per-file count of direct master-channel sends in
    system.cpp may not grow, and the global routing-mode predicates the
    star used to branch on may not reappear anywhere under src/.
+
+6. page-state-through-accessor — the real backend's protection sync
+   re-derives only the pages the engine's changed-page log names, and the
+   log is filled by the mutable ConsistencyEngine::page() accessor
+   (DESIGN.md §14).  A write to PageMeta that bypasses page() leaves a
+   stale protection behind, so under src/dsm/protocol/ direct `pages_[`
+   indexing is allowed only in engine.hpp (the accessors) and engine.cpp
+   (attach_node's seeding, before the full log is drained), at their
+   reviewed counts, and a non-const range-for over pages_ is forbidden.
 
 Exit code 0 = clean, 1 = violation (message names the rule and the line).
 Run from anywhere: paths resolve relative to the repo root.
@@ -111,6 +120,15 @@ MASTER_SEND_BASELINE = {
 
 MODE_PREDICATES = ["topology_.active", "topology().active",
                    "tree_routes_collectives"]
+
+# --- rule 6: PageMeta writes go through the logging accessor -------------
+# Baseline = the two page() overloads and attach_node's seeding loops.
+
+PAGE_STATE_DIR = "src/dsm/protocol"
+PAGES_INDEX_BASELINE = {
+    "src/dsm/protocol/engine.hpp": 2,
+    "src/dsm/protocol/engine.cpp": 2,
+}
 
 CODE_SUFFIXES = {".cpp", ".hpp"}
 SCAN_DIRS = ["src", "bench", "tests", "examples"]
@@ -266,6 +284,37 @@ def check_one_collective_path(violations):
                     )
 
 
+def check_page_state_through_accessor(violations):
+    index = re.compile(r"\bpages_\s*\[")
+    # `for (auto& pm : pages_)` hands out mutable PageMeta without logging;
+    # `for (const auto& pm : pages_)` is a read and stays legal.
+    mutable_loop = re.compile(r"\bfor\s*\(([^;:()]*):\s*pages_\s*\)")
+    for path in sorted((REPO / PAGE_STATE_DIR).rglob("*")):
+        if path.suffix not in CODE_SUFFIXES:
+            continue
+        name = rel(path)
+        hits = []
+        for lineno, raw in enumerate(path.read_text().splitlines(), 1):
+            line = strip_comments(raw)
+            if index.search(line):
+                hits.append(lineno)
+            loop = mutable_loop.search(line)
+            if loop and not re.search(r"\bconst\b", loop.group(1)):
+                violations.append(
+                    f"{name}:{lineno}: [page-state-through-accessor] "
+                    "non-const range-for over pages_ — take pages through "
+                    "page(p) so the changed-page log sees them"
+                )
+        allowed = PAGES_INDEX_BASELINE.get(name, 0)
+        if len(hits) > allowed:
+            violations.append(
+                f"{name}: [page-state-through-accessor] {len(hits)} direct "
+                f"pages_[ uses (baseline {allowed}; lines {hits}) — go "
+                "through page(p), which logs the page for the protection "
+                "sync"
+            )
+
+
 def main() -> int:
     violations = []
     check_send_envelope(violations)
@@ -273,6 +322,7 @@ def main() -> int:
     check_compute_in_span(violations)
     check_signal_handler_safety(violations)
     check_one_collective_path(violations)
+    check_page_state_through_accessor(violations)
     if violations:
         for v in violations:
             print(v)
