@@ -1,5 +1,9 @@
 #include "exec/real_runtime.hpp"
 
+#include <cstdio>
+#include <cstdlib>
+#include <exception>
+
 #include "sim/simulator.hpp"
 #include "util/check.hpp"
 
@@ -201,7 +205,14 @@ void RealRuntime::run(std::function<void()> master_body) {
     });
   }
   tl_uid = 0;
-  master_body();
+  try {
+    master_body();
+  } catch (const std::exception& e) {
+    // The slave threads are still running: unwinding would destroy the
+    // DsmSystem under them and lose this message in the crash.
+    std::fprintf(stderr, "exec: master process failed: %s\n", e.what());
+    std::abort();
+  }
   for (ProcId uid = 1; uid < nprocs_; ++uid) {
     procs_[static_cast<std::size_t>(uid)]->thread.join();
   }

@@ -1,26 +1,30 @@
-// Cooperative fiber built on a dedicated std::thread.
+// Cooperative fiber: a stack of its own, entered and left by a user-level
+// context switch on the scheduler's thread.
 //
 // Exactly one fiber (or the scheduler) runs at any instant; the scheduler
 // hands control to a fiber with resume() and regains it when the fiber parks
 // or finishes.  This gives simulated DSM processes a natural blocking
 // programming model (page faults, barriers, locks simply park the fiber)
-// while keeping the whole simulation logically single-threaded and therefore
+// while keeping the whole simulation on one OS thread and therefore
 // deterministic.
 //
-// The handoff is a pair of binary semaphores (run_sem_ gates the fiber,
-// idle_sem_ gates the scheduler) instead of a mutex + condvar: one release
-// + one acquire per switch direction, no lock round trips, no spurious
-// wakeups to re-check predicates.  The strict alternation the semaphores
-// enforce is also what makes the plain bool flags safe: each side only
-// reads flags after acquiring the semaphore the other side released after
-// writing them.
+// Each fiber runs on an 8 MiB mmap'd stack (MAP_NORESERVE, so only touched
+// pages cost memory) whose lowest page is PROT_NONE: a runaway recursion
+// faults on it instead of running into a neighbour.  The switch is
+// makecontext/swapcontext, which saves the callee-saved registers, the
+// floating-point control state (so a fiber's rounding mode stays its own)
+// and the signal mask, at one sigprocmask call per switch.  Every switch is
+// annotated for ASan and TSan.
+//
+// One thread means one C++ exception-handling state.  A fiber must not park
+// inside a catch block, or whatever runs next would see its caught exception
+// as its own.
 #pragma once
 
 #include <exception>
 #include <functional>
-#include <semaphore>
+#include <memory>
 #include <string>
-#include <thread>
 
 namespace anow::sim {
 
@@ -30,7 +34,7 @@ class Fiber {
  public:
   using Body = std::function<void()>;
 
-  Fiber(Simulator& sim, std::string name, Body body);
+  Fiber(std::string name, Body body);
   ~Fiber();
 
   Fiber(const Fiber&) = delete;
@@ -51,28 +55,35 @@ class Fiber {
   /// Thrown inside a parked fiber when the simulator shuts down, so the
   /// fiber's stack unwinds cleanly (RAII) instead of being abandoned.
   struct Killed {};
+  /// The stack and the saved state of both sides of the switch (fiber.cpp).
+  struct Context;
 
-  void thread_main();
+  /// The first frame on the fiber's stack: runs the body, then leaves for
+  /// good.  makecontext passes int arguments only, so `self` comes in
+  /// halves.
+  [[noreturn]] static void entry(unsigned self_hi, unsigned self_lo);
   /// Scheduler side: lets the fiber run; returns once it parks or finishes.
   void resume();
   /// Fiber side: yields control back to the scheduler; returns when resumed.
   void park();
-  /// Scheduler side: unblocks a parked fiber with Killed and joins it.
+  /// Scheduler side: unwinds a parked fiber with Killed and returns once it
+  /// has finished.  A fiber that never ran just becomes done: its body
+  /// never starts.
   void kill_and_join();
+  /// The two directions of the switch, with their sanitizer annotations.
+  void switch_in();
+  void switch_out(bool final);
 
-  Simulator& sim_;
   std::string name_;
   Body body_;
   std::string wait_tag_;
+  std::unique_ptr<Context> ctx_;
 
-  std::binary_semaphore run_sem_{0};   // released by scheduler: fiber runs
-  std::binary_semaphore idle_sem_{0};  // released by fiber: scheduler runs
-  bool parked_ = true;  // fiber is parked (or not yet started)
+  bool parked_ = true;    // fiber is parked (or not yet started)
+  bool started_ = false;  // resumed at least once
   bool killed_ = false;
   bool done_ = false;
   std::exception_ptr error_;
-
-  std::thread thread_;  // must be last: starts running in the constructor
 };
 
 }  // namespace anow::sim

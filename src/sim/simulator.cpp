@@ -57,8 +57,7 @@ void Simulator::after(Time dt, std::function<void()> fn) {
 }
 
 Fiber& Simulator::spawn(std::string name, Fiber::Body body) {
-  fibers_.push_back(std::make_unique<Fiber>(*this, std::move(name),
-                                            std::move(body)));
+  fibers_.push_back(std::make_unique<Fiber>(std::move(name), std::move(body)));
   Fiber* f = fibers_.back().get();
   at(now_, [this, f] { resume_fiber(*f); });
   return *f;

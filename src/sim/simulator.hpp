@@ -82,7 +82,7 @@ class Simulator {
   /// Number of events executed so far (engine throughput metric).
   std::uint64_t events_executed() const { return events_executed_; }
 
-  /// Drops fibers that have finished (frees their stacks/threads).
+  /// Drops fibers that have finished (frees their stacks).
   void reap_done_fibers();
 
  private:

@@ -6,8 +6,8 @@
 //
 // Counter values are atomics so the real execution backend (DESIGN.md §14)
 // can bump them from concurrent process pthreads; under the simulator
-// everything runs on one OS thread at a time and the atomic ops cost one
-// uncontended RMW.  Name lookup (counter/handle/accum) is mutex-guarded for
+// everything runs on one OS thread and the atomic ops cost one uncontended
+// RMW.  Name lookup (counter/handle/accum) is mutex-guarded for
 // the same reason; hot paths intern a handle once and never touch the map.
 #pragma once
 

@@ -15,9 +15,11 @@
 #include <thread>
 #include <vector>
 
+#include "dsm/system.hpp"
 #include "exec/heap.hpp"
 #include "exec/spsc_queue.hpp"
 #include "harness/runner.hpp"
+#include "sim/cluster.hpp"
 #include "util/check.hpp"
 
 namespace anow {
@@ -262,6 +264,28 @@ TEST(BackendGuards, AdaptEventsRejectedUnderReal) {
   ev.kind = core::AdaptKind::kJoin;
   cfg.events.push_back(ev);
   EXPECT_THROW(harness::run_workload(cfg), util::CheckError);
+}
+
+TEST(BackendDeathTest, MasterCheckFailureIsReported) {
+  // The slave threads are still running when the master's check fails, so
+  // the error must not unwind the DsmSystem out from under them: the run
+  // reports the check's message and aborts.
+  EXPECT_DEATH(
+      {
+        sim::Cluster cluster({}, 2);
+        dsm::DsmConfig cfg;
+        cfg.heap_bytes = 1 << 20;
+        cfg.backend = dsm::BackendKind::kReal;
+        cfg.placement = dsm::PlacementMode::kStatic;
+        cfg.race_check = dsm::RaceCheckMode::kOff;
+        cfg.trace_file.clear();
+        dsm::DsmSystem sys(cluster, cfg);
+        sys.start(2);
+        sys.run([](dsm::DsmProcess& /*master*/) {
+          ANOW_CHECK_MSG(false, "master-side check failed");
+        });
+      },
+      "master-side check failed");
 }
 
 TEST(BackendGuards, ParseAndNames) {

@@ -1,6 +1,15 @@
 // Unit tests for the discrete-event simulator and fiber scheduling.
 #include <gtest/gtest.h>
+#include <signal.h>
+#include <unistd.h>
 
+#include <cfenv>
+#include <cstdint>
+#include <cstdio>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -212,6 +221,209 @@ TEST(Simulator, NestedSchedulingFromEvents) {
   });
   sim.run();
   EXPECT_EQ(times, (std::vector<Time>{10, 15}));
+}
+
+// ---------------------------------------------------------------------------
+// What each fiber must keep for itself although all of them share the
+// scheduler's OS thread.
+// ---------------------------------------------------------------------------
+
+/// Counts the frames an exception unwinds.
+struct FrameGuard {
+  int* unwound;
+  ~FrameGuard() { ++*unwound; }
+};
+
+/// Recurses `depth` more frames, then fails a check in the deepest one.
+void throw_from_depth(int depth, int* unwound) {
+  FrameGuard guard{unwound};
+  if (depth > 0) throw_from_depth(depth - 1, unwound);
+  ANOW_CHECK_MSG(depth > 0, "thrown from the deepest frame");
+}
+
+std::size_t os_threads() {
+  return static_cast<std::size_t>(std::distance(
+      std::filesystem::directory_iterator("/proc/self/task"),
+      std::filesystem::directory_iterator{}));
+}
+
+/// 1/3 divided at run time.  Its last bit shows the SSE rounding mode,
+/// which fegetround (it reads the x87 control word) does not.
+double one_third() {
+  volatile double one = 1.0;
+  volatile double three = 3.0;
+  return one / three;
+}
+
+/// Far deeper than any fiber stack: 1 KiB frames, 2^30 of them.  A frame
+/// is smaller than a page, so the descent cannot step over a guard page.
+int recurse(int depth) {
+  volatile char frame[1024];
+  frame[0] = static_cast<char>(depth);
+  if (depth == 1 << 30) return 0;
+  return recurse(depth + 1) + frame[0];
+}
+
+struct AddressRange {
+  std::uintptr_t lo = 0;
+  std::uintptr_t hi = 0;
+};
+
+/// The one-page PROT_NONE mapping directly below the mapping that holds
+/// `on_stack`, read from /proc/self/maps; empty if the mapping below is
+/// anything else.
+AddressRange guard_page_below(const void* on_stack) {
+  const auto addr = reinterpret_cast<std::uintptr_t>(on_stack);
+  const auto page = static_cast<std::uintptr_t>(sysconf(_SC_PAGESIZE));
+  std::ifstream maps("/proc/self/maps");
+  AddressRange below;
+  std::string below_perms;
+  for (std::string line; std::getline(maps, line);) {
+    std::istringstream in(line);
+    AddressRange r;
+    char dash = 0;
+    std::string perms;
+    in >> std::hex >> r.lo >> dash >> r.hi >> perms;
+    if (r.lo <= addr && addr < r.hi) {
+      const bool guard = below.hi == r.lo && below.hi - below.lo == page &&
+                         below_perms == "---p";
+      return guard ? below : AddressRange{};
+    }
+    below = r;
+    below_perms = perms;
+  }
+  return {};
+}
+
+// The guard page the runaway fiber found below its stack.
+AddressRange g_guard;
+constexpr int kFaultInGuard = 3;
+
+/// SIGSEGV handler, on an alternate stack: says whether the fault address
+/// lies in g_guard, then exits.
+void report_fault(int /*sig*/, siginfo_t* info, void* /*ctx*/) {
+  static constexpr char kIn[] = "fault in the guard page below the fiber\n";
+  static constexpr char kOut[] = "fault outside the fiber's guard page\n";
+  const auto addr = reinterpret_cast<std::uintptr_t>(info->si_addr);
+  const bool in = g_guard.lo <= addr && addr < g_guard.hi;
+  const ssize_t n = in ? write(STDERR_FILENO, kIn, sizeof kIn - 1)
+                       : write(STDERR_FILENO, kOut, sizeof kOut - 1);
+  _exit(in && n > 0 ? kFaultInGuard : 1);
+}
+
+TEST(Fiber, DestroyedBeforeRunNeverRunsBody) {
+  bool ran = false;
+  {
+    Simulator sim;
+    sim.spawn("never", [&] { ran = true; });
+  }
+  EXPECT_FALSE(ran);
+}
+
+TEST(Fiber, DeepExceptionAfterParksPropagatesFromRun) {
+  Simulator sim;
+  int parks = 0;
+  int unwound = 0;
+  sim.spawn("thrower", [&] {
+    for (; parks < 3; ++parks) sim.sleep_for(kMsec);
+    throw_from_depth(5, &unwound);
+  });
+  try {
+    sim.run();
+    ADD_FAILURE() << "run() returned normally";
+  } catch (const util::CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find("thrown from the deepest frame"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(parks, 3);
+  EXPECT_EQ(unwound, 6);  // every throw_from_depth frame, on the fiber stack
+  EXPECT_EQ(sim.now(), 3 * kMsec);
+}
+
+TEST(Fiber, ParkedFibersShareOneThread) {
+  constexpr int kFibers = 512;
+  std::vector<WaitPoint> never(kFibers);
+  int unwound = 0;
+  std::size_t threads_while_parked = 0;
+  {
+    Simulator sim;
+    for (int i = 0; i < kFibers; ++i) {
+      sim.spawn("parked-" + std::to_string(i), [&, i] {
+        FrameGuard guard{&unwound};
+        sim.wait(never[static_cast<std::size_t>(i)], "forever");
+      });
+    }
+    sim.run();
+    EXPECT_EQ(sim.live_fiber_count(), static_cast<std::size_t>(kFibers));
+    threads_while_parked = os_threads();
+  }
+  EXPECT_EQ(threads_while_parked, 1u);
+  EXPECT_EQ(unwound, kFibers);  // the destructor unwound every fiber
+}
+
+TEST(Fiber, RoundingModeStaysWithItsFiber) {
+  ASSERT_EQ(std::fegetround(), FE_TONEAREST);
+  const double nearest = one_third();
+  Simulator sim;
+  WaitPoint wake;
+  int upward_mode = -1, other_mode = -1, scheduler_mode = -1;
+  double upward = 0, other = 0, scheduler = 0;
+  sim.spawn("upward", [&] {
+    ASSERT_EQ(std::fesetround(FE_UPWARD), 0);
+    sim.wait(wake, "parked in FE_UPWARD");
+    upward_mode = std::fegetround();
+    upward = one_third();
+  });
+  sim.spawn("other", [&] {
+    other_mode = std::fegetround();
+    other = one_third();
+  });
+  sim.at(kMsec, [&] {
+    scheduler_mode = std::fegetround();
+    scheduler = one_third();
+    sim.signal(wake);
+  });
+  sim.run();
+  EXPECT_EQ(upward_mode, FE_UPWARD);
+  EXPECT_GT(upward, nearest);
+  EXPECT_EQ(other_mode, FE_TONEAREST);
+  EXPECT_EQ(other, nearest);
+  EXPECT_EQ(scheduler_mode, FE_TONEAREST);
+  EXPECT_EQ(scheduler, nearest);
+  EXPECT_EQ(std::fegetround(), FE_TONEAREST);
+}
+
+TEST(FiberDeathTest, UnboundedRecursionDiesOnGuardPage) {
+  EXPECT_EXIT(
+      {
+        std::vector<char> alt_stack(std::size_t{1} << 18);
+        stack_t ss{};
+        ss.ss_sp = alt_stack.data();
+        ss.ss_size = alt_stack.size();
+        struct sigaction sa {};
+        sa.sa_sigaction = report_fault;
+        sa.sa_flags = SA_SIGINFO | SA_ONSTACK;
+        sigemptyset(&sa.sa_mask);
+        if (sigaltstack(&ss, nullptr) != 0 ||
+            sigaction(SIGSEGV, &sa, nullptr) != 0) {
+          std::perror("installing the SIGSEGV handler");
+          _exit(1);
+        }
+        Simulator sim;
+        sim.spawn("deep", [] {
+          g_guard = guard_page_below(__builtin_frame_address(0));
+          if (g_guard.lo == 0) {
+            std::fputs("no one-page PROT_NONE mapping below the fiber stack\n",
+                       stderr);
+            _exit(1);
+          }
+          recurse(0);
+        });
+        sim.run();
+      },
+      ::testing::ExitedWithCode(kFaultInGuard),
+      "fault in the guard page below the fiber");
 }
 
 }  // namespace

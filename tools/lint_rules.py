@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Repo-specific lint rules (DESIGN.md §13).
 
-Six structural conventions that clang-tidy cannot express, enforced as
+Seven structural conventions that clang-tidy cannot express, enforced as
 baselines so existing, reviewed occurrences stay legal while new ones fail
 the lint CI job:
 
@@ -42,6 +42,13 @@ the lint CI job:
    indexing is allowed only in engine.hpp (the accessors) and engine.cpp
    (attach_node's seeding, before the full log is drained), at their
    reviewed counts, and a non-const range-for over pages_ is forbidden.
+
+7. sim-single-threaded — the simulator runs every fiber on the thread
+   that calls Simulator::run, switching stacks in user space
+   (src/sim/fiber.hpp).  Nothing under src/sim/ may include <thread>,
+   <semaphore>, <mutex> or <condition_variable>, or call pthread_create:
+   a second thread there would put a kernel handoff on every switch and
+   make the event order depend on the OS scheduler.
 
 Exit code 0 = clean, 1 = violation (message names the rule and the line).
 Run from anywhere: paths resolve relative to the repo root.
@@ -129,6 +136,11 @@ PAGES_INDEX_BASELINE = {
     "src/dsm/protocol/engine.hpp": 2,
     "src/dsm/protocol/engine.cpp": 2,
 }
+
+# --- rule 7: the simulator stays on one thread ---------------------------
+
+SIM_DIR = "src/sim"
+SIM_THREAD_HEADERS = ["thread", "semaphore", "mutex", "condition_variable"]
 
 CODE_SUFFIXES = {".cpp", ".hpp"}
 SCAN_DIRS = ["src", "bench", "tests", "examples"]
@@ -315,6 +327,24 @@ def check_page_state_through_accessor(violations):
             )
 
 
+def check_sim_single_threaded(violations):
+    include = re.compile(r"#\s*include\s*<(%s)>" %
+                         "|".join(SIM_THREAD_HEADERS))
+    spawn = re.compile(r"\bpthread_create\b")
+    for path in sorted((REPO / SIM_DIR).rglob("*")):
+        if path.suffix not in CODE_SUFFIXES:
+            continue
+        for lineno, raw in enumerate(path.read_text().splitlines(), 1):
+            line = strip_comments(raw)
+            hit = include.search(line) or spawn.search(line)
+            if hit:
+                violations.append(
+                    f"{rel(path)}:{lineno}: [sim-single-threaded] "
+                    f"'{hit.group(0)}' — the simulator runs every fiber on "
+                    "one thread; switch stacks, do not spawn threads"
+                )
+
+
 def main() -> int:
     violations = []
     check_send_envelope(violations)
@@ -323,6 +353,7 @@ def main() -> int:
     check_signal_handler_safety(violations)
     check_one_collective_path(violations)
     check_page_state_through_accessor(violations)
+    check_sim_single_threaded(violations)
     if violations:
         for v in violations:
             print(v)
