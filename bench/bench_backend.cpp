@@ -5,7 +5,7 @@
 //
 //  1. pios-style microbench sweeps (host wall-clock): fork/join latency of
 //     an empty parallel region, first-read page *touch* cost (remote fetch
-//     per page), and page *scrub* cost (write-barrier trap + diff per page)
+//     per page), and page *scrub* cost (declared write + diff per page)
 //     over regions of 16 to 1024 pages, so any per-choke-point cost that
 //     grows with the heap shows as a rising us/op.
 //  2. wall-clock application legs: jacobi and hotspot at bench size, with
@@ -117,8 +117,8 @@ MicroResult touch_sweep(dsm::BackendKind backend, int nprocs,
 }
 
 /// Scrub sweep: every process writes one byte into each page of its own
-/// block every round — one op is one page write (under real: one SIGSEGV
-/// write-barrier trap + harvest + diff at the barrier).
+/// block every round — one op is one page write (under either backend: one
+/// declared write, which twins the page, plus a diff at the barrier).
 MicroResult scrub_sweep(dsm::BackendKind backend, int nprocs,
                         std::int32_t npages, int rounds) {
   using namespace dsm;
@@ -211,9 +211,10 @@ int main(int argc, char** argv) {
   // ---- microbench sweeps -------------------------------------------------
   bench::print_header(
       "Backend microbenchmarks (host wall-clock)",
-      "Fork/join, page touch (first-read fetch), and page scrub (write "
-      "barrier + diff) under --backend sim and --backend real; real page "
-      "costs include the SIGSEGV trap + twin copy (DESIGN.md §14).");
+      "Fork/join, page touch (first-read fetch), and page scrub (declared "
+      "write + diff) under --backend sim and --backend real; a write is "
+      "detected by its declaration under both, which twins the page "
+      "(DESIGN.md §14).");
   struct SweepRow {
     std::string name;
     MicroResult sim, real;

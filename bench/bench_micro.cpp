@@ -16,7 +16,6 @@
 
 #include "apps/jacobi.hpp"
 #include "bench_common.hpp"
-#include "exec/heap.hpp"
 #include "dsm/channel.hpp"
 #include "dsm/diff.hpp"
 #include "dsm/msg.hpp"
@@ -85,32 +84,6 @@ std::pair<PrimitiveResult, PrimitiveResult> diff_throughput() {
   apply.seconds = seconds_since(t0);
   apply.ops = kIters;
   return {make, apply};
-}
-
-/// SIGSEGV write-barrier service cost (the real backend's page fault
-/// primitive, DESIGN.md §14): protect the RealHeap read-only (one ranged
-/// set_access), store one word per page (trap -> twin snapshot -> mprotect
-/// RW), then harvest the trap list.  One op = one serviced write fault; the
-/// dominant terms are the kernel signal round trip and the 4 KiB twin
-/// copy.
-PrimitiveResult page_fault_service_throughput() {
-  constexpr std::int32_t kPages = 256;
-  constexpr int kRounds = 200;
-  exec::RealHeap heap(kPages * exec::kPageBytes);
-  std::vector<std::int32_t> traps(kPages);
-  PrimitiveResult out;
-  const auto t0 = Clock::now();
-  for (int r = 0; r < kRounds; ++r) {
-    heap.set_access(0, kPages, exec::PageAccess::kRead);
-    volatile std::uint8_t* app = heap.app_base();
-    for (std::int32_t p = 0; p < kPages; ++p) {
-      app[static_cast<std::size_t>(p) * exec::kPageBytes] =
-          static_cast<std::uint8_t>(r);
-    }
-    out.ops += static_cast<std::int64_t>(heap.take_write_faults(traps.data()));
-  }
-  out.seconds = seconds_since(t0);
-  return out;
 }
 
 dsm::Interval random_release_interval(util::Rng& rng) {
@@ -494,7 +467,6 @@ std::map<std::string, double> run_primitives_and_write_json() {
   const auto fiber_switch = fiber_switch_throughput();
   const auto network_send = network_send_throughput();
   const auto page_fetch = page_fetch_throughput();
-  const auto page_fault = page_fault_service_throughput();
   const auto barrier = barrier_round_throughput();
   // Control-plane sweep: flat (unbounded fanout) vs combining tree at
   // fanout 4 and 8, small and large teams (at 8 procs fanout 8 the tree
@@ -542,7 +514,6 @@ std::map<std::string, double> run_primitives_and_write_json() {
   add("fiber switch", fiber_switch);
   add("network send", network_send);
   add("page fetch", page_fetch);
-  add("page fault service", page_fault);
   add("barrier round", barrier);
   for (const auto& point : tree_sweep) {
     std::ostringstream label;
@@ -602,7 +573,6 @@ std::map<std::string, double> run_primitives_and_write_json() {
   emit("fiber_switch", fiber_switch);
   emit("network_send", network_send);
   emit("page_fetch", page_fetch);
-  emit("page_fault_service", page_fault);
   emit("barrier_round", barrier);
   for (const auto& point : tree_sweep) {
     json.begin_object(point.name);

@@ -49,7 +49,7 @@ DsmProcess::DsmProcess(DsmSystem& system, Uid uid, sim::HostId host)
   // authoritative owner slice) when sharded; everyone else faults pages in
   // on demand with hints at the pages' default holders (DESIGN.md §8).
   // The engine works on the protocol view: serve/install/diff-apply must
-  // never trip the app view's write barrier.
+  // not depend on the app view's protections.
   engine_->attach_node(uid_, heap_->prot_base(), system_.num_pages(),
                        system_.protocol_table(), system_.stats(),
                        system_.node_dir_init_for(uid_));
@@ -61,14 +61,10 @@ DsmProcess::DsmProcess(DsmSystem& system, Uid uid, sim::HostId host)
   checker_ = system_.protocol_checker();
   engine_->set_checker(checker_);
   if (real_) {
-    trap_buf_.resize(static_cast<std::size_t>(system_.num_pages()));
-    scratch_page_.resize(kPageSize);
     heap_sync();  // attach_node logged every page: the seeded state
-    // Bracket every inbound envelope with harvest + resync, so handlers
-    // (serve, flush-apply, exclusivity revocation) always see replayed app
-    // writes and leave protections consistent (DESIGN.md §14).
-    system_.rt().set_delivery_hooks(
-        uid_, [this] { harvest_write_faults(); }, [this] { heap_sync(); });
+    // Resync after every inbound envelope, so a handler that changes a
+    // page's validity leaves its protection consistent (DESIGN.md §14).
+    system_.rt().set_delivery_hook(uid_, [this] { heap_sync(); });
   }
   // The recorder (if any) was enabled before this process was constructed
   // (DsmSystem's constructor runs first), so the cached pointer is stable
@@ -116,7 +112,6 @@ void DsmProcess::read_range(GAddr addr, std::size_t len) {
   // application promises to touch — the same contract the fault machinery
   // itself trusts — so it is the read set of the current segment.
   if (race_ != nullptr) race_->record_read(uid_, addr, len);
-  if (real_) harvest_write_faults();
   if (channel_.buffered() && last - first > 1) {
     fault_in_range(first, last);
     if (real_) heap_sync();
@@ -140,8 +135,10 @@ void DsmProcess::write_range(GAddr addr, std::size_t len) {
   // sets: diffs are lazy (often never materialized — exclusive and
   // single-writer pages make none), while the declaration is always
   // present and is what the checksums already depend on being accurate.
+  // The declaration is the only write detection under both backends: the
+  // application stores through ptr() only after this returns, so the
+  // protocol view still holds the pre-write bytes that declare_write twins.
   if (race_ != nullptr) race_->record_write(uid_, addr, len);
-  if (real_) harvest_write_faults();
   if (channel_.buffered() && last - first > 1) {
     // The read side of a multi-page write fault batches exactly like
     // read_range: full-page fetch requests share one envelope per source,
@@ -156,15 +153,6 @@ void DsmProcess::write_range(GAddr addr, std::size_t len) {
       (*ctr_faults_read_)++;
       fault_in(p);
     }
-    if (real_) {
-      // The write barrier is the dirty-tracking mechanism: a declared-but-
-      // clean page stays read-only and its first store traps, to be
-      // harvested (twin + declare_write) at the next choke point.  Only
-      // exclusivity needs refreshing here — an exclusive page's writes
-      // never trap, by design, so its epoch must stay current.
-      if (engine_->page(p).exclusive) engine_->note_exclusive_write(p);
-      continue;
-    }
     if (engine_->page(p).dirty) continue;  // already writable this interval
 
     // Exclusive-mode shortcut: no other process holds a copy, so there is
@@ -173,7 +161,7 @@ void DsmProcess::write_range(GAddr addr, std::size_t len) {
     bool trap_charged = false;
     if (engine_->page(p).exclusive) {
       ANOW_PTRACE(p, "exclusive write declare, val="
-                         << *cptr<std::int64_t>(page_base(p)));
+                         << traced_word(p));
       if (!engine_->page(p).exclusive_rw) {
         (*ctr_faults_write_)++;
         // compute() parks the fiber; a page-request handler may revoke
@@ -206,7 +194,7 @@ void DsmProcess::write_range(GAddr addr, std::size_t len) {
     }
     engine_->declare_write(p);
     ANOW_PTRACE(p, "write declare (twin) val="
-                       << *cptr<std::int64_t>(page_base(p)));
+                       << traced_word(p));
     ++accessed_since_fork_;
   }
   if (real_) heap_sync();
@@ -243,7 +231,7 @@ void DsmProcess::fetch_page_copy(PageId page, bool must_cover_pending) {
   // `src` is the first hop; a forwarded request is served elsewhere
   // (replies carry no sender, so the trace names the hop, not the server).
   ANOW_PTRACE(page, "fetched full copy via " << src << " val="
-                        << *cptr<std::int64_t>(page_base(page)));
+                        << traced_word(page));
 }
 
 void DsmProcess::fault_in(PageId page) {
@@ -259,7 +247,7 @@ void DsmProcess::fault_in(PageId page) {
   if (!engine_->page(page).pending.empty()) {
     apply_pending_diffs(page);
     ANOW_PTRACE(page, "applied diffs, val="
-                          << *cptr<std::int64_t>(page_base(page)));
+                          << traced_word(page));
   }
   ANOW_CHECK(engine_->page(page).is_valid());
 }
@@ -348,7 +336,7 @@ void DsmProcess::fault_in_range(PageId first, PageId last) {
                             engine_->full_copy_covers_pending());
       system_.release_page_buffer(std::move(reply.data));
       ANOW_PTRACE(w.page, "fetched full copy (batched) val="
-                              << *cptr<std::int64_t>(page_base(w.page)));
+                              << traced_word(w.page));
     }
   }
 
@@ -560,7 +548,6 @@ void DsmProcess::flush_homes(bool at_barrier) {
 void DsmProcess::barrier(std::int32_t barrier_id) {
   obs::ScopedSpan span(tracer_, uid_, obs::SpanKind::kBarrierWait);
   flush_cpu();
-  if (real_) harvest_write_faults();  // before finish_interval sees the sets
   (*ctr_barrier_waits_)++;
   // The arrival is a release point: the detector closes this process's
   // access segment and accumulates its clock into the epoch (DESIGN.md
@@ -609,7 +596,6 @@ void DsmProcess::barrier(std::int32_t barrier_id) {
 void DsmProcess::lock_acquire(std::int32_t lock_id) {
   obs::ScopedSpan span(tracer_, uid_, obs::SpanKind::kLockStall);
   flush_cpu();
-  if (real_) harvest_write_faults();
   (*ctr_lock_acquires_)++;
   channel_.send(kMasterUid, LockAcquireReq{uid_, lock_id});
   system_.rt().wait(lock_wp_, "lock grant");
@@ -626,7 +612,6 @@ void DsmProcess::lock_acquire(std::int32_t lock_id) {
 void DsmProcess::lock_release(std::int32_t lock_id) {
   obs::ScopedSpan span(tracer_, uid_, obs::SpanKind::kLockRelease);
   flush_cpu();
-  if (real_) harvest_write_faults();
   // Release point: close the access segment and publish this clock into
   // the lock's chain before the next holder can join it.
   if (race_ != nullptr) race_->on_lock_release(uid_, lock_id);
@@ -636,8 +621,6 @@ void DsmProcess::lock_release(std::int32_t lock_id) {
   // front of the release notification in one envelope.
   channel_.send(kMasterUid, LockReleaseMsg{uid_, lock_id, std::move(iv)});
   // Releases are asynchronous in TreadMarks: no reply awaited.
-  // finish_interval cleared the dirty set: the next write to each page must
-  // trap again.
   if (real_) heap_sync();
 }
 
@@ -873,7 +856,7 @@ void DsmProcess::handle_page_request(const PageRequest& req, Uid /*src*/) {
     return;
   }
   ANOW_PTRACE(req.page, "serving page to " << req.requester << " val="
-                            << *cptr<std::int64_t>(page_base(req.page)));
+                            << traced_word(req.page));
   engine_->record_serve(req.page);
   (*ctr_page_fetches_)++;
   PageReply reply;
@@ -1350,16 +1333,19 @@ void DsmProcess::slave_main() {
 }
 
 // ---------------------------------------------------------------------------
-// Real-backend write barrier (DESIGN.md §14)
+// Real-backend protection sync (DESIGN.md §14)
 // ---------------------------------------------------------------------------
 
 exec::PageAccess DsmProcess::desired_access(PageId page) const {
-  const auto& pm = std::as_const(*engine_).page(page);
-  if (!pm.is_valid()) return exec::PageAccess::kNone;
-  if (pm.dirty || (pm.exclusive && pm.exclusive_rw)) {
-    return exec::PageAccess::kWrite;
-  }
-  return exec::PageAccess::kRead;
+  return std::as_const(*engine_).page(page).is_valid()
+             ? exec::PageAccess::kWrite
+             : exec::PageAccess::kNone;
+}
+
+std::int64_t DsmProcess::traced_word(PageId page) const {
+  std::int64_t word = 0;
+  std::memcpy(&word, heap_->prot_base() + page_base(page), sizeof(word));
+  return word;
 }
 
 void DsmProcess::heap_sync() {
@@ -1387,35 +1373,6 @@ void DsmProcess::heap_sync() {
                          << static_cast<int>(heap_->access(p)) << ", want "
                          << static_cast<int>(desired_access(p)));
     }
-  }
-}
-
-void DsmProcess::harvest_write_faults() {
-  if (!real_) return;
-  const std::size_t n = heap_->take_write_faults(trap_buf_.data());
-  for (std::size_t i = 0; i < n; ++i) {
-    const PageId p = trap_buf_[i];
-    (*ctr_faults_write_)++;
-    ++accessed_since_fork_;
-    // The trap opened the page RW behind the engine's back; the engine must
-    // now observe the write exactly as the simulator's write_range would
-    // have — against the PRE-write page image.  An exclusive page needs no
-    // twin (nothing to invalidate); a page a revoking serve already dirtied
-    // needs nothing at all.
-    if (engine_->page(p).exclusive && engine_->note_exclusive_write(p)) {
-      continue;
-    }
-    if (engine_->page(p).dirty) continue;
-    // Region-swap: park the application's bytes, restore the handler's
-    // pre-write snapshot, let the engine twin/diff against it, then put the
-    // application's bytes back.  flush_lazy_twin diffs the *previous*
-    // interval's twin against the pre-write image; declare_write twins it.
-    std::uint8_t* region_page = heap_->prot_base() + page_base(p);
-    std::memcpy(scratch_page_.data(), region_page, kPageSize);
-    std::memcpy(region_page, heap_->fault_twin(p), kPageSize);
-    engine_->flush_lazy_twin(p);
-    engine_->declare_write(p);
-    std::memcpy(region_page, scratch_page_.data(), kPageSize);
   }
 }
 

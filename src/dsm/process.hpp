@@ -69,10 +69,12 @@ class DsmProcess {
   void write_range(GAddr addr, std::size_t len);
 
   /// Raw pointer into the local copy of the shared region.  Only valid for
-  /// ranges previously touched via read_range/write_range in this interval.
-  /// Under --backend real this is the mprotect'd app view: a stray write to
-  /// a clean page is caught by the SIGSEGV barrier, a touch of an invalid
-  /// page is a hard fault.
+  /// ranges previously touched via read_range/write_range in this interval:
+  /// a store is tracked by its write_range declaration alone, under both
+  /// backends.  Under --backend real this is the mprotect'd app view, whose
+  /// valid pages are read-write and whose invalid pages are PROT_NONE, so
+  /// touching a page no declaration faulted in dies at the faulting
+  /// instruction.
   template <typename T>
   T* ptr(GAddr addr) {
     return reinterpret_cast<T*>(heap_->app_base() + addr);
@@ -226,26 +228,23 @@ class DsmProcess {
   /// self-send, everyone else through the ack combine).
   void handle_gc_prepare(const GcPrepare& gp);
 
-  // --- real-backend write barrier (DESIGN.md §14) ----------------------------
-  /// Replays SIGSEGV-trapped first writes into the engine at a protocol
-  /// choke point: for each trapped page the handler's pre-write snapshot is
-  /// swapped into the region, flush_lazy_twin/declare_write run against it
-  /// (so twins capture exactly the image the simulator would have seen),
-  /// then the application's bytes are restored.  No-op under the simulator
-  /// and when nothing trapped.
-  void harvest_write_faults();
+  // --- real-backend protection sync (DESIGN.md §14) --------------------------
   /// Brings the app view's protections up to date with engine state at a
-  /// choke point (DESIGN.md §14).  Only pages the engine logged as changed
-  /// since the last sync are re-derived, walked in page order, with one
-  /// set_access per run of consecutive pages wanting the same protection.
-  /// Every trapped page reaches the log through harvest_write_faults, so a
-  /// sync after a harvest leaves each page at desired_access; with the
-  /// protocol checker installed that is asserted over the whole heap.
-  /// No-op under the simulator.
+  /// choke point (DESIGN.md §14): kNone for an invalid page, kWrite for a
+  /// valid one.  Only pages the engine logged as changed since the last
+  /// sync are re-derived, walked in page order, with one set_access per
+  /// run of consecutive pages wanting the same protection; a page's
+  /// protection changes only when it gains or loses validity.  With the
+  /// protocol checker installed every sync is checked against a whole-heap
+  /// rescan.  No-op under the simulator.
   void heap_sync();
   /// Reads engine state through the const page() overload: the mutable one
   /// would re-log every page the sync derives.
   exec::PageAccess desired_access(PageId page) const;
+  /// First word of `page` through the protocol view, for ANOW_TRACE_PAGE
+  /// lines: under --backend real a page the engine just made valid stays
+  /// PROT_NONE in the app view until the next heap_sync.
+  std::int64_t traced_word(PageId page) const;
 
   // --- slave main loop --------------------------------------------------------------
   void slave_main();
@@ -283,15 +282,11 @@ class DsmProcess {
   util::StatsRegistry::Counter* ctr_home_validation_faults_ = nullptr;
 
   /// The shared-region storage behind the execution seam (DESIGN.md §14):
-  /// SimHeap (one plain buffer) or RealHeap (dual-mapped memfd pages with
-  /// mprotect write barriers), per DsmConfig::backend.
+  /// SimHeap (one plain buffer) or RealHeap (dual-mapped memfd pages whose
+  /// app view is protected per page), per DsmConfig::backend.
   std::unique_ptr<exec::ProcessHeap> heap_;
-  /// True under --backend real; gates the harvest/sync hooks.
+  /// True under --backend real; gates the protection sync.
   bool real_ = false;
-  /// Scratch for harvest_write_faults (preallocated; fiber/thread-local by
-  /// the single-threaded-process invariant).
-  std::vector<std::int32_t> trap_buf_;
-  std::vector<std::uint8_t> scratch_page_;
   /// Scratch for heap_sync: the drained changed-page log.
   std::vector<PageId> sync_pages_;
   std::unique_ptr<protocol::ConsistencyEngine> engine_;

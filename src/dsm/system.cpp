@@ -224,7 +224,6 @@ void DsmSystem::run(std::function<void(DsmProcess&)> master_main) {
     master->alive_ = false;
   };
   if (rt_->real()) {
-    master->harvest_write_faults();  // init-phase writes, pre-thread-launch
     master->heap_sync();
     rt_->run(std::move(master_body));
   } else {
@@ -526,7 +525,6 @@ void DsmSystem::run_parallel(std::int32_t task_id,
   ANOW_CHECK_MSG(rt_->in_context_of(kMasterUid),
                  "run_parallel outside the master fiber");
 
-  if (rt_->real()) master.harvest_write_faults();
   close_master_interval();
   if (fork_hook_) fork_hook_();
   // The fork is a release point for the master: the detector snapshots the
@@ -894,7 +892,6 @@ void DsmSystem::gc_at_fork() {
 
   // The master's open sequential-section interval must be logged before
   // the delta is computed (its writes drive ownership like any others).
-  if (rt_->real()) master.harvest_write_faults();
   close_master_interval();
 
   stats().counter("dsm.gc_runs")++;

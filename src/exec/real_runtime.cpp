@@ -1,28 +1,13 @@
 #include "exec/real_runtime.hpp"
 
+#include <sched.h>
+
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
 
 #include "sim/simulator.hpp"
 #include "util/check.hpp"
-
-#if defined(__SANITIZE_ADDRESS__)
-#define ANOW_ASAN 1
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer)
-#define ANOW_ASAN 1
-#endif
-#endif
-
-#ifdef ANOW_ASAN
-// ASan intercepts SIGSEGV for its own crash reporting, which would swallow
-// the write barrier.  Hand SIGSEGV back to user handlers; ASan keeps every
-// other check.
-extern "C" const char* __asan_default_options() {
-  return "allow_user_segv_handler=1:handle_segv=0";
-}
-#endif
 
 namespace anow::exec {
 
@@ -32,13 +17,17 @@ namespace {
 thread_local ProcId tl_uid = -1;
 }  // namespace
 
+int usable_cpus() {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof(set), &set) == 0) return CPU_COUNT(&set);
+  return static_cast<int>(std::thread::hardware_concurrency());
+}
+
 RealRuntime::RealRuntime(int nprocs, util::StatsRegistry& stats,
                          std::int64_t header_bytes)
     : nprocs_(nprocs),
-      spin_budget_(std::thread::hardware_concurrency() >=
-                           static_cast<unsigned>(nprocs)
-                       ? 4000
-                       : 0),
+      spin_budget_(usable_cpus() >= nprocs ? 4000 : 0),
       ctr_messages_(stats.handle("net.messages")),
       ctr_bytes_(stats.handle("net.bytes")),
       header_bytes_(header_bytes) {
@@ -68,9 +57,8 @@ bool RealRuntime::drain_one(ProcId uid) {
     std::function<void()> fn;
     if (!ring(src, uid).try_pop(fn)) continue;
     p.rr_cursor = (src + 1) % nprocs_;
-    if (p.pre_handle) p.pre_handle();
     fn();
-    if (p.post_handle) p.post_handle();
+    if (p.after_handle) p.after_handle();
     return true;
   }
   return false;
@@ -84,8 +72,9 @@ void RealRuntime::wait(sim::WaitPoint& wp, const char* /*tag*/) {
   // (a page or diff fetch is one full round trip), and waking a parked
   // thread costs a futex round trip per message.  So spin-poll the rings
   // for a while before parking: a waiter that is spinning answers in the
-  // time of a cache miss.  The budget (~tens of µs of ring polling; zero on
-  // an oversubscribed host — see spin_budget_) is reset by any progress.
+  // time of a cache miss.  The budget (~tens of µs of ring polling; zero
+  // with fewer usable CPUs than processes — see spin_budget_) is reset by
+  // any progress.
   int spins = 0;
   while (!wp.signaled) {
     if (drain_one(self)) {
@@ -146,11 +135,8 @@ sim::Fiber* RealRuntime::start_process(ProcId uid, const std::string& name,
   return nullptr;
 }
 
-void RealRuntime::set_delivery_hooks(ProcId uid, std::function<void()> pre,
-                                     std::function<void()> post) {
-  Proc& p = *procs_[static_cast<std::size_t>(uid)];
-  p.pre_handle = std::move(pre);
-  p.post_handle = std::move(post);
+void RealRuntime::set_delivery_hook(ProcId uid, std::function<void()> after) {
+  procs_[static_cast<std::size_t>(uid)]->after_handle = std::move(after);
 }
 
 void RealRuntime::wake(ProcId dst) {

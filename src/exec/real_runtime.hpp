@@ -32,6 +32,12 @@
 
 namespace anow::exec {
 
+/// CPUs the calling thread may run on: the size of its affinity mask, which
+/// taskset, a cpuset cgroup or pthread_setaffinity_np may narrow below the
+/// online count.  Falls back to std::thread::hardware_concurrency() when the
+/// mask cannot be read.
+int usable_cpus();
+
 class RealRuntime final : public Runtime {
  public:
   /// `header_bytes` mirrors the simulator's per-message wire header cost so
@@ -54,10 +60,9 @@ class RealRuntime final : public Runtime {
   void run(std::function<void()> master_body) override;
   bool in_context_of(ProcId uid) const override;
 
-  /// Hooks a DsmProcess attaches so the runtime can bracket every inbound
-  /// envelope with fault harvest (pre) and protection resync (post).
-  void set_delivery_hooks(ProcId uid, std::function<void()> pre,
-                          std::function<void()> post) override;
+  /// Hook a DsmProcess attaches so the runtime resyncs its protections
+  /// after every inbound envelope.
+  void set_delivery_hook(ProcId uid, std::function<void()> after) override;
 
   /// Drains at most one pending inbound closure for the calling process.
   /// Returns false if all rings were empty.  Exposed for poll points
@@ -68,8 +73,7 @@ class RealRuntime final : public Runtime {
   struct Proc {
     std::string name;
     std::function<void()> body;
-    std::function<void()> pre_handle;
-    std::function<void()> post_handle;
+    std::function<void()> after_handle;
     std::thread thread;
     std::mutex mu;
     std::condition_variable cv;
@@ -86,9 +90,10 @@ class RealRuntime final : public Runtime {
 
   int nprocs_;
   /// Ring-poll iterations before a waiter parks.  Positive only when the
-  /// host has a core per process: spinning keeps request/reply latency at
-  /// cache-miss scale, but on an oversubscribed host it burns the quantum
-  /// the responder needs, so there it is zero (park immediately).
+  /// constructing thread may run on a CPU per process (usable_cpus()):
+  /// spinning keeps request/reply latency at cache-miss scale, but on an
+  /// oversubscribed CPU set it burns the quantum the responder needs, so
+  /// there it is zero (park immediately).
   int spin_budget_;
   std::vector<std::unique_ptr<Proc>> procs_;
   std::vector<std::unique_ptr<SpscQueue<std::function<void()>>>> rings_;

@@ -43,7 +43,7 @@ class Runtime {
   virtual ~Runtime();
 
   /// True for the pthread backend; lets rarely-taken call sites branch on
-  /// backend-specific behaviour (fault harvesting, cost-model skips).
+  /// backend-specific behaviour (protection sync, cost-model skips).
   virtual bool real() const = 0;
 
   /// Simulator: current virtual time.  Real: monotonic wall-clock
@@ -97,11 +97,11 @@ class Runtime {
   /// the simulator, its thread under the real backend).
   virtual bool in_context_of(ProcId uid) const = 0;
 
-  /// Real backend only: hooks bracketing every inbound envelope delivered to
-  /// `uid` — fault harvest before, protection resync after.  No-op under the
-  /// simulator (there is nothing to harvest).
-  virtual void set_delivery_hooks(ProcId /*uid*/, std::function<void()> /*pre*/,
-                                  std::function<void()> /*post*/) {}
+  /// Real backend only: a hook run after every inbound envelope delivered
+  /// to `uid` — the protection resync.  No-op under the simulator (there
+  /// are no protections to sync).
+  virtual void set_delivery_hook(ProcId /*uid*/,
+                                 std::function<void()> /*after*/) {}
 };
 
 }  // namespace anow::exec

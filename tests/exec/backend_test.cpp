@@ -1,8 +1,9 @@
 // Execution-backend tests (DESIGN.md §14).
 //
 // Three layers of coverage:
-//  * unit tests for the real backend's building blocks (the SPSC ring and
-//    the mprotect/SIGSEGV write barrier around RealHeap);
+//  * unit tests for the real backend's building blocks (the SPSC ring,
+//    RealHeap's dual mapping and per-page protection, and the CPU count
+//    behind the runtime's spin budget);
 //  * differential tests: every Table 1 workload (+ hotspot) at test size,
 //    run under --backend sim and --backend real, must produce bit-identical
 //    checksums and agree on the deterministic protocol statistics;
@@ -10,13 +11,17 @@
 //    checking, adaptive placement, adaptation events) is rejected up front
 //    with a util::CheckError under --backend real.
 #include <gtest/gtest.h>
+#include <pthread.h>
+#include <sched.h>
 
+#include <cstdlib>
 #include <cstring>
 #include <thread>
 #include <vector>
 
 #include "dsm/system.hpp"
 #include "exec/heap.hpp"
+#include "exec/real_runtime.hpp"
 #include "exec/spsc_queue.hpp"
 #include "harness/runner.hpp"
 #include "sim/cluster.hpp"
@@ -64,45 +69,39 @@ TEST(SpscQueue, FifoAcrossThreads) {
 }
 
 // ---------------------------------------------------------------------------
-// RealHeap write barrier
+// RealHeap protection
 // ---------------------------------------------------------------------------
 
 TEST(RealHeap, ViewsAliasTheSamePages) {
   exec::RealHeap heap(4 * exec::kPageBytes);
   heap.prot_base()[10] = 0x5A;  // protocol view is always writable
-  heap.set_access(0, 1, exec::PageAccess::kRead);
+  heap.set_access(0, 1, exec::PageAccess::kWrite);
   EXPECT_EQ(heap.app_base()[10], 0x5A);  // same physical page
 }
 
-TEST(RealHeap, WriteTrapCapturesPreWriteImageAndOpensPage) {
+TEST(RealHeap, WriteAccessOpensPageInBothViews) {
   exec::RealHeap heap(4 * exec::kPageBytes);
-  std::uint8_t* page1_prot = heap.prot_base() + exec::kPageBytes;
-  std::memset(page1_prot, 0xAB, exec::kPageBytes);
-  heap.set_access(1, 1, exec::PageAccess::kRead);
-
-  // First store to a read-protected page: the SIGSEGV handler snapshots the
-  // pre-write image into the twin arena, logs the trap, and opens the page.
-  heap.app_base()[exec::kPageBytes + 7] = 0xCD;
-
+  heap.set_access(1, 1, exec::PageAccess::kWrite);
   EXPECT_EQ(heap.access(1), exec::PageAccess::kWrite);
-  std::vector<std::int32_t> traps(static_cast<std::size_t>(heap.npages()));
-  ASSERT_EQ(heap.take_write_faults(traps.data()), 1u);
-  EXPECT_EQ(traps[0], 1);
-  EXPECT_EQ(heap.take_write_faults(traps.data()), 0u);  // list drained
-
-  const std::uint8_t* twin = heap.fault_twin(1);
-  EXPECT_EQ(twin[7], 0xAB);  // image from before the store
-  EXPECT_EQ(heap.app_base()[exec::kPageBytes + 7], 0xCD);
-  EXPECT_EQ(page1_prot[7], 0xCD);  // both views see the new byte
+  std::uint8_t* app = heap.app_base() + exec::kPageBytes;
+  std::uint8_t* prot = heap.prot_base() + exec::kPageBytes;
+  app[7] = 0xCD;  // a store through the app view lands in the protocol view
+  EXPECT_EQ(prot[7], 0xCD);
+  prot[8] = 0xAB;  // and a protocol write is visible to the application
+  EXPECT_EQ(app[8], 0xAB);
 }
 
-TEST(RealHeap, SecondWriteToOpenPageDoesNotTrap) {
+TEST(RealHeapDeathTest, LoadFromInvalidPageDies) {
+  // A fresh heap has every page at kNone: an application load from a page
+  // no declaration faulted in dies at the faulting instruction.  The
+  // statement can only end by dying, so a load that succeeded fails the
+  // test.
   exec::RealHeap heap(2 * exec::kPageBytes);
-  heap.set_access(0, 1, exec::PageAccess::kRead);
-  heap.app_base()[0] = 1;  // traps
-  heap.app_base()[1] = 2;  // page already open: no trap
-  std::vector<std::int32_t> traps(2);
-  EXPECT_EQ(heap.take_write_faults(traps.data()), 1u);
+  heap.set_access(0, 1, exec::PageAccess::kWrite);
+  ASSERT_EQ(heap.access(1), exec::PageAccess::kNone);
+  const volatile std::uint8_t* app = heap.app_base();
+  EXPECT_EQ(app[0], 0);  // the opened page reads fine
+  EXPECT_DEATH((void)app[exec::kPageBytes], "");
 }
 
 // Ranged set_access: one mprotect per maximal sub-run whose recorded state
@@ -110,38 +109,52 @@ TEST(RealHeap, SecondWriteToOpenPageDoesNotTrap) {
 
 TEST(RealHeap, RangedSetAccessIsOneCallPerRun) {
   exec::RealHeap heap(8 * exec::kPageBytes);  // fresh: every page kNone
-  heap.set_access(0, 8, exec::PageAccess::kRead);
+  heap.set_access(0, 8, exec::PageAccess::kWrite);
   EXPECT_EQ(heap.protect_calls(), 1);
   for (std::int32_t p = 0; p < 8; ++p) {
-    EXPECT_EQ(heap.access(p), exec::PageAccess::kRead);
+    EXPECT_EQ(heap.access(p), exec::PageAccess::kWrite);
   }
 }
 
 TEST(RealHeap, RangedSetAccessSkipsPagesAlreadyThere) {
   exec::RealHeap heap(8 * exec::kPageBytes);
-  heap.set_access(2, 2, exec::PageAccess::kRead);
+  heap.set_access(2, 2, exec::PageAccess::kWrite);
   EXPECT_EQ(heap.protect_calls(), 1);
-  // Pages 2-3 already read-only: the range splits into 0-1 and 4-7.
-  heap.set_access(0, 8, exec::PageAccess::kRead);
+  // Pages 2-3 already writable: the range splits into 0-1 and 4-7.
+  heap.set_access(0, 8, exec::PageAccess::kWrite);
   EXPECT_EQ(heap.protect_calls(), 3);
   // Re-applying the current state costs nothing.
-  heap.set_access(0, 8, exec::PageAccess::kRead);
-  heap.set_access(3, 4, exec::PageAccess::kRead);
+  heap.set_access(0, 8, exec::PageAccess::kWrite);
+  heap.set_access(3, 4, exec::PageAccess::kWrite);
   EXPECT_EQ(heap.protect_calls(), 3);
+}
 
-  // Every page really is read-only: each one's first store traps exactly
-  // once, a second store to it does not.
-  volatile std::uint8_t* app = heap.app_base();
-  for (std::int32_t p = 0; p < 8; ++p) {
-    app[static_cast<std::size_t>(p) * exec::kPageBytes] = 1;
-    app[static_cast<std::size_t>(p) * exec::kPageBytes + 1] = 2;
-  }
-  std::vector<std::int32_t> traps(8);
-  ASSERT_EQ(heap.take_write_faults(traps.data()), 8u);
-  for (std::int32_t p = 0; p < 8; ++p) {
-    EXPECT_EQ(traps[static_cast<std::size_t>(p)], p);
-    EXPECT_EQ(heap.access(p), exec::PageAccess::kWrite);
-  }
+// ---------------------------------------------------------------------------
+// Spin budget
+// ---------------------------------------------------------------------------
+
+TEST(RealRuntime, UsableCpusCountsTheAffinityMask) {
+  cpu_set_t mask;
+  CPU_ZERO(&mask);
+  ASSERT_EQ(sched_getaffinity(0, sizeof(mask), &mask), 0);
+  EXPECT_EQ(exec::usable_cpus(), CPU_COUNT(&mask));
+
+  // Under a one-CPU mask — set on a helper thread, so this thread's mask
+  // stays as it was — the count is 1 however many CPUs are online.
+  int cpu = 0;
+  while (!CPU_ISSET(cpu, &mask)) ++cpu;
+  int set_status = -1;
+  int seen = -1;
+  std::thread helper([&] {
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    CPU_SET(cpu, &one);
+    set_status = pthread_setaffinity_np(pthread_self(), sizeof(one), &one);
+    seen = exec::usable_cpus();
+  });
+  helper.join();
+  ASSERT_EQ(set_status, 0);
+  EXPECT_EQ(seen, 1);
 }
 
 // ---------------------------------------------------------------------------
@@ -186,7 +199,12 @@ TEST_P(BackendDifferential, RealMatchesSim) {
 
   // Synchronization structure is workload-determined, so it must agree
   // exactly (traffic totals can legally differ: real delivery interleavings
-  // shift which updates ride which fetch).
+  // shift which updates ride which fetch).  So must the write faults: both
+  // backends detect a write by its write_range declaration, through the
+  // same code.
+  EXPECT_EQ(real.stats.counter("dsm.faults.write"),
+            sim.stats.counter("dsm.faults.write"))
+      << app;
   EXPECT_EQ(real.stats.counter("dsm.barriers"),
             sim.stats.counter("dsm.barriers"));
   EXPECT_EQ(real.stats.counter("dsm.forks"), sim.stats.counter("dsm.forks"));
@@ -286,6 +304,23 @@ TEST(BackendDeathTest, MasterCheckFailureIsReported) {
         });
       },
       "master-side check failed");
+}
+
+TEST(BackendDeathTest, PageTraceUnderRealReadsTheProtocolView) {
+  // ANOW_TRACE_PAGE lines print the page's first word while the page is
+  // being fetched or declared, before heap_sync opens it in the app view.
+  // The threadsafe style re-executes the binary, so the child parses the
+  // variable afresh.
+  const std::string style = ::testing::FLAGS_gtest_death_test_style;
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_EXIT(
+      {
+        setenv("ANOW_TRACE_PAGE", "3", 1);
+        run_once("jacobi", dsm::BackendKind::kReal, dsm::EngineKind::kLrc);
+        std::exit(0);
+      },
+      ::testing::ExitedWithCode(0), "\\[ptrace .*fetched full copy");
+  ::testing::FLAGS_gtest_death_test_style = style;
 }
 
 TEST(BackendGuards, ParseAndNames) {

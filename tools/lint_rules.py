@@ -20,11 +20,13 @@ the lint CI job:
    double-attribution, so the per-file count of such calls may not grow
    (the reviewed baseline cases charge fixed service costs deliberately).
 
-4. signal-handler-safety — src/exec/fault_handler.cpp runs in SIGSEGV
-   context (DESIGN.md §14) and must stay async-signal-safe: no
-   allocation, no locks, no stdio streams, no exceptions, no C++
-   containers.  Any token from the forbidden list appearing in that TU
-   fails the lint.
+4. declared-writes-only — both backends detect a write by its
+   write_range declaration; the real backend's app view is read-write on
+   every valid page and PROT_NONE on every invalid one, so a fault there
+   is an application bug, not an event to handle (DESIGN.md §14).  No
+   sigaction call, and no signal() for SIGSEGV or SIGBUS, may appear
+   under src/, so a write-trap path cannot come back beside the declared
+   one.
 
 5. one-collective-path — the master's collectives (fork, barrier release,
    GC prepare, delta round, terminate) leave through
@@ -89,31 +91,10 @@ COMPUTE_IN_SPAN_BASELINE = {
     "src/dsm/process.cpp": 10,
 }
 
-# --- rule 4: async-signal-safety of the SIGSEGV write barrier ------------
-# The handler TU may only do address arithmetic, word copies, mprotect, and
-# write(2).  Each entry is (token regex, what it would drag into signal
-# context).  ANOW_CHECK throws, so it is forbidden alongside plain throw.
+# --- rule 4: writes are detected by declaration only ---------------------
 
-SIGNAL_HANDLER_FILE = "src/exec/fault_handler.cpp"
-
-SIGNAL_HANDLER_FORBIDDEN = [
-    (r"\bnew\b", "heap allocation"),
-    (r"\bmalloc\s*\(", "heap allocation"),
-    (r"\bcalloc\s*\(", "heap allocation"),
-    (r"\bfree\s*\(", "heap allocation"),
-    (r"\bprintf\s*\(", "stdio"),
-    (r"\bfprintf\s*\(", "stdio"),
-    (r"\bputs\s*\(", "stdio"),
-    (r"std::cout\b", "iostream locking + allocation"),
-    (r"std::cerr\b", "iostream locking + allocation"),
-    (r"std::mutex\b", "locking"),
-    (r"std::lock_guard\b", "locking"),
-    (r"std::unique_lock\b", "locking"),
-    (r"\bthrow\b", "exception unwinding"),
-    (r"\bANOW_CHECK", "exception unwinding (ANOW_CHECK throws)"),
-    (r"std::string\b", "heap allocation"),
-    (r"std::vector\b", "heap allocation"),
-]
+FAULT_HANDLER_INSTALL = re.compile(
+    r"\bsigaction\b|\bsignal\s*\(\s*SIG(?:SEGV|BUS)\b")
 
 # --- rule 5: collective fan-outs go through fan_out_instructions ---------
 # Baseline = the reviewed direct sends: point-to-point messages (lock
@@ -252,19 +233,18 @@ def check_compute_in_span(violations):
             )
 
 
-def check_signal_handler_safety(violations):
-    path = REPO / SIGNAL_HANDLER_FILE
-    if not path.is_file():
-        return
-    rules = [(re.compile(pat), why) for pat, why in SIGNAL_HANDLER_FORBIDDEN]
-    for lineno, raw in enumerate(path.read_text().splitlines(), 1):
-        line = strip_comments(raw)
-        for pat, why in rules:
-            if pat.search(line):
+def check_declared_writes_only(violations):
+    for path in sorted((REPO / "src").rglob("*")):
+        if path.suffix not in CODE_SUFFIXES:
+            continue
+        for lineno, raw in enumerate(path.read_text().splitlines(), 1):
+            hit = FAULT_HANDLER_INSTALL.search(strip_comments(raw))
+            if hit:
                 violations.append(
-                    f"{SIGNAL_HANDLER_FILE}:{lineno}: "
-                    f"[signal-handler-safety] '{pat.pattern}' ({why}) is not "
-                    "async-signal-safe — this TU runs in SIGSEGV context"
+                    f"{rel(path)}:{lineno}: [declared-writes-only] "
+                    f"'{hit.group(0)}' — writes are detected by their "
+                    "write_range declaration; do not install a fault "
+                    "handler beside it"
                 )
 
 
@@ -350,7 +330,7 @@ def main() -> int:
     check_send_envelope(violations)
     check_stats_lookups(violations)
     check_compute_in_span(violations)
-    check_signal_handler_safety(violations)
+    check_declared_writes_only(violations)
     check_one_collective_path(violations)
     check_page_state_through_accessor(violations)
     check_sim_single_threaded(violations)
