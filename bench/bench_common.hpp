@@ -6,7 +6,7 @@
 // factors, crossovers) is the reproduction target; absolute numbers depend
 // on the calibrated cost model (sim/cost_model.hpp).
 //
-// The DSM knobs (--engine, --piggyback, --fanout, ...) are read by
+// The DSM knobs (--engine, --dir-shards, --fanout, ...) are read by
 // dsm::read_knobs over their ANOW_* defaults; a bench accepts only the
 // knob options its allow_only list names and sets the rest per leg.
 #pragma once

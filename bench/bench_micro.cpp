@@ -109,16 +109,15 @@ PrimitiveResult envelope_pack_unpack_throughput() {
   constexpr int kSegmentsPerFlush = 6;
   std::int64_t sink_bytes = 0;
   std::int64_t seg_count[kNumSegmentKinds] = {};
-  Channel ch(/*self=*/0, PiggybackMode::kOn,
-             [&](Uid /*to*/, Envelope env) {
-               // "Unpack": the receive-side walk — per-segment kind
-               // dispatch plus the wire accounting send_envelope performs.
-               for (const auto& seg : env.segments) {
-                 seg_count[static_cast<int>(segment_kind(seg))]++;
-                 sink_bytes += segment_wire_bytes(seg);
-               }
-               sink_bytes += env.wire_bytes();
-             });
+  Channel ch(/*self=*/0, [&](Uid /*to*/, Envelope env) {
+    // "Unpack": the receive-side walk — per-segment kind dispatch plus the
+    // wire accounting send_envelope performs.
+    for (const auto& seg : env.segments) {
+      seg_count[static_cast<int>(segment_kind(seg))]++;
+      sink_bytes += segment_wire_bytes(seg);
+    }
+    sink_bytes += env.wire_bytes();
+  });
   // A release-point-shaped mix: a flush batch, an arrival, interval
   // payloads, and small control segments.
   PrimitiveResult out;

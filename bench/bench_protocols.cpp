@@ -2,61 +2,56 @@
 // plus the shifting-hotspot placement workload, under both consistency
 // engines — TreadMarks-style lazy release consistency
 // (diff archives, on-demand diff fetch) vs home-based LRC (eager flush to a
-// per-page home, full-page fetch on fault) — and, per engine, with envelope
-// piggybacking off (the flat one-segment-per-envelope baseline) and on
-// (coalescing at release points plus batched fault-side fetches;
-// DESIGN.md §7) and the owner-directory shard counts (--dir-shards,
-// DESIGN.md §8: 1 = the master-held directory, N = page ranges spread
-// across the first N processes).
+// per-page home, full-page fetch on fault) — and, per engine, the
+// owner-directory shard counts (--dir-shards, DESIGN.md §8: 1 = the
+// master-held directory, N = page ranges spread across the first N
+// processes).
 //
-// Results go to stdout and to BENCH_protocols.json (schema 9): per
-// (engine, dir-shards, piggyback) virtual runtime, host wall-clock
-// (`wall_seconds` — the simulator's own cost, the raw-speed trajectory
-// the hot-path passes optimize), message/envelope count,
-// envelope fill, total bytes, the consistency-traffic metric, the
-// master-inbound vs shard-inbound owner-lookup split, the per-segment-kind
-// message histogram, the virtual-time attribution breakdown
-// (`time_breakdown`: compute/barrier/lock/fault/gc/idle bucket totals that
-// sum exactly to the total runtime; DESIGN.md §11), the per-barrier-epoch
-// timeline (`epochs`, capped at 32 entries plus `epochs_total`: per-process
-// stall, message/byte deltas, placement moves), and the batched-vs-unbatched
-// delta — plus, per (engine, dir-shards), one `--placement adaptive` leg
-// (piggyback on) with the dsm.placement.{home_moves,shard_moves} counters
-// (DESIGN.md §9), and, at the first shard count, a traced-vs-untraced pair
-// of piggyback-on legs (`trace_check`: the untraced rerun must carry zero
+// Results go to stdout and to BENCH_protocols.json (schema 10).  Every
+// field is a deterministic function of the code (the simulator's virtual
+// time and counters); host wall-clock lives in the repository benchmark,
+// which repeats its runs.  Per (engine, dir-shards), the `static` leg
+// records virtual runtime, message/envelope count, envelope fill, total
+// bytes, the consistency-traffic metric, the master-inbound vs
+// shard-inbound owner-lookup split, the per-segment-kind message
+// histogram, the virtual-time attribution breakdown (`time_breakdown`:
+// compute/barrier/lock/fault/gc/idle bucket totals that sum exactly to the
+// total runtime; DESIGN.md §11) and the per-barrier-epoch timeline
+// (`epochs`, capped at 32 entries plus `epochs_total`: per-process stall,
+// message/byte deltas, placement moves) — plus one `--placement adaptive`
+// leg with the dsm.placement.{home_moves,shard_moves} counters (DESIGN.md
+// §9), and, at the first shard count, a traced-vs-untraced pair of reruns
+// of the static leg (`trace_check`: the untraced rerun must carry zero
 // obs.* stats and identical counters, the fully-traced rerun writes
-// `--trace` (default BENCH_trace.json) and reports `trace_overhead_pct`
-// host wall-clock overhead), and a `race_check` rerun of the on leg
-// under --race-check word (`race_check`: must be byte-identical, report
-// zero races on these DRF workloads, and carry `race_overhead_pct` — the
-// detector's host wall-clock cost; DESIGN.md §13).  A leg that crashes
-// mid-run is recorded as {"failed": true, "error": ...} and the sweep
-// continues — the JSON is always written with a trailing `summary`
-// ({ok, violations, crashed_legs}), and any crashed leg makes the exit
-// code non-zero even outside --check-batching.  A final `scaling` section
-// sweeps --scale-nodes team sizes (default 8,64,256 at Size::kTest,
-// hotspot + jacobi) at unbounded fanout (flat) vs fanout 8 (DESIGN.md §12),
+// `--trace`, default BENCH_trace.json), and a `race_check` rerun of the
+// static leg under --race-check word (`race_check`: must be
+// byte-identical and report zero races on these DRF workloads; DESIGN.md
+// §13).  A leg that crashes mid-run is recorded as
+// {"failed": true, "error": ...} and the sweep continues — the JSON is
+// always written with a trailing `summary` ({ok, violations,
+// crashed_legs}), and any crashed leg makes the exit code non-zero even
+// outside --check-batching.  A final `scaling` section sweeps
+// --scale-nodes team sizes (default 8,64,256 at Size::kTest, hotspot +
+// jacobi) at unbounded fanout (flat) vs fanout 8 (DESIGN.md §12),
 // reporting master-inbound control messages per barrier and the drop
 // factor; every main leg runs under --fanout (default unbounded) and
 // reports its dsm.ctrl.master_{inbound,outbound} counters.
 //
-// --check-batching turns the acceptance properties into an exit code: for
-// every workload, engine, and shard count, batching must never increase the
-// total message count and must leave the workload checksum unchanged; shard
-// counts must agree on checksums with each other and across engines;
-// sharding must not increase master-inbound owner lookups (CI smoke); no
-// static leg may emit a placement segment; adaptive placement must never
-// raise the message count on the steady-state (non-shifting) workloads;
-// on the shifting-hotspot workload the home engine's adaptive leg must
-// reduce consistency traffic (messages or bytes) below the static one;
-// every attributed leg's time buckets must conserve its runtime exactly;
-// tracing must be free — the untraced and traced reruns must match the
-// on leg's virtual time, messages, bytes, and checksum; and the
-// scaling sweep's tree legs must match the flat checksums and barrier
-// counts, strictly cut master inbound/barrier at >= 64 nodes, and cut it
-// >= 10x at 256 nodes; a tree leg whose fanout covers the team (n - 1 <=
-// fanout, the degenerate tree) must equal the flat leg in every field.
-#include <chrono>
+// --check-batching turns the acceptance properties into an exit code:
+// every leg of a workload must compute the same checksum, across engines,
+// shard counts and placement; sharding must not increase master-inbound
+// owner lookups (CI smoke); no static leg may emit a placement segment;
+// adaptive placement must never raise the message count on the
+// steady-state (non-shifting) workloads; on the shifting-hotspot workload
+// the home engine's adaptive leg must reduce consistency traffic (messages
+// or bytes) below the static one; every attributed leg's time buckets must
+// conserve its runtime exactly; tracing must be free — the untraced and
+// traced reruns must match the static leg's virtual time, messages, bytes,
+// and checksum; and the scaling sweep's tree legs must match the flat
+// checksums and barrier counts, strictly cut master inbound/barrier at
+// >= 64 nodes, and cut it >= 10x at 256 nodes; a tree leg whose fanout
+// covers the team (n - 1 <= fanout, the degenerate tree) must equal the
+// flat leg in every field.
 #include <exception>
 #include <iostream>
 #include <string>
@@ -67,10 +62,9 @@
 
 namespace {
 
-struct ModeResult {
+struct LegResult {
   bool ok = false;
   std::string error;
-  double wall_seconds = 0.0;  // host time spent simulating this leg
   anow::harness::RunResult run;
   std::int64_t segments = 0;
   std::int64_t consistency_bytes = 0;
@@ -135,29 +129,26 @@ int main(int argc, char** argv) {
   }
 
   bench::print_header(
-      "Protocol comparison — engine × dir-shards × piggyback × placement",
+      "Protocol comparison — engine × dir-shards × placement",
       std::string("Problem size preset: ") + apps::size_name(size) + ", " +
           std::to_string(nodes) +
-          " nodes.  Fill = segments per envelope; saved = messages below "
-          "the piggyback-off baseline of the same engine and shard count; "
-          "MasterLkp = owner-lookup segments (page requests + directory "
-          "rounds) inbound at the master.  The adaptive rows rerun "
-          "piggyback on with --placement adaptive (home migration + shard "
-          "rebalancing, DESIGN.md §9).");
+          " nodes.  Fill = segments per envelope; MasterLkp = owner-lookup "
+          "segments (page requests + directory rounds) inbound at the "
+          "master.  The adaptive rows rerun the static leg with "
+          "--placement adaptive (home migration + shard rebalancing, "
+          "DESIGN.md §9).");
 
   const dsm::EngineKind engines[] = {dsm::EngineKind::kLrc,
                                      dsm::EngineKind::kHomeLrc};
-  const dsm::PiggybackMode modes[] = {dsm::PiggybackMode::kOff,
-                                      dsm::PiggybackMode::kOn};
 
-  util::Table t({"App (size)", "Engine", "Shards", "Piggyback", "Time(s)",
-                 "Messages", "Saved", "Fill", "MB", "MasterLkp", "ShardLkp",
+  util::Table t({"App (size)", "Engine", "Shards", "Leg", "Time(s)",
+                 "Messages", "Fill", "MB", "MasterLkp", "ShardLkp",
                  "Consistency KB"});
 
   util::JsonWriter json;
   json.begin_object();
   json.field("bench", "protocols");
-  json.field("schema_version", 9);
+  json.field("schema_version", 10);
   json.field("size", apps::size_name(size));
   json.field("nodes", nodes);
   json.field("fanout", dsm::fanout_name(fanout));
@@ -180,25 +171,20 @@ int main(int argc, char** argv) {
     t.separator();
     json.begin_object(app);
     // checksum of the first successful leg; every other leg must agree
-    // (engines, modes, and shard counts all compute the same answer).
+    // (engines, shard counts, and placement all compute the same answer).
     double app_checksum = 0.0;
     bool have_checksum = false;
-    // jacobi acceptance: master-inbound lookups at shard count 1 vs max
-    // (per engine, piggyback on).
     for (const dsm::EngineKind engine : engines) {
       json.begin_object(dsm::enum_name(engine));
-      // Piggyback-on results per shard count: the smallest count is the
+      // Static-leg results per shard count: the smallest count is the
       // lookup baseline, the largest the most-sharded layout (the sweep
       // order on the command line does not matter).
-      std::vector<std::pair<int, ModeResult>> on_by_shards;
+      std::vector<std::pair<int, LegResult>> static_by_shards;
       for (const int shards : shard_counts) {
         json.begin_object("shards" + std::to_string(shards));
-        ModeResult base;  // the kOff run of this (engine, shards)
-        ModeResult on;    // the kOn run
-        // One leg = one run; `leg_name` keys the JSON object ("off", "on"
-        // for the static piggyback sweep, "adaptive" for the placement
-        // rerun of piggyback on).
-        auto run_leg = [&](const char* leg_name, dsm::PiggybackMode mode,
+        // One leg = one run; `leg_name` keys the JSON object ("static",
+        // "adaptive", and the untraced/traced/racecheck reruns).
+        auto run_leg = [&](const char* leg_name,
                            dsm::PlacementMode placement,
                            bool attribution = true,
                            const std::string& trace_file = std::string(),
@@ -208,7 +194,6 @@ int main(int argc, char** argv) {
           cfg.size = size;
           cfg.nprocs = nodes;
           cfg.engine = engine;
-          cfg.piggyback = mode;
           cfg.dir_shards = shards;
           cfg.placement = placement;
           cfg.fanout = fanout;
@@ -218,17 +203,13 @@ int main(int argc, char** argv) {
           cfg.time_attribution = attribution;
           cfg.trace_file = trace_file;
           cfg.race_check = race;
-          ModeResult r;
-          const auto wall0 = std::chrono::steady_clock::now();
+          LegResult r;
           try {
             r.run = harness::run_workload(cfg);
             r.ok = true;
           } catch (const std::exception& e) {
             r.error = e.what();
           }
-          r.wall_seconds = std::chrono::duration<double>(
-                               std::chrono::steady_clock::now() - wall0)
-                               .count();
           const std::string leg = app + "/" +
                                   dsm::enum_name(engine) + "/shards" +
                                   std::to_string(shards) + "/" + leg_name;
@@ -259,8 +240,6 @@ int main(int argc, char** argv) {
           r.home_moves = r.run.stats.counter("dsm.placement.home_moves");
           r.shard_moves = r.run.stats.counter("dsm.placement.shard_moves");
 
-          const std::int64_t saved =
-              base.ok ? base.run.messages - r.run.messages : 0;
           const double fill =
               r.run.messages > 0 ? static_cast<double>(r.segments) /
                                        static_cast<double>(r.run.messages)
@@ -272,7 +251,6 @@ int main(int argc, char** argv) {
           row.add(leg_name);
           row.add(r.run.seconds, 2);
           row.add(r.run.messages);
-          row.add(saved);
           row.add(fill, 3);
           row.add(util::format_mb(r.run.bytes));
           row.add(r.lookups_master);
@@ -280,7 +258,6 @@ int main(int argc, char** argv) {
           row.add(static_cast<double>(r.consistency_bytes) / 1024.0, 1);
 
           json.field("seconds", r.run.seconds);
-          json.field("wall_seconds", r.wall_seconds);
           json.field("messages", r.run.messages);
           json.field("segments", r.segments);
           json.field("fill", fill);
@@ -362,7 +339,7 @@ int main(int argc, char** argv) {
           } else if (r.run.checksum != app_checksum) {
             fail(leg + " checksum " + std::to_string(r.run.checksum) +
                  " != " + std::to_string(app_checksum) +
-                 " of the first leg (engines, modes, shard counts, and "
+                 " of the first leg (engines, shard counts, and "
                  "placement must agree)");
           }
           if (placement == dsm::PlacementMode::kStatic &&
@@ -383,30 +360,15 @@ int main(int argc, char** argv) {
           }
           return r;
         };
-        for (const dsm::PiggybackMode mode : modes) {
-          ModeResult r = run_leg(dsm::enum_name(mode), mode,
-                                 dsm::PlacementMode::kStatic,
-                                 /*attribution=*/true, std::string(),
-                                 race_check_opt);
-          if (!r.ok) continue;
-          if (mode == dsm::PiggybackMode::kOff) base = r;
-          if (mode == dsm::PiggybackMode::kOn) on = r;
-          if (mode != dsm::PiggybackMode::kOff && base.ok &&
-              r.run.messages > base.run.messages) {
-            fail(app + "/" + std::string(dsm::enum_name(engine)) +
-                 "/shards" + std::to_string(shards) + "/" +
-                 dsm::enum_name(mode) + " sent " +
-                 std::to_string(r.run.messages) + " messages vs " +
-                 std::to_string(base.run.messages) + " with piggyback off");
-          }
-        }
-        // The adaptive placement leg reruns piggyback on with the policy
-        // live (DESIGN.md §9).
-        const ModeResult adaptive =
-            run_leg("adaptive", dsm::PiggybackMode::kOn,
-                    dsm::PlacementMode::kAdaptive,
+        const LegResult static_leg =
+            run_leg("static", dsm::PlacementMode::kStatic,
                     /*attribution=*/true, std::string(), race_check_opt);
-        if (adaptive.ok && on.ok) {
+        // The adaptive placement leg reruns the static one with the policy
+        // live (DESIGN.md §9).
+        const LegResult adaptive =
+            run_leg("adaptive", dsm::PlacementMode::kAdaptive,
+                    /*attribution=*/true, std::string(), race_check_opt);
+        if (adaptive.ok && static_leg.ok) {
           const std::string leg =
               app + "/" + dsm::enum_name(engine) + "/shards" +
               std::to_string(shards) + "/adaptive";
@@ -415,54 +377,37 @@ int main(int argc, char** argv) {
             // must convert its placement moves into a consistency-traffic
             // win (messages or bytes) over the static layout.
             if (engine == dsm::EngineKind::kHomeLrc &&
-                !(adaptive.run.messages < on.run.messages ||
-                  adaptive.consistency_bytes < on.consistency_bytes)) {
+                !(adaptive.run.messages < static_leg.run.messages ||
+                  adaptive.consistency_bytes < static_leg.consistency_bytes)) {
               fail(leg + " did not reduce consistency traffic: " +
                    std::to_string(adaptive.run.messages) + " msgs / " +
                    std::to_string(adaptive.consistency_bytes) +
                    " consistency bytes vs static " +
-                   std::to_string(on.run.messages) + " / " +
-                   std::to_string(on.consistency_bytes));
+                   std::to_string(static_leg.run.messages) + " / " +
+                   std::to_string(static_leg.consistency_bytes));
             }
-          } else if (adaptive.run.messages > on.run.messages) {
+          } else if (adaptive.run.messages > static_leg.run.messages) {
             // Steady-state workloads: adaptive placement must never raise
             // the message count (the policy should decide nothing).
             fail(leg + " raised the steady-state message count: " +
                  std::to_string(adaptive.run.messages) + " vs " +
-                 std::to_string(on.run.messages) + " static");
+                 std::to_string(static_leg.run.messages) + " static");
           }
         }
-        // The batched-vs-unbatched headline delta (on over off).
-        if (base.ok && on.ok) {
-          json.begin_object("batching_delta");
-          json.field("messages_off", base.run.messages);
-          json.field("messages_on", on.run.messages);
-          json.field("messages_saved", base.run.messages - on.run.messages);
-          json.field("saved_pct",
-                     base.run.messages > 0
-                         ? 100.0 *
-                               static_cast<double>(base.run.messages -
-                                                   on.run.messages) /
-                               static_cast<double>(base.run.messages)
-                         : 0.0);
-          json.end_object();
-        }
         // Tracing-freeness acceptance (DESIGN.md §11), at the first shard
-        // count only: rerun piggyback on once with no recorder at all and
-        // once fully traced (event rings + Chrome JSON export).  Both must
-        // be event-for-event identical to the attributed on leg, and
-        // the wall-clock delta is the recorder's host-side overhead.
+        // count only: rerun the static leg once with no recorder at all
+        // and once fully traced (event rings + Chrome JSON export).  Both
+        // must be event-for-event identical to the attributed static leg.
         if (shards == shard_counts.front()) {
           const std::string leg = app + "/" +
                                   dsm::enum_name(engine) + "/shards" +
                                   std::to_string(shards);
-          const ModeResult untraced =
-              run_leg("untraced", dsm::PiggybackMode::kOn,
-                      dsm::PlacementMode::kStatic, /*attribution=*/false);
-          const ModeResult traced =
-              run_leg("traced", dsm::PiggybackMode::kOn,
-                      dsm::PlacementMode::kStatic, /*attribution=*/true,
-                      trace_path);
+          const LegResult untraced =
+              run_leg("untraced", dsm::PlacementMode::kStatic,
+                      /*attribution=*/false);
+          const LegResult traced =
+              run_leg("traced", dsm::PlacementMode::kStatic,
+                      /*attribution=*/true, trace_path);
           if (untraced.ok) {
             for (const auto& [name, value] : untraced.run.stats.counters) {
               if (name.rfind("obs.", 0) == 0 && value != 0) {
@@ -477,42 +422,35 @@ int main(int argc, char** argv) {
               }
             }
           }
-          auto identical = [&](const ModeResult& r, const char* which) {
-            if (!r.ok || !on.ok) return;
-            if (r.run.seconds != on.run.seconds ||
-                r.run.messages != on.run.messages ||
-                r.run.bytes != on.run.bytes ||
-                r.run.checksum != on.run.checksum) {
+          auto identical = [&](const LegResult& r, const char* which) {
+            if (!r.ok || !static_leg.ok) return;
+            if (r.run.seconds != static_leg.run.seconds ||
+                r.run.messages != static_leg.run.messages ||
+                r.run.bytes != static_leg.run.bytes ||
+                r.run.checksum != static_leg.run.checksum) {
               fail(leg + "/" + which +
-                   " diverged from the on leg (time/messages/bytes/"
+                   " diverged from the static leg (time/messages/bytes/"
                    "checksum) — tracing must not perturb the run");
             }
           };
           identical(untraced, "untraced");
           identical(traced, "traced");
-          if (untraced.ok && traced.ok && untraced.wall_seconds > 0.0) {
+          if (untraced.ok && traced.ok) {
             json.begin_object("trace_check");
-            json.field("untraced_wall_seconds", untraced.wall_seconds);
-            json.field("traced_wall_seconds", traced.wall_seconds);
-            json.field(
-                "trace_overhead_pct",
-                100.0 * (traced.wall_seconds - untraced.wall_seconds) /
-                    untraced.wall_seconds);
             json.field("trace_file", trace_path);
             json.end_object();
           }
           // Race-detector freeness + DRF certification (DESIGN.md §13):
-          // rerun piggyback on under --race-check word.  The detector is a
-          // pure observer, so the run must be byte-identical to the
-          // on leg, and the workloads are DRF, so run_leg's race gate
-          // above must see zero reports.  The wall-clock delta against the
-          // untraced rerun is the detector's host-side overhead.
-          const ModeResult racecheck =
-              run_leg("racecheck", dsm::PiggybackMode::kOn,
-                      dsm::PlacementMode::kStatic, /*attribution=*/false,
-                      std::string(), dsm::RaceCheckMode::kWord);
+          // rerun the static leg under --race-check word.  The detector is
+          // a pure observer, so the run must be byte-identical to the
+          // static leg, and the workloads are DRF, so run_leg's race gate
+          // above must see zero reports.
+          const LegResult racecheck =
+              run_leg("racecheck", dsm::PlacementMode::kStatic,
+                      /*attribution=*/false, std::string(),
+                      dsm::RaceCheckMode::kWord);
           identical(racecheck, "racecheck");
-          if (racecheck.ok && untraced.ok && untraced.wall_seconds > 0.0) {
+          if (racecheck.ok) {
             json.begin_object("race_check");
             json.field("reports",
                        racecheck.run.stats.counter("obs.race.reports"));
@@ -520,21 +458,17 @@ int main(int argc, char** argv) {
                        racecheck.run.stats.counter("obs.race.segments"));
             json.field("checks",
                        racecheck.run.stats.counter("obs.race.checks"));
-            json.field(
-                "race_overhead_pct",
-                100.0 * (racecheck.wall_seconds - untraced.wall_seconds) /
-                    untraced.wall_seconds);
             json.end_object();
           }
         }
         json.end_object();
-        if (on.ok) on_by_shards.emplace_back(shards, on);
+        if (static_leg.ok) static_by_shards.emplace_back(shards, static_leg);
       }
       // Sharding the directory must shed master-inbound owner-lookup load
       // (it may not grow it) whenever more than one shard count ran.
-      const std::pair<int, ModeResult>* lo = nullptr;
-      const std::pair<int, ModeResult>* hi = nullptr;
-      for (const auto& entry : on_by_shards) {
+      const std::pair<int, LegResult>* lo = nullptr;
+      const std::pair<int, LegResult>* hi = nullptr;
+      for (const auto& entry : static_by_shards) {
         if (lo == nullptr || entry.first < lo->first) lo = &entry;
         if (hi == nullptr || entry.first > hi->first) hi = &entry;
       }
@@ -599,7 +533,6 @@ int main(int argc, char** argv) {
       cfg.size = apps::Size::kTest;
       cfg.nprocs = n;
       cfg.engine = dsm::EngineKind::kHomeLrc;
-      cfg.piggyback = dsm::PiggybackMode::kOn;
       cfg.fanout = leg_fanout;
       cfg.adaptive = false;
       const std::string fname = dsm::fanout_name(leg_fanout);
@@ -717,9 +650,8 @@ int main(int argc, char** argv) {
   json.write_file("BENCH_protocols.json");
   std::cout << "\nWrote BENCH_protocols.json\n";
   if (check_batching) {
-    std::cout << (ok ? "check-batching: OK — batching never increased the "
-                       "message count, checksums agree across engines, "
-                       "modes, shard counts, and placement, sharding shed "
+    std::cout << (ok ? "check-batching: OK — checksums agree across "
+                       "engines, shard counts, and placement, sharding shed "
                        "master-inbound lookups, static placement emitted "
                        "zero placement segments, adaptive placement never "
                        "raised steady-state message counts, time buckets "

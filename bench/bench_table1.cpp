@@ -13,8 +13,8 @@
 int main(int argc, char** argv) {
   using namespace anow;
   util::Options opts(argc, argv);
-  opts.allow_only({"size", "full", "nodes", "engine", "piggyback",
-                   "dir-shards", "placement", "trace", "time-breakdown"});
+  opts.allow_only({"size", "full", "nodes", "engine", "dir-shards",
+                   "placement", "trace", "time-breakdown"});
   const apps::Size size = bench::size_from_options(opts);
   harness::RunConfig base;
   dsm::read_knobs(opts, base);
@@ -27,8 +27,7 @@ int main(int argc, char** argv) {
       std::string("Problem size preset: ") + apps::size_name(size) +
           " (use --full for the paper's sizes; paper numbers are for the "
           "paper sizes only); consistency engine: " +
-          dsm::enum_name(base.engine) + ", piggyback: " +
-          dsm::enum_name(base.piggyback) + ", dir-shards: " +
+          dsm::enum_name(base.engine) + ", dir-shards: " +
           std::to_string(base.dir_shards) + ", placement: " +
           dsm::enum_name(base.placement));
 

@@ -2,13 +2,12 @@
 //
 // All protocol traffic leaves a process through its Channel.  Callers either
 // `send()` a segment (it departs now) or `stage()` one for a destination and
-// let a later send/flush to that destination carry it.  The coalescing
-// policy lives here and only here: under PiggybackMode::kOff, stage() is
-// send() — every segment departs as its own single-segment envelope, which
-// reproduces the pre-envelope flat send path byte for byte.  Under kOn,
-// staged segments accumulate per destination and the next
-// send()/flush() to that destination merges them, *in staging order, ahead
-// of the sent segment*, into one envelope (DESIGN.md §7).
+// let a later send/flush to that destination carry it.  There is one
+// coalescing policy and it lives here: staged segments accumulate per
+// destination and the next send()/flush() to that destination merges them,
+// *in staging order, ahead of the sent segment*, into one envelope
+// (DESIGN.md §7).  A send with nothing staged is a single-segment envelope,
+// whose wire size is the flat per-message cost.
 //
 // The ordering rule is what makes staging safe to sprinkle across the
 // release paths: a segment staged for `to` can never be overtaken by a
@@ -21,7 +20,6 @@
 #include <utility>
 #include <vector>
 
-#include "dsm/config.hpp"
 #include "dsm/msg.hpp"
 #include "dsm/types.hpp"
 
@@ -32,36 +30,17 @@ class Channel {
   /// Hands a ready envelope to the transport (DsmSystem::send_envelope).
   using Sink = std::function<void(Uid to, Envelope env)>;
 
-  Channel(Uid self, PiggybackMode mode, Sink sink)
-      : self_(self),
-        buffered_(mode == PiggybackMode::kOn),
-        sink_(std::move(sink)) {}
+  Channel(Uid self, Sink sink) : self_(self), sink_(std::move(sink)) {}
 
   Channel(const Channel&) = delete;
   Channel& operator=(const Channel&) = delete;
 
-  /// Whether stage() actually buffers (PiggybackMode::kOn).  Call sites
-  /// that would otherwise wait for an ack the envelope ordering makes
-  /// redundant, or fault a page range one page at a time, check this
-  /// instead of re-deriving policy from DsmConfig.
-  bool buffered() const { return buffered_; }
-
-  /// Queues `seg` for the next envelope to `to`.  kOff: departs immediately.
-  void stage(Uid to, Segment seg) {
-    if (!buffered()) {
-      emit_one(to, std::move(seg));
-      return;
-    }
-    buffer(to).push_back(std::move(seg));
-  }
+  /// Queues `seg` for the next envelope to `to`.
+  void stage(Uid to, Segment seg) { buffer(to).push_back(std::move(seg)); }
 
   /// Sends one envelope to `to`: everything staged for it, then `seg`.
   void send(Uid to, Segment seg) {
-    if (!buffered()) {
-      emit_one(to, std::move(seg));
-      return;
-    }
-    buffer(to).push_back(std::move(seg));
+    stage(to, std::move(seg));
     flush(to);
   }
 
@@ -105,8 +84,7 @@ class Channel {
   /// The tree control plane (DESIGN.md §12) pulls the stage into the
   /// destination's multicast route so the no-overtaking rule keeps holding
   /// when a departure is tree-routed instead of direct: the staged
-  /// segments still precede the instruction, inside the route.  Empty
-  /// under kOff (nothing ever buffers).
+  /// segments still precede the instruction, inside the route.
   std::vector<Segment> take_staged(Uid to) {
     auto* staged = find_buffer(to);
     if (staged == nullptr) return {};
@@ -123,13 +101,6 @@ class Channel {
     sink_(to, std::move(env));
   }
 
-  void emit_one(Uid to, Segment seg) {
-    std::vector<Segment> one;
-    one.reserve(1);
-    one.push_back(std::move(seg));
-    emit(to, std::move(one));
-  }
-
   std::vector<Segment>* find_buffer(Uid to) {
     for (auto& [uid, staged] : buffers_) {
       if (uid == to) return &staged;
@@ -144,7 +115,6 @@ class Channel {
   }
 
   Uid self_;
-  bool buffered_;
   Sink sink_;
   // Flat per-destination buffers: a process stages for a handful of peers.
   std::vector<std::pair<Uid, std::vector<Segment>>> buffers_;

@@ -36,7 +36,6 @@ struct KnobRow {
 constexpr KnobRow kKnobs[] = {
     {"backend", "ANOW_BACKEND", &assign<&Knobs::backend>},
     {"engine", "ANOW_ENGINE", &assign<&Knobs::engine>},
-    {"piggyback", "ANOW_PIGGYBACK", &assign<&Knobs::piggyback>},
     {"dir-shards", "ANOW_DIR_SHARDS", &assign<&Knobs::dir_shards>},
     {"placement", "ANOW_PLACEMENT", &assign<&Knobs::placement>},
     {"fanout", "ANOW_FANOUT", &assign<&Knobs::fanout>},

@@ -41,21 +41,6 @@ enum class BackendKind : std::uint8_t {
   kReal,
 };
 
-/// Whether the transport coalesces segments into shared envelopes
-/// (DESIGN.md §7).  One mechanism — Channel staging — switched on or off.
-enum class PiggybackMode : std::uint8_t {
-  /// Every segment travels as its own envelope; message counts and traffic
-  /// bytes are identical to the pre-envelope flat send path (the §5.1
-  /// per-message costs calibration_test pins).
-  kOff,
-  /// Home flushes bound for the master ride the release announcement
-  /// (BarrierArrive / LockRelease) in one envelope, join-barrier releases
-  /// ride the master's next instruction fan-out (fork / GC prepare /
-  /// terminate), and a multi-page fault groups its full-page fetch requests
-  /// per source into one envelope.
-  kOn,
-};
-
 /// Adaptive placement (DESIGN.md §9): whether the runtime monitors access
 /// traffic and migrates page homes / directory shards at GC rounds.
 enum class PlacementMode : std::uint8_t {
@@ -115,10 +100,6 @@ struct EnumNames<EngineKind> {
   static constexpr std::array<const char*, 2> kNames{"lrc", "home"};
 };
 template <>
-struct EnumNames<PiggybackMode> {
-  static constexpr std::array<const char*, 2> kNames{"off", "on"};
-};
-template <>
 struct EnumNames<PlacementMode> {
   static constexpr std::array<const char*, 2> kNames{"static", "adaptive"};
 };
@@ -155,11 +136,12 @@ inline BackendKind parse_backend_kind(const std::string& name) {
 /// "unbounded" for kUnboundedFanout, else the number.
 std::string fanout_name(int fanout);
 
-/// The run-time knobs, declared once: DsmConfig and harness::RunConfig both
-/// derive from this.  A default-constructed Knobs holds the ANOW_*
-/// environment defaults (read once per process), so CI can rerun the whole
-/// suite under any setting without touching a construction site.  Every
-/// knob is also a command-line option of the same name (read_knobs).
+/// The seven run-time knobs, declared once: DsmConfig and
+/// harness::RunConfig both derive from this.  A default-constructed Knobs
+/// holds the ANOW_* environment defaults (read once per process), so CI can
+/// rerun the whole suite under any setting without touching a construction
+/// site; a variable no knob names is ignored.  Every knob is also a
+/// command-line option of the same name (read_knobs).
 struct Knobs {
   Knobs();
 
@@ -169,8 +151,6 @@ struct Knobs {
   BackendKind backend = BackendKind::kSim;
   /// --engine / ANOW_ENGINE.
   EngineKind engine = EngineKind::kLrc;
-  /// --piggyback / ANOW_PIGGYBACK (DESIGN.md §7).
-  PiggybackMode piggyback = PiggybackMode::kOn;
   /// --dir-shards / ANOW_DIR_SHARDS (DESIGN.md §8): the page->owner map is
   /// split into this many contiguous page ranges, each held authoritatively
   /// by one of the first `dir_shards` processes (uid == shard index), which
@@ -201,8 +181,8 @@ struct Knobs {
 };
 
 /// Overrides `knobs` with every knob option present on the command line
-/// (--backend, --engine, --piggyback, --dir-shards, --placement, --fanout,
-/// --race-check, --trace), or only with those named in `only` when it is
+/// (--backend, --engine, --dir-shards, --placement, --fanout, --race-check,
+/// --trace), or only with those named in `only` when it is
 /// non-empty (for a program that gives some of these names another
 /// meaning); absent options keep their current value.  The values parse
 /// exactly like their ANOW_* variables: an enum must be one of its
@@ -218,9 +198,8 @@ struct DsmConfig : Knobs {
 
   /// Placement hysteresis: a page re-homes only after the same sole writer
   /// dominated it for this many consecutive monitoring windows (barrier
-  /// epochs), with at least placement_min_writes write records per window.
+  /// epochs).
   int placement_hysteresis = 2;
-  int placement_min_writes = 1;
   /// A directory shard moves off its holder only when the holder's inbound
   /// owner-lookup load exceeded placement_overload_factor times the
   /// team-wide mean — and at least placement_min_lookups segments — for
@@ -234,7 +213,6 @@ struct DsmConfig : Knobs {
   /// Run a garbage collection at the next barrier once any process's
   /// consistency data (twins + diffs + notices) exceeds this.
   std::int64_t gc_threshold_bytes = 8ll << 20;
-  bool auto_gc = true;
 
   /// Size of the non-shared part of a process image (code, private heap,
   /// stack); enters migration and checkpoint costs.

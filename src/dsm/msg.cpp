@@ -10,10 +10,9 @@ std::int64_t intervals_bytes(const std::vector<Interval>& intervals) {
   return total;
 }
 
-/// Encoded payload size per segment kind.  These are the pre-envelope flat
-/// Message sizes minus the 8 bytes now charged once per envelope
-/// (kEnvelopeHeaderBytes), so `--piggyback off` reproduces the old
-/// accounting exactly.
+/// Encoded payload size per segment kind: the flat per-message sizes minus
+/// the 8 bytes charged once per envelope (kEnvelopeHeaderBytes), so a
+/// single-segment envelope weighs exactly one flat message.
 struct WireSize {
   std::int64_t operator()(const PageRequest&) const { return 8; }
   std::int64_t operator()(const PageReply& m) const {

@@ -6,12 +6,12 @@
 // would use.  An Envelope is the unit the network moves: an ordered list of
 // segments from one sender, charged one envelope header plus the sum of its
 // segments' payload bytes.  A single-segment envelope therefore costs
-// exactly what the old one-struct-per-send Message did; every additional
-// segment piggybacked on the same envelope saves one header and one
-// per-message network overhead (DESIGN.md §7).
+// exactly one flat per-message send (the §5.1 calibration); every
+// additional segment piggybacked on the same envelope saves one header and
+// one per-message network overhead (DESIGN.md §7).
 //
-// Staging and coalescing rules live in dsm/channel.hpp; nothing here knows
-// when segments merge, only what each one weighs.
+// The staging and coalescing policy lives in dsm/channel.hpp; nothing here
+// knows when segments merge, only what each one weighs.
 #pragma once
 
 #include <cstdint>
@@ -229,9 +229,8 @@ struct DirDeltaReply {
 // With --placement adaptive the MigrationPlanner executes the policy's
 // decisions by riding the GC commit round: both segments are *staged* on
 // the master's channel ahead of the GcPrepare fan-out, so they travel in
-// the prepare envelope (or, under --piggyback off, as their own envelope
-// immediately before it — per-pair FIFO keeps the order) and need no ack
-// round of their own: the existing GcAck already gates the commit.
+// the prepare envelope and need no ack round of their own: the existing
+// GcAck already gates the commit.
 // Neither segment exists with --placement static.
 
 /// Announces to a process the pages whose home the placement policy is
@@ -368,9 +367,8 @@ bool segment_is_consistency_traffic(const Segment& seg);
 bool segment_is_control(const Segment& seg);
 
 /// Per-envelope framing charge (type/count/length fields).  Chosen so that
-/// a single-segment envelope weighs exactly what the pre-envelope flat
-/// Message did, which keeps `--piggyback off` byte-for-byte identical to
-/// the old send path.
+/// a single-segment envelope weighs exactly one flat per-message send, the
+/// accounting the §5.1 primitive costs are calibrated on.
 constexpr std::int64_t kEnvelopeHeaderBytes = 8;
 
 /// The unit the network moves: an ordered list of segments from one sender.

@@ -11,38 +11,17 @@ void AccessMonitor::attach(PageId num_pages) {
   pages_.assign(static_cast<std::size_t>(num_pages), PageStat{});
 }
 
-PageStat& AccessMonitor::touch(PageId page) {
-  PageStat& ps = pages_[static_cast<std::size_t>(page)];
-  // First activity of the window: the page joins the touched list once,
-  // so end_window() can fold and reset in O(touched).
-  if (ps.window_writes == 0 && ps.window_flush_bytes == 0 &&
-      ps.window_fetches == 0) {
-    touched_.push_back(page);
-  }
-  return ps;
-}
-
 void AccessMonitor::record_write(PageId page, Uid writer) {
-  PageStat& ps = touch(page);
+  PageStat& ps = pages_[static_cast<std::size_t>(page)];
   if (ps.window_writes == 0) {
+    // First record of the window: the page joins the touched list once,
+    // so end_window() can fold and reset in O(touched).
+    touched_.push_back(page);
     ps.window_writer = writer;
   } else if (ps.window_writer != writer) {
     ps.window_mixed = true;
   }
   ++ps.window_writes;
-}
-
-void AccessMonitor::record_flush(PageId page, std::int64_t bytes) {
-  PageStat& ps = touch(page);
-  const std::int64_t sum =
-      static_cast<std::int64_t>(ps.window_flush_bytes) + bytes;
-  ps.window_flush_bytes = static_cast<std::uint32_t>(
-      std::min<std::int64_t>(sum, UINT32_MAX));  // saturating
-}
-
-void AccessMonitor::record_fetch(PageId page) {
-  PageStat& ps = touch(page);
-  ++ps.window_fetches;
 }
 
 void AccessMonitor::record_lookup(Uid dest) {
@@ -51,7 +30,7 @@ void AccessMonitor::record_lookup(Uid dest) {
   ++lookups_[i];
 }
 
-void AccessMonitor::end_window(std::uint32_t min_writes) {
+void AccessMonitor::end_window() {
   for (const PageId p : touched_) {
     PageStat& ps = pages_[static_cast<std::size_t>(p)];
     if (ps.window_mixed) {
@@ -60,8 +39,7 @@ void AccessMonitor::end_window(std::uint32_t min_writes) {
       ps.streak_writer = kNoUid;
       ps.streak = 0;
       ps.fresh = false;
-    } else if (ps.window_writes >= min_writes &&
-               ps.window_writer != kNoUid) {
+    } else {
       if (ps.window_writer == ps.streak_writer) {
         if (ps.streak < UINT16_MAX) ++ps.streak;
       } else {
@@ -69,16 +47,10 @@ void AccessMonitor::end_window(std::uint32_t min_writes) {
         ps.streak = 1;
       }
       ps.fresh = true;
-    } else {
-      ps.fresh = false;
     }
-    // Pure flush/fetch activity (no write records) and sub-threshold
-    // windows leave the streak untouched: idleness is not evidence.
     ps.window_writer = kNoUid;
     ps.window_mixed = false;
     ps.window_writes = 0;
-    ps.window_flush_bytes = 0;
-    ps.window_fetches = 0;
   }
   last_window_pages_ = std::move(touched_);
   touched_.clear();

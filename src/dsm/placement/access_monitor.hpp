@@ -1,20 +1,16 @@
 // AccessMonitor — the measurement half of the adaptive placement subsystem
 // (DESIGN.md §9).
 //
-// Aggregates, per monitoring *window* (one barrier epoch), the traffic
+// Aggregates, per monitoring *window* (one barrier epoch), the two traffic
 // signals the PlacementPolicy feeds on:
 //   * per-page write records — the (page, writer) pairs of every interval
 //     the master logs, i.e. exactly the write records the sharded GC
 //     already ships in DirDeltaRequest — the home-move dominance signal;
-//   * per-page flush bytes and fault fetches — recorded where the master's
-//     transport already walks every segment (DsmSystem::send_envelope), so
-//     no extra message or handler exists for monitoring.  The current
-//     policy keys only off write streaks and lookup loads; the magnitudes
-//     are kept for the cost-model policy follow-up (ROADMAP) and for
-//     post-run inspection;
 //   * per-uid inbound owner-lookup counts (PageRequest / OwnerQuery /
-//     DirDeltaRequest by destination) — the directory-load signal shard
-//     rebalancing acts on.
+//     DirDeltaRequest by destination), tapped where the transport already
+//     walks every segment (DsmSystem::send_envelope) — the directory-load
+//     signal shard rebalancing acts on.
+// Neither needs an extra message or handler.
 //
 // All hooks are O(1) appends/increments gated on --placement adaptive;
 // with --placement static the monitor is never called at all, which is
@@ -39,15 +35,13 @@ struct PageStat {
   Uid window_writer = kNoUid;  ///< sole writer so far, kNoUid if none
   bool window_mixed = false;   ///< >1 distinct writer this window
   std::uint32_t window_writes = 0;
-  std::uint32_t window_flush_bytes = 0;
-  std::uint32_t window_fetches = 0;
   // --- across windows ---------------------------------------------------
   /// The writer that solely dominated the page in the last `streak`
-  /// consecutive windows (with >= min_writes records each).
+  /// consecutive windows.
   Uid streak_writer = kNoUid;
   std::uint16_t streak = 0;
-  /// The window that just ended qualified (sole writer, >= min_writes):
-  /// the policy only acts on streaks whose evidence is current.
+  /// The window that just ended had a sole writer: the policy only acts on
+  /// streaks whose evidence is current.
   bool fresh = false;
 };
 
@@ -59,20 +53,15 @@ class AccessMonitor {
   // --- recording (adaptive mode only; event/handler context) -------------
   /// One write record: a logged interval's write notice (page, creator).
   void record_write(PageId page, Uid writer);
-  /// A HomeFlush page's diff bytes passing through the transport.
-  void record_flush(PageId page, std::int64_t bytes);
-  /// A full-page fetch request passing through the transport.
-  void record_fetch(PageId page);
   /// An owner-lookup segment (PageRequest/OwnerQuery/DirDeltaRequest)
   /// inbound at `dest`.
   void record_lookup(Uid dest);
 
   /// Folds the current window into the streaks (a page keeps its streak
-  /// while sole-written by the same writer with >= min_writes records;
-  /// mixed windows reset it; untouched pages keep their streak — idleness
-  /// is not evidence of a new owner).  Decays the per-uid lookup loads to
-  /// zero for the next window.
-  void end_window(std::uint32_t min_writes);
+  /// while sole-written by the same writer; mixed windows reset it;
+  /// unwritten pages keep their streak — idleness is not evidence of a new
+  /// owner).  Decays the per-uid lookup loads to zero for the next window.
+  void end_window();
 
   // --- policy-side queries ------------------------------------------------
   /// Pages touched by write records in the window that just ended (valid
@@ -95,12 +84,8 @@ class AccessMonitor {
   void reset();
 
  private:
-  /// Window-activity dedup shared by every record_* hook: the first
-  /// activity of the window enrolls the page in the touched list.
-  PageStat& touch(PageId page);
-
   std::vector<PageStat> pages_;
-  std::vector<PageId> touched_;            // pages with window activity
+  std::vector<PageId> touched_;            // pages written this window
   std::vector<PageId> last_window_pages_;  // snapshot taken at end_window
   std::vector<std::int64_t> lookups_;      // per uid, current window
   std::vector<std::int64_t> last_window_lookups_;

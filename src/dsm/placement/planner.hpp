@@ -15,9 +15,8 @@
 //     the same fold/adopt shape the leave protocol uses, with the GcAck
 //     that already gates the commit doubling as the adoption barrier.
 //
-// No new ack round exists anywhere: every placement segment rides an
-// envelope the GC round sends anyway (or departs immediately under
-// --piggyback off, where per-pair FIFO keeps it ahead of the prepare).
+// No new ack round exists anywhere: every placement segment rides the
+// GcPrepare envelope the GC round sends anyway.
 #pragma once
 
 #include <cstdint>

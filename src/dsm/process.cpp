@@ -30,10 +30,9 @@ DsmProcess::DsmProcess(DsmSystem& system, Uid uid, sim::HostId host)
     : system_(system),
       uid_(uid),
       host_(host),
-      channel_(uid, system.config().piggyback,
-               [this](Uid to, Envelope env) {
-                 system_.send_envelope(to, std::move(env));
-               }) {
+      channel_(uid, [this](Uid to, Envelope env) {
+        system_.send_envelope(to, std::move(env));
+      }) {
   const auto& cfg = system_.config();
   real_ = cfg.backend == BackendKind::kReal;
   if (real_) {
@@ -112,7 +111,7 @@ void DsmProcess::read_range(GAddr addr, std::size_t len) {
   // application promises to touch — the same contract the fault machinery
   // itself trusts — so it is the read set of the current segment.
   if (race_ != nullptr) race_->record_read(uid_, addr, len);
-  if (channel_.buffered() && last - first > 1) {
+  if (last - first > 1) {
     fault_in_range(first, last);
     if (real_) heap_sync();
     return;
@@ -139,7 +138,7 @@ void DsmProcess::write_range(GAddr addr, std::size_t len) {
   // application stores through ptr() only after this returns, so the
   // protocol view still holds the pre-write bytes that declare_write twins.
   if (race_ != nullptr) race_->record_write(uid_, addr, len);
-  if (channel_.buffered() && last - first > 1) {
+  if (last - first > 1) {
     // The read side of a multi-page write fault batches exactly like
     // read_range: full-page fetch requests share one envelope per source,
     // diff fetches one round per creator across the span.  The per-page
@@ -488,12 +487,12 @@ void DsmProcess::flush_homes(bool at_barrier) {
   }
   // One batched flush per home, issued in parallel; the acks gate the
   // release announcement (no write notice may precede its data's arrival
-  // at the home).  The master-homed batch is the exception under a
-  // buffered piggyback mode: staged here, it departs in the same envelope
-  // as — ordered before — the BarrierArrive / LockRelease the caller sends
-  // next, so the home applies the data before it can even see the
-  // announcement.  The ack-before-announce invariant then holds by
-  // envelope ordering, with no ack round (cookie 0 = no ack wanted).
+  // at the home).  The master-homed batch is the exception: staged here,
+  // it departs in the same envelope as — ordered before — the
+  // BarrierArrive / LockRelease the caller sends next, so the home applies
+  // the data before it can even see the announcement.  The
+  // ack-before-announce invariant then holds by envelope ordering, with no
+  // ack round (cookie 0 = no ack wanted).
   std::vector<std::uint64_t> cookies;
   cookies.reserve(plans.size());
   sim::Time staged_service = 0;
@@ -501,11 +500,11 @@ void DsmProcess::flush_homes(bool at_barrier) {
     HomeFlush flush;
     flush.writer = uid_;
     flush.pages = std::move(plan.pages);
-    if (plan.home == kMasterUid && channel_.buffered()) {
+    if (plan.home == kMasterUid) {
       flush.cookie = 0;
       // The home's apply time does not vanish with the ack: the writer
       // pre-pays it as latency before the announcement departs (below),
-      // which is where the unbuffered path's ack wait charged it.  Paying
+      // which is where an acked flush's wait charges it.  Paying
       // on the writer side keeps receive processing immediate — deferring
       // at the home would let later envelopes from this sender overtake
       // the announcement and break the transport's ordering guarantee.

@@ -187,8 +187,8 @@ class DsmProcess {
 
   // --- fault machinery ---------------------------------------------------------
   void fault_in(PageId page);
-  /// PiggybackMode::kOn multi-page path: faults every invalid page of
-  /// [first, last) in, batching full-page fetch requests per source (one
+  /// Multi-page path of read_range/write_range: faults every invalid page
+  /// of [first, last) in, batching full-page fetch requests per source (one
   /// envelope each) and diff fetches per creator across all pages.
   void fault_in_range(PageId first, PageId last);
   /// Fetches a full page copy via RPC and installs it in the engine.
@@ -207,12 +207,12 @@ class DsmProcess {
   /// homes (one batched message per home, issued in parallel) and blocks on
   /// the acks.  Must run after finish_interval and before the interval is
   /// announced to the master.  No-op for archive-based engines.  The
-  /// master-homed piggybacked batch is staged on the master channel, ahead
-  /// of the announcement — except at a barrier whose arrival climbs the
-  /// tree (!arrives_plain()): it is then held in tree_flushes_pending_ and
-  /// rides inside the TreeArrive (ordered before the arrivals, applied
-  /// first at the master), so ack-before-announce survives routing through
-  /// interior nodes.
+  /// master-homed batch is piggybacked instead: staged on the master
+  /// channel with cookie 0, ahead of the announcement, and never acked —
+  /// except at a barrier whose arrival climbs the tree (!arrives_plain()):
+  /// it is then held in tree_flushes_pending_ and rides inside the
+  /// TreeArrive (ordered before the arrivals, applied first at the master),
+  /// so ack-before-announce survives routing through interior nodes.
   void flush_homes(bool at_barrier = false);
   /// Validates pages the engine requires (new homes), then applies the
   /// delta as owner hints.

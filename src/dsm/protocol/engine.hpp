@@ -346,8 +346,7 @@ class ConsistencyEngine {
   /// consistency-metadata footprint any process reported.
   virtual bool gc_should_run(std::int64_t max_consistency_bytes) const {
     return gc_requested_ ||
-           (config_->auto_gc &&
-            max_consistency_bytes > config_->gc_threshold_bytes);
+           max_consistency_bytes > config_->gc_threshold_bytes;
   }
   /// One DirDeltaRequest per remote shard with write records since the last
   /// GC: DsmSystem sends them and hands the holders' partial deltas to

@@ -552,8 +552,8 @@ void DsmSystem::run_parallel(std::int32_t task_id,
       /*include_queued_updates=*/true);
 
   // The fan-out delivers the join-barrier release staged for each slave
-  // (PiggybackMode::kOn) ahead of its fork: release + fork share one
-  // envelope, or one route of a multicast.
+  // ahead of its fork: release + fork share one envelope, or one route of
+  // a multicast.
   std::vector<std::pair<Uid, Segment>> routed;
   for (Uid uid : team_) {
     if (uid == kMasterUid) continue;
@@ -663,7 +663,7 @@ void DsmSystem::release_barrier() {
     rel.intervals = engine_->collect_undelivered(uid);
     rel.gc_commit = commit.gc_commit;
     rel.owner_delta = commit.delta;
-    if (join && uid != kMasterUid && channel(kMasterUid).buffered()) {
+    if (join && uid != kMasterUid) {
       // After a join barrier a slave does nothing but wait for the next
       // instruction (fork / GC prepare / terminate), so its release rides
       // that fan-out instead of paying its own envelope.  Every
@@ -707,8 +707,7 @@ void DsmSystem::placement_note_interval(const Interval& interval) {
 }
 
 void DsmSystem::evaluate_placement() {
-  monitor_.end_window(static_cast<std::uint32_t>(
-      std::max(1, config_.placement_min_writes)));
+  monitor_.end_window();
   if (planner_.has_work()) return;  // a round is already armed
   auto decision =
       policy_.decide(monitor_, engine_->dir(), team_,
@@ -1168,9 +1167,9 @@ void DsmSystem::send_envelope(Uid to, Envelope env) {
   // (diff fetch rounds and home flushes — the traffic that exists purely
   // to move modifications; invalidation-resolving page refetches are added
   // at the fetch site, where the intent is known).  A single-segment
-  // envelope charges the segment the envelope header too, so the metric is
-  // unchanged from the flat send path when nothing coalesces; a
-  // piggybacked segment counts payload only (it pays no header).
+  // envelope charges the segment the envelope header too, so a segment
+  // that travels alone costs what a flat send would; a piggybacked segment
+  // counts payload only (it pays no header).
   const bool solo = env.segments.size() == 1;
   *ctr_segments_ += static_cast<std::int64_t>(env.segments.size());
   for (const auto& seg : env.segments) {
@@ -1189,25 +1188,13 @@ void DsmSystem::send_envelope(Uid to, Envelope env) {
     }
     // Owner-lookup load by destination: page-location requests and
     // directory rounds landing on the master are the serialisation point
-    // the sharded directory spreads out (DESIGN.md §8).
+    // the sharded directory spreads out (DESIGN.md §8), and the load signal
+    // adaptive placement moves shards on (§9).
     const auto k = static_cast<SegmentKind>(kind);
     if (k == SegmentKind::kPageRequest || k == SegmentKind::kOwnerQuery ||
         k == SegmentKind::kDirDeltaRequest) {
       (*(to == kMasterUid ? ctr_lookups_master_ : ctr_lookups_shard_))++;
       if (placement_adaptive_) monitor_.record_lookup(to);
-    }
-    // Placement monitoring (DESIGN.md §9): the central transport walk is
-    // the one place every fault fetch and home flush already passes, so
-    // the AccessMonitor taps it here — O(1) per segment, adaptive only.
-    if (placement_adaptive_) {
-      if (k == SegmentKind::kPageRequest) {
-        monitor_.record_fetch(std::get<PageRequest>(seg).page);
-      } else if (k == SegmentKind::kHomeFlush) {
-        for (const auto& fp : std::get<HomeFlush>(seg).pages) {
-          monitor_.record_flush(fp.page,
-                                static_cast<std::int64_t>(fp.diff.size()));
-        }
-      }
     }
   }
   // wire_bytes() must be taken before the capture moves env (argument

@@ -5,8 +5,8 @@
 // consistency engines, since the detector rides protocol hooks that both
 // engines exercise differently (lazy diffs vs eager home flushes).
 // Negative side: the detector must certify the repo's own DRF workloads
-// (Table 1 apps + hotspot, across engines / piggybacking / sharding /
-// adaptive placement / tree topology) with zero reports, and enabling it
+// (Table 1 apps + hotspot, across engines / sharding / adaptive
+// placement / tree topology) with zero reports, and enabling it
 // must not perturb the run at all.
 #include <gtest/gtest.h>
 
@@ -230,7 +230,6 @@ INSTANTIATE_TEST_SUITE_P(Engines, RaceDetectorTest,
 struct SweepPoint {
   std::string app;
   EngineKind engine = EngineKind::kLrc;
-  PiggybackMode piggyback = PiggybackMode::kOff;
   int dir_shards = 1;
   PlacementMode placement = PlacementMode::kStatic;
   int fanout = kUnboundedFanout;
@@ -240,17 +239,16 @@ std::vector<SweepPoint> sweep_points() {
   std::vector<SweepPoint> pts;
   for (const char* app : {"jacobi", "gauss", "fft3d", "nbf", "hotspot"}) {
     for (const EngineKind engine : {EngineKind::kLrc, EngineKind::kHomeLrc}) {
-      pts.push_back({app, engine, Knobs().piggyback});
+      pts.push_back({app, engine});
     }
   }
   // Feature crosses on the two stencils: sharded directory, adaptive
   // placement, tree control plane.
-  pts.push_back({"jacobi", EngineKind::kLrc, PiggybackMode::kOff, 4});
-  pts.push_back({"hotspot", EngineKind::kHomeLrc, PiggybackMode::kOff, 4});
-  pts.push_back({"jacobi", EngineKind::kHomeLrc, PiggybackMode::kOff, 1,
-                 PlacementMode::kAdaptive});
-  pts.push_back({"hotspot", EngineKind::kLrc, PiggybackMode::kOff, 1,
-                 PlacementMode::kStatic, /*fanout=*/2});
+  pts.push_back({"jacobi", EngineKind::kLrc, 4});
+  pts.push_back({"hotspot", EngineKind::kHomeLrc, 4});
+  pts.push_back({"jacobi", EngineKind::kHomeLrc, 1, PlacementMode::kAdaptive});
+  pts.push_back({"hotspot", EngineKind::kLrc, 1, PlacementMode::kStatic,
+                 /*fanout=*/2});
   return pts;
 }
 
@@ -304,7 +302,6 @@ TEST(RaceSweep, Table1AndHotspotGridCertifiesDrfWithoutPerturbation) {
     cfg.nprocs = 4;
     cfg.adaptive = false;
     cfg.engine = pt.engine;
-    cfg.piggyback = pt.piggyback;
     cfg.dir_shards = pt.dir_shards;
     cfg.placement = pt.placement;
     cfg.fanout = pt.fanout;

@@ -1,7 +1,8 @@
 // Pins the emergent DSM primitive costs to the paper's §5.1 measurements.
 // These are the contract between the cost model and every bench result; if
 // a cost-model change moves them out of range, the Table 1/2 shapes are no
-// longer comparable to the paper.
+// longer comparable to the paper.  The fetch primitives are timed one page
+// per read_range, so the transport's batching never amortizes them.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -17,15 +18,14 @@ struct Args {
 };
 
 /// Remote fetch cost per page: slave owns the pages, master faults them.
-/// Pinned on the uncoalesced path — these tests calibrate the per-message
-/// primitive cost, which envelope batching (--piggyback on) would
-/// otherwise amortize below the paper's per-fetch range.
+/// The timed pages fault one read_range each — these tests calibrate the
+/// per-message primitive cost, which a multi-page range would amortize
+/// below the paper's per-fetch range by batching its fetches.
 double page_fetch_us(Protocol protocol, bool premap_master) {
   sim::Cluster cluster({}, 2);
   DsmConfig cfg;
   cfg.heap_bytes = 1 << 20;
   cfg.default_protocol = protocol;
-  cfg.piggyback = PiggybackMode::kOff;
   DsmSystem sys(cluster, cfg);
   auto prep = sys.register_task(
       "prep", [](DsmProcess& p, const std::vector<std::uint8_t>& a) {
@@ -47,7 +47,9 @@ double page_fetch_us(Protocol protocol, bool premap_master) {
     std::memcpy(pk.data(), &args, sizeof(args));
     sys.run_parallel(prep, pk);
     const sim::Time t0 = m.now();
-    m.read_range(args.addr, 8 * kPageSize);
+    for (GAddr pg = 0; pg < 8; ++pg) {
+      m.read_range(args.addr + pg * kPageSize, kPageSize);
+    }
     us = sim::to_seconds(m.now() - t0) * 1e6 / 8;
   });
   return us;

@@ -4,7 +4,7 @@
 // rounds collecting partial deltas from shard holders, and leave/join
 // adaptation races — a departing shard holder folds its slice back to the
 // master while the leave protocol re-owns its pages — under engine ×
-// piggyback × shard-count.
+// shard-count.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -87,7 +87,7 @@ TEST(ShardMap, SingleShardMapsEverythingToTheMaster) {
 }
 
 // ---------------------------------------------------------------------------
-// End-to-end: (engine, piggyback, shards) grid over one interleaved
+// End-to-end: (engine, shards) grid over one interleaved
 // read/write workload with the GC forced by a small threshold.
 // ---------------------------------------------------------------------------
 
@@ -100,13 +100,11 @@ struct GridOutcome {
   std::int64_t gc_runs = 0;
 };
 
-GridOutcome run_grid_workload(EngineKind engine, PiggybackMode mode,
-                              int shards) {
+GridOutcome run_grid_workload(EngineKind engine, int shards) {
   sim::Cluster cluster({}, 4);
   DsmConfig cfg;
   cfg.heap_bytes = 1 << 20;  // 256 pages
   cfg.engine = engine;
-  cfg.piggyback = mode;
   cfg.dir_shards = shards;
   cfg.gc_threshold_bytes = 64 << 10;  // force GC rounds mid-run
   DsmSystem sys(cluster, cfg);
@@ -155,19 +153,16 @@ GridOutcome run_grid_workload(EngineKind engine, PiggybackMode mode,
   return out;
 }
 
-using GridParam = std::tuple<EngineKind, PiggybackMode>;
-
-class DirShardsGridTest : public ::testing::TestWithParam<GridParam> {
+class DirShardsGridTest : public ::testing::TestWithParam<EngineKind> {
  protected:
-  EngineKind engine() const { return std::get<0>(GetParam()); }
-  PiggybackMode mode() const { return std::get<1>(GetParam()); }
+  EngineKind engine() const { return GetParam(); }
 };
 
 TEST_P(DirShardsGridTest, ShardCountsAgreeAndShardsOneIsBaseline) {
-  const GridOutcome one = run_grid_workload(engine(), mode(), 1);
-  const GridOutcome rerun = run_grid_workload(engine(), mode(), 1);
-  const GridOutcome three = run_grid_workload(engine(), mode(), 3);
-  const GridOutcome four = run_grid_workload(engine(), mode(), 4);
+  const GridOutcome one = run_grid_workload(engine(), 1);
+  const GridOutcome rerun = run_grid_workload(engine(), 1);
+  const GridOutcome three = run_grid_workload(engine(), 3);
+  const GridOutcome four = run_grid_workload(engine(), 4);
 
   // dir-shards=1 is the unsharded baseline: deterministic, and not a
   // single directory segment exists anywhere in the run.
@@ -202,13 +197,9 @@ TEST_P(DirShardsGridTest, ShardCountsAgreeAndShardsOneIsBaseline) {
 
 INSTANTIATE_TEST_SUITE_P(
     Engines, DirShardsGridTest,
-    ::testing::Combine(::testing::Values(EngineKind::kLrc,
-                                         EngineKind::kHomeLrc),
-                       ::testing::Values(PiggybackMode::kOff,
-                                         PiggybackMode::kOn)),
-    [](const ::testing::TestParamInfo<GridParam>& info) {
-      return std::string(enum_name(std::get<0>(info.param))) + "_" +
-             enum_name(std::get<1>(info.param));
+    ::testing::Values(EngineKind::kLrc, EngineKind::kHomeLrc),
+    [](const ::testing::TestParamInfo<EngineKind>& info) {
+      return std::string(enum_name(info.param));
     });
 
 // ---------------------------------------------------------------------------
@@ -217,19 +208,18 @@ INSTANTIATE_TEST_SUITE_P(
 // slices), with a GC at every adaptation point.
 // ---------------------------------------------------------------------------
 
-using AdaptParam = std::tuple<EngineKind, PiggybackMode, int>;
+using AdaptParam = std::tuple<EngineKind, int>;
 
 class DirShardsAdaptTest : public ::testing::TestWithParam<AdaptParam> {};
 
 TEST_P(DirShardsAdaptTest, HolderLeaveAndJoinKeepResultsIntact) {
-  const auto [engine, mode, shards] = GetParam();
+  const auto [engine, shards] = GetParam();
 
   harness::RunConfig cfg;
   cfg.app = "jacobi";
   cfg.size = apps::Size::kTest;
   cfg.nprocs = 4;
   cfg.engine = engine;
-  cfg.piggyback = mode;
   cfg.dir_shards = shards;
   cfg.adaptive = false;
   const harness::RunResult baseline = harness::run_workload(cfg);
@@ -268,13 +258,10 @@ INSTANTIATE_TEST_SUITE_P(
     Grid, DirShardsAdaptTest,
     ::testing::Combine(::testing::Values(EngineKind::kLrc,
                                          EngineKind::kHomeLrc),
-                       ::testing::Values(PiggybackMode::kOff,
-                                         PiggybackMode::kOn),
                        ::testing::Values(1, 3, 4)),
     [](const ::testing::TestParamInfo<AdaptParam>& info) {
-      return std::string(enum_name(std::get<0>(info.param))) + "_" +
-             enum_name(std::get<1>(info.param)) + "_shards" +
-             std::to_string(std::get<2>(info.param));
+      return std::string(enum_name(std::get<0>(info.param))) + "_shards" +
+             std::to_string(std::get<1>(info.param));
     });
 
 }  // namespace

@@ -1,20 +1,15 @@
 // Envelope/Channel property tests (DESIGN.md §7): randomized segment mixes
-// round-trip through stage/flush/deliver unchanged and in order, the
-// envelope wire-size bound holds for every mix, single-segment envelopes
-// reproduce the flat per-message accounting exactly, and a small end-to-end
-// workload produces identical numerical results under every piggyback mode
-// while batching never increases the message count.
+// round-trip through stage/flush/deliver unchanged and in order, a send
+// drains its destination's stage ahead of the sent segment, and the
+// envelope wire-size bound holds for every mix, with single-segment
+// envelopes reproducing the flat per-message accounting exactly.
 #include <gtest/gtest.h>
 
-#include <cstring>
 #include <map>
-#include <string>
 #include <vector>
 
 #include "dsm/channel.hpp"
 #include "dsm/msg.hpp"
-#include "dsm/system.hpp"
-#include "sim/cluster.hpp"
 #include "util/rng.hpp"
 
 namespace anow::dsm {
@@ -449,10 +444,9 @@ TEST(Envelope, RandomMixesRoundTripThroughStageFlushDeliver) {
   util::Rng rng(20260728);
   for (int round = 0; round < 50; ++round) {
     std::vector<Envelope> delivered;
-    Channel ch(/*self=*/0, PiggybackMode::kOn,
-               [&](Uid /*to*/, Envelope env) {
-                 delivered.push_back(std::move(env));
-               });
+    Channel ch(/*self=*/0, [&](Uid /*to*/, Envelope env) {
+      delivered.push_back(std::move(env));
+    });
     // Stage a random mix for a handful of destinations, then flush each.
     std::map<Uid, std::vector<Segment>> staged;
     const auto count = 1 + rng.next_below(12);
@@ -501,37 +495,10 @@ TEST(Envelope, RandomMixesRoundTripThroughStageFlushDeliver) {
   }
 }
 
-TEST(Envelope, OffModeSendsEverySegmentAlone) {
-  util::Rng rng(7);
-  std::vector<Envelope> delivered;
-  Channel ch(/*self=*/2, PiggybackMode::kOff,
-             [&](Uid, Envelope env) { delivered.push_back(std::move(env)); });
-  std::vector<Segment> sent;
-  for (int i = 0; i < 20; ++i) {
-    Segment seg = random_segment(rng);
-    sent.push_back(seg);
-    // In kOff even stage() departs immediately — the flat baseline.
-    if (i % 2 == 0) {
-      ch.stage(1, std::move(seg));
-    } else {
-      ch.send(1, std::move(seg));
-    }
-    EXPECT_FALSE(ch.has_staged(1));
-  }
-  ASSERT_EQ(delivered.size(), sent.size());
-  for (std::size_t i = 0; i < sent.size(); ++i) {
-    ASSERT_EQ(delivered[i].segments.size(), 1u);
-    EXPECT_TRUE(segments_equal(delivered[i].segments[0], sent[i]));
-    // Single-segment envelopes reproduce the flat per-message accounting.
-    EXPECT_EQ(delivered[i].wire_bytes(),
-              kEnvelopeHeaderBytes + segment_wire_bytes(sent[i]));
-  }
-}
-
 TEST(Envelope, SendDrainsStagedSegmentsAheadOfTheSentOne) {
   util::Rng rng(99);
   std::vector<Envelope> delivered;
-  Channel ch(/*self=*/0, PiggybackMode::kOn,
+  Channel ch(/*self=*/0,
              [&](Uid, Envelope env) { delivered.push_back(std::move(env)); });
   Segment first = random_segment(rng);
   Segment second = random_segment(rng);
@@ -577,73 +544,6 @@ TEST(Envelope, WireBytesBoundedBySumOfSoloEnvelopes) {
       EXPECT_EQ(env.wire_bytes(), solo_sum);
     }
   }
-}
-
-// ---------------------------------------------------------------------------
-// End-to-end: piggybacking on computes the same result as off and sends
-// fewer messages.
-// ---------------------------------------------------------------------------
-
-TEST(Envelope, PiggybackOnAgreesOnResultsAndSavesMessages) {
-  struct Outcome {
-    std::int64_t sum = 0;
-    std::int64_t messages = 0;
-    std::int64_t segments = 0;
-  };
-  auto run_mode = [](PiggybackMode mode) {
-    sim::Cluster cluster({}, 4);
-    DsmConfig cfg;
-    cfg.heap_bytes = 1 << 20;
-    cfg.piggyback = mode;
-    DsmSystem sys(cluster, cfg);
-    constexpr std::int64_t kN = 8 * 512;  // 8 pages of int64
-    struct Args {
-      GAddr addr;
-    };
-    auto task = sys.register_task(
-        "mix", [](DsmProcess& p, const std::vector<std::uint8_t>& a) {
-          Args args;
-          std::memcpy(&args, a.data(), sizeof(args));
-          // Interleaved writes (multi-writer diffs) + a full read of the
-          // whole range (multi-page faults — the batched fetch path).
-          p.read_range(args.addr, kN * 8);
-          p.write_range(args.addr, kN * 8);
-          auto* data = p.ptr<std::int64_t>(args.addr);
-          for (std::int64_t i = p.pid(); i < kN; i += p.nprocs()) {
-            data[i] += i;
-          }
-          p.barrier(1);
-          p.read_range(args.addr, kN * 8);
-        });
-    Outcome out;
-    sys.start(4);
-    sys.run([&](DsmProcess& master) {
-      const GAddr addr = sys.shared_malloc(kN * 8);
-      Args args{addr};
-      std::vector<std::uint8_t> packed(sizeof(args));
-      std::memcpy(packed.data(), &args, sizeof(args));
-      for (int round = 0; round < 3; ++round) {
-        sys.run_parallel(task, packed);
-      }
-      master.read_range(addr, kN * 8);
-      const auto* data = master.cptr<std::int64_t>(addr);
-      for (std::int64_t i = 0; i < kN; ++i) out.sum += data[i];
-    });
-    out.messages = sys.stats().counter_value("net.messages");
-    out.segments = sys.stats().counter_value("dsm.segments");
-    return out;
-  };
-
-  const Outcome off = run_mode(PiggybackMode::kOff);
-  const Outcome on = run_mode(PiggybackMode::kOn);
-
-  // Identical numerical results either way.
-  EXPECT_EQ(off.sum, on.sum);
-  // Off sends every segment as its own envelope; on shares envelopes
-  // between segments and batches multi-page fetches.
-  EXPECT_EQ(off.messages, off.segments);
-  EXPECT_LT(on.messages, off.messages);
-  EXPECT_LE(on.segments, off.segments);
 }
 
 }  // namespace

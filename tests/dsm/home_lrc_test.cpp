@@ -160,11 +160,10 @@ TEST(HomeLrc, ConcurrentMultiWriterFlushesMergeAtOneHome) {
 }
 
 // ---------------------------------------------------------------------------
-// Flush piggybacking (DESIGN.md §7): with a buffered piggyback mode, a
-// master-homed flush rides the release announcement in one envelope instead
-// of paying an ack round.  The ack-before-announce invariant must still
-// hold: the home has the data before any write notice for it can reach a
-// reader.
+// Flush piggybacking (DESIGN.md §7): a master-homed flush rides the release
+// announcement in one envelope instead of paying an ack round.  The
+// ack-before-announce invariant must still hold: the home has the data
+// before any write notice for it can reach a reader.
 // ---------------------------------------------------------------------------
 
 TEST(HomeLrc, FlushRidesBarrierArriveKeepingHomesComplete) {
@@ -176,7 +175,6 @@ TEST(HomeLrc, FlushRidesBarrierArriveKeepingHomesComplete) {
   constexpr int kProcs = 4;
   sim::Cluster cluster({}, kProcs);
   DsmConfig cfg = home_config();
-  cfg.piggyback = PiggybackMode::kOn;
   // The premise (every flush targets the master) needs the master-centric
   // defaults; with a sharded directory first-construct homes are the shard
   // holders and the flush counters legitimately differ.
@@ -224,7 +222,6 @@ TEST(HomeLrc, FlushRidesLockReleaseAheadOfTheNextGrant) {
   constexpr int kRounds = 5;
   sim::Cluster cluster({}, kProcs);
   DsmConfig cfg = home_config();
-  cfg.piggyback = PiggybackMode::kOn;
   DsmSystem sys(cluster, cfg);
 
   auto task = sys.register_task(

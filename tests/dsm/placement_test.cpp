@@ -3,7 +3,7 @@
 // property (--placement static emits zero placement segments and zero
 // moves; adaptive runs compute the same checksums), the home-migration win
 // on a rotating-dominant-writer workload, and migration racing leave/join
-// adaptation points — all over engine × piggyback × dir-shards × placement.
+// adaptation points — all over engine × dir-shards × placement.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -35,7 +35,7 @@ TEST(AccessMonitor, SoleWriterBuildsStreakAndMixedWindowResetsIt) {
   for (int w = 0; w < 3; ++w) {
     mon.record_write(3, 2);
     mon.record_write(3, 2);
-    mon.end_window(/*min_writes=*/1);
+    mon.end_window();
     EXPECT_EQ(mon.page(3).streak_writer, 2);
     EXPECT_EQ(mon.page(3).streak, w + 1);
     EXPECT_TRUE(mon.page(3).fresh);
@@ -43,13 +43,13 @@ TEST(AccessMonitor, SoleWriterBuildsStreakAndMixedWindowResetsIt) {
   // A concurrent second writer kills the streak outright.
   mon.record_write(3, 2);
   mon.record_write(3, 1);
-  mon.end_window(1);
+  mon.end_window();
   EXPECT_EQ(mon.page(3).streak, 0);
   EXPECT_FALSE(mon.page(3).fresh);
   // An idle window neither extends nor resets (idleness is not evidence),
   // and a new sole writer restarts at 1.
   mon.record_write(3, 1);
-  mon.end_window(1);
+  mon.end_window();
   EXPECT_EQ(mon.page(3).streak_writer, 1);
   EXPECT_EQ(mon.page(3).streak, 1);
 }
@@ -60,12 +60,12 @@ TEST(AccessMonitor, LookupLoadsRollPerWindow) {
   mon.record_lookup(1);
   mon.record_lookup(1);
   mon.record_lookup(2);
-  mon.end_window(1);
+  mon.end_window();
   ASSERT_GE(mon.last_window_lookups().size(), 3u);
   EXPECT_EQ(mon.last_window_lookups()[1], 2);
   EXPECT_EQ(mon.last_window_lookups()[2], 1);
   EXPECT_EQ(mon.last_window_lookup_total(), 3);
-  mon.end_window(1);
+  mon.end_window();
   EXPECT_EQ(mon.last_window_lookup_total(), 0);
 }
 
@@ -92,13 +92,13 @@ TEST(PlacementPolicy, ReHomesOnlyEstablishedPagesAfterHysteresis) {
 
   mon.record_write(3, 2);
   mon.record_write(5, 2);
-  mon.end_window(1);
+  mon.end_window();
   // One qualifying window < hysteresis: nothing moves.
   EXPECT_TRUE(policy.decide(mon, dir, team, /*home_engine=*/true).empty());
 
   mon.record_write(3, 2);
   mon.record_write(5, 2);
-  mon.end_window(1);
+  mon.end_window();
   const auto decision = policy.decide(mon, dir, team, true);
   ASSERT_EQ(decision.home_moves.size(), 1u);
   EXPECT_EQ(decision.home_moves[0], (std::pair<PageId, Uid>{3, 2}));
@@ -116,7 +116,7 @@ TEST(PlacementPolicy, LeaveTargetIsLeastLoadedSurvivorNeverTheLeaver) {
   mon.record_lookup(2);
   mon.record_lookup(2);
   mon.record_lookup(3);
-  mon.end_window(1);
+  mon.end_window();
   const std::vector<Uid> team = {0, 1, 2, 3};
   EXPECT_EQ(policy.pick_leave_target(mon, team, 1), 3);  // 3 lighter than 2
   EXPECT_EQ(policy.pick_leave_target(mon, team, 3), 1);  // 1 has no load
@@ -125,8 +125,8 @@ TEST(PlacementPolicy, LeaveTargetIsLeastLoadedSurvivorNeverTheLeaver) {
 }
 
 // ---------------------------------------------------------------------------
-// End-to-end grid: rotating dominant writer under engine × piggyback ×
-// dir-shards × placement.  Static must be byte-quiet (zero placement
+// End-to-end grid: rotating dominant writer under engine × dir-shards ×
+// placement.  Static must be byte-quiet (zero placement
 // segments/moves); adaptive must agree on the result and, under the home
 // engine, convert its moves into a consistency-traffic win.
 // ---------------------------------------------------------------------------
@@ -141,13 +141,12 @@ struct RotOutcome {
   std::int64_t decisions = 0;
 };
 
-RotOutcome run_rotating_workload(EngineKind engine, PiggybackMode mode,
-                                 int shards, PlacementMode placement) {
+RotOutcome run_rotating_workload(EngineKind engine, int shards,
+                                 PlacementMode placement) {
   sim::Cluster cluster({}, 4);
   DsmConfig cfg;
   cfg.heap_bytes = 1 << 20;
   cfg.engine = engine;
-  cfg.piggyback = mode;
   cfg.dir_shards = shards;
   cfg.placement = placement;
   DsmSystem sys(cluster, cfg);
@@ -200,16 +199,16 @@ RotOutcome run_rotating_workload(EngineKind engine, PiggybackMode mode,
   return out;
 }
 
-using GridParam = std::tuple<EngineKind, PiggybackMode, int>;
+using GridParam = std::tuple<EngineKind, int>;
 
 class PlacementGridTest : public ::testing::TestWithParam<GridParam> {};
 
 TEST_P(PlacementGridTest, StaticIsQuietAndAdaptiveMatchesItsResults) {
-  const auto [engine, mode, shards] = GetParam();
+  const auto [engine, shards] = GetParam();
   const RotOutcome st =
-      run_rotating_workload(engine, mode, shards, PlacementMode::kStatic);
+      run_rotating_workload(engine, shards, PlacementMode::kStatic);
   const RotOutcome ad =
-      run_rotating_workload(engine, mode, shards, PlacementMode::kAdaptive);
+      run_rotating_workload(engine, shards, PlacementMode::kAdaptive);
 
   // --placement static: not one placement segment, move, or decision.
   EXPECT_EQ(st.placement_segments, 0);
@@ -237,13 +236,10 @@ INSTANTIATE_TEST_SUITE_P(
     Grid, PlacementGridTest,
     ::testing::Combine(::testing::Values(EngineKind::kLrc,
                                          EngineKind::kHomeLrc),
-                       ::testing::Values(PiggybackMode::kOff,
-                                         PiggybackMode::kOn),
                        ::testing::Values(1, 4)),
     [](const ::testing::TestParamInfo<GridParam>& info) {
-      return std::string(enum_name(std::get<0>(info.param))) + "_" +
-             enum_name(std::get<1>(info.param)) + "_shards" +
-             std::to_string(std::get<2>(info.param));
+      return std::string(enum_name(std::get<0>(info.param))) + "_shards" +
+             std::to_string(std::get<1>(info.param));
     });
 
 // ---------------------------------------------------------------------------
@@ -254,18 +250,15 @@ INSTANTIATE_TEST_SUITE_P(
 // master-side holder table rerouted — without changing results.
 // ---------------------------------------------------------------------------
 
-class PlacementShardMoveTest
-    : public ::testing::TestWithParam<std::tuple<EngineKind, PiggybackMode>> {
-};
+class PlacementShardMoveTest : public ::testing::TestWithParam<EngineKind> {};
 
 TEST_P(PlacementShardMoveTest, FlooredThresholdsForceMovesAndKeepResults) {
-  const auto [engine, mode] = GetParam();
+  const EngineKind engine = GetParam();
   auto run = [&](PlacementMode placement) {
     sim::Cluster cluster({}, 4);
     DsmConfig cfg;
     cfg.heap_bytes = 1 << 20;
     cfg.engine = engine;
-    cfg.piggyback = mode;
     cfg.dir_shards = 4;
     cfg.placement = placement;
     // Every lookup "overloads": any holder with the most load moves a
@@ -314,14 +307,9 @@ TEST_P(PlacementShardMoveTest, FlooredThresholdsForceMovesAndKeepResults) {
 
 INSTANTIATE_TEST_SUITE_P(
     Grid, PlacementShardMoveTest,
-    ::testing::Combine(::testing::Values(EngineKind::kLrc,
-                                         EngineKind::kHomeLrc),
-                       ::testing::Values(PiggybackMode::kOff,
-                                         PiggybackMode::kOn)),
-    [](const ::testing::TestParamInfo<std::tuple<EngineKind, PiggybackMode>>&
-           info) {
-      return std::string(enum_name(std::get<0>(info.param))) + "_" +
-             enum_name(std::get<1>(info.param));
+    ::testing::Values(EngineKind::kLrc, EngineKind::kHomeLrc),
+    [](const ::testing::TestParamInfo<EngineKind>& info) {
+      return std::string(enum_name(info.param));
     });
 
 // ---------------------------------------------------------------------------
@@ -331,19 +319,18 @@ INSTANTIATE_TEST_SUITE_P(
 // match the static baseline over the whole grid.
 // ---------------------------------------------------------------------------
 
-using AdaptParam = std::tuple<EngineKind, PiggybackMode, int, PlacementMode>;
+using AdaptParam = std::tuple<EngineKind, int, PlacementMode>;
 
 class PlacementAdaptTest : public ::testing::TestWithParam<AdaptParam> {};
 
 TEST_P(PlacementAdaptTest, LeaveJoinRacesKeepStaticChecksums) {
-  const auto [engine, mode, shards, placement] = GetParam();
+  const auto [engine, shards, placement] = GetParam();
 
   harness::RunConfig cfg;
   cfg.app = "jacobi";
   cfg.size = apps::Size::kTest;
   cfg.nprocs = 4;
   cfg.engine = engine;
-  cfg.piggyback = mode;
   cfg.dir_shards = shards;
   cfg.placement = PlacementMode::kStatic;
   cfg.adaptive = false;
@@ -380,16 +367,13 @@ INSTANTIATE_TEST_SUITE_P(
     Grid, PlacementAdaptTest,
     ::testing::Combine(::testing::Values(EngineKind::kLrc,
                                          EngineKind::kHomeLrc),
-                       ::testing::Values(PiggybackMode::kOff,
-                                         PiggybackMode::kOn),
                        ::testing::Values(1, 4),
                        ::testing::Values(PlacementMode::kStatic,
                                          PlacementMode::kAdaptive)),
     [](const ::testing::TestParamInfo<AdaptParam>& info) {
-      return std::string(enum_name(std::get<0>(info.param))) + "_" +
-             enum_name(std::get<1>(info.param)) + "_shards" +
-             std::to_string(std::get<2>(info.param)) + "_" +
-             enum_name(std::get<3>(info.param));
+      return std::string(enum_name(std::get<0>(info.param))) + "_shards" +
+             std::to_string(std::get<1>(info.param)) + "_" +
+             enum_name(std::get<2>(info.param));
     });
 
 // ---------------------------------------------------------------------------

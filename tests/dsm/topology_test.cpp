@@ -7,7 +7,7 @@
 // (leaf children of the master stay plain beside an interior sibling), the
 // star's envelopes pinned under every team-covering fanout, and a mid-run
 // leave of an *interior* tree node whose children must be promoted by the
-// rebuild — all over engine × piggyback × fanout.
+// rebuild — all over engine × fanout.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,7 +15,6 @@
 #include <cstring>
 #include <iterator>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include "dsm/system.hpp"
@@ -146,8 +145,8 @@ TEST(Topology, StructuralInvariantsAcrossSizesAndFanouts) {
 }
 
 // ---------------------------------------------------------------------------
-// End-to-end grid: a barrier-heavy workload under engine × piggyback,
-// unbounded fanout (flat) vs tree.  Flat must not send one tree segment;
+// End-to-end grid: a barrier-heavy workload under each engine, unbounded
+// fanout (flat) vs tree.  Flat must not send one tree segment;
 // tree must agree on
 // the result, run the same number of barriers, and cut the master's
 // inbound control traffic.
@@ -187,8 +186,8 @@ struct TopoOutcome {
 
 /// `base` supplies the knobs the arguments do not set (the ANOW_*
 /// environment defaults unless a caller pins them).
-TopoOutcome run_barrier_workload(EngineKind engine, PiggybackMode mode,
-                                 int fanout, int dir_shards = 1,
+TopoOutcome run_barrier_workload(EngineKind engine, int fanout,
+                                 int dir_shards = 1,
                                  std::int64_t gc_threshold = 0,
                                  const Knobs& base = Knobs{}) {
   sim::Cluster cluster({}, 8);
@@ -196,7 +195,6 @@ TopoOutcome run_barrier_workload(EngineKind engine, PiggybackMode mode,
   static_cast<Knobs&>(cfg) = base;
   cfg.heap_bytes = 1 << 20;
   cfg.engine = engine;
-  cfg.piggyback = mode;
   cfg.dir_shards = dir_shards;
   cfg.fanout = fanout;
   if (gc_threshold > 0) cfg.gc_threshold_bytes = gc_threshold;
@@ -253,18 +251,14 @@ TopoOutcome run_barrier_workload(EngineKind engine, PiggybackMode mode,
   return out;
 }
 
-using GridParam = std::tuple<EngineKind, PiggybackMode>;
-
-class TopologyGridTest : public ::testing::TestWithParam<GridParam> {};
+class TopologyGridTest : public ::testing::TestWithParam<EngineKind> {};
 
 TEST_P(TopologyGridTest, FlatIsQuietAndTreeMatchesWithLessMasterInbound) {
-  const auto [engine, mode] = GetParam();
-  const TopoOutcome flat =
-      run_barrier_workload(engine, mode, kUnboundedFanout);
+  const EngineKind engine = GetParam();
+  const TopoOutcome flat = run_barrier_workload(engine, kUnboundedFanout);
   for (const int fanout : {2, 4}) {
     SCOPED_TRACE("fanout=" + std::to_string(fanout));
-    const TopoOutcome tree =
-        run_barrier_workload(engine, mode, fanout);
+    const TopoOutcome tree = run_barrier_workload(engine, fanout);
 
     // Unbounded fanout: not one tree segment on the wire.
     EXPECT_EQ(flat.tree_segments, 0);
@@ -282,13 +276,9 @@ TEST_P(TopologyGridTest, FlatIsQuietAndTreeMatchesWithLessMasterInbound) {
 
 INSTANTIATE_TEST_SUITE_P(
     Grid, TopologyGridTest,
-    ::testing::Combine(::testing::Values(EngineKind::kLrc,
-                                         EngineKind::kHomeLrc),
-                       ::testing::Values(PiggybackMode::kOff,
-                                         PiggybackMode::kOn)),
-    [](const ::testing::TestParamInfo<GridParam>& info) {
-      return std::string(enum_name(std::get<0>(info.param))) + "_" +
-             enum_name(std::get<1>(info.param));
+    ::testing::Values(EngineKind::kLrc, EngineKind::kHomeLrc),
+    [](const ::testing::TestParamInfo<EngineKind>& info) {
+      return std::string(enum_name(info.param));
     });
 
 // ---------------------------------------------------------------------------
@@ -297,16 +287,16 @@ INSTANTIATE_TEST_SUITE_P(
 // TreeAck) over a sharded directory must fire and agree with flat.
 // ---------------------------------------------------------------------------
 
-class TopologyGcTest : public ::testing::TestWithParam<GridParam> {};
+class TopologyGcTest : public ::testing::TestWithParam<EngineKind> {};
 
 TEST_P(TopologyGcTest, BarrierGcRoundsAgreeAcrossTopologies) {
-  const auto [engine, mode] = GetParam();
-  const TopoOutcome flat = run_barrier_workload(
-      engine, mode, kUnboundedFanout, /*dir_shards=*/4,
-      /*gc_threshold=*/32 << 10);
-  const TopoOutcome tree = run_barrier_workload(
-      engine, mode, /*fanout=*/2, /*dir_shards=*/4,
-      /*gc_threshold=*/32 << 10);
+  const EngineKind engine = GetParam();
+  const TopoOutcome flat =
+      run_barrier_workload(engine, kUnboundedFanout, /*dir_shards=*/4,
+                           /*gc_threshold=*/32 << 10);
+  const TopoOutcome tree =
+      run_barrier_workload(engine, /*fanout=*/2, /*dir_shards=*/4,
+                           /*gc_threshold=*/32 << 10);
   EXPECT_GE(flat.gc_runs, 1) << "threshold too high to exercise GC";
   EXPECT_EQ(tree.gc_runs, flat.gc_runs);
   EXPECT_EQ(tree.sum, flat.sum);
@@ -315,13 +305,9 @@ TEST_P(TopologyGcTest, BarrierGcRoundsAgreeAcrossTopologies) {
 
 INSTANTIATE_TEST_SUITE_P(
     Grid, TopologyGcTest,
-    ::testing::Combine(::testing::Values(EngineKind::kLrc,
-                                         EngineKind::kHomeLrc),
-                       ::testing::Values(PiggybackMode::kOff,
-                                         PiggybackMode::kOn)),
-    [](const ::testing::TestParamInfo<GridParam>& info) {
-      return std::string(enum_name(std::get<0>(info.param))) + "_" +
-             enum_name(std::get<1>(info.param));
+    ::testing::Values(EngineKind::kLrc, EngineKind::kHomeLrc),
+    [](const ::testing::TestParamInfo<EngineKind>& info) {
+      return std::string(enum_name(info.param));
     });
 
 // ---------------------------------------------------------------------------
@@ -333,23 +319,23 @@ INSTANTIATE_TEST_SUITE_P(
 // then uid 1 into the master); per barrier GC, four GcAcks.
 // ---------------------------------------------------------------------------
 
-class TopologyMixedEdgeTest : public ::testing::TestWithParam<GridParam> {};
+class TopologyMixedEdgeTest : public ::testing::TestWithParam<EngineKind> {};
 
 TEST_P(TopologyMixedEdgeTest, LeafChildrenOfTheMasterStayPlain) {
-  const auto [engine, mode] = GetParam();
-  const TopoOutcome flat = run_barrier_workload(engine, mode, kUnboundedFanout);
-  const TopoOutcome mixed = run_barrier_workload(engine, mode, /*fanout=*/4);
+  const EngineKind engine = GetParam();
+  const TopoOutcome flat = run_barrier_workload(engine, kUnboundedFanout);
+  const TopoOutcome mixed = run_barrier_workload(engine, /*fanout=*/4);
   EXPECT_EQ(mixed.sum, flat.sum);
   EXPECT_EQ(mixed.barriers, flat.barriers);
   EXPECT_EQ(mixed.barrier_arrives, 4 * mixed.barriers);
   EXPECT_EQ(mixed.tree_arrives, 4 * mixed.barriers);
 
-  const TopoOutcome flat_gc = run_barrier_workload(
-      engine, mode, kUnboundedFanout, /*dir_shards=*/4,
-      /*gc_threshold=*/32 << 10);
-  const TopoOutcome mixed_gc = run_barrier_workload(
-      engine, mode, /*fanout=*/4, /*dir_shards=*/4,
-      /*gc_threshold=*/32 << 10);
+  const TopoOutcome flat_gc =
+      run_barrier_workload(engine, kUnboundedFanout, /*dir_shards=*/4,
+                           /*gc_threshold=*/32 << 10);
+  const TopoOutcome mixed_gc =
+      run_barrier_workload(engine, /*fanout=*/4, /*dir_shards=*/4,
+                           /*gc_threshold=*/32 << 10);
   EXPECT_GE(mixed_gc.gc_runs, 1);
   EXPECT_EQ(mixed_gc.sum, flat_gc.sum);
   EXPECT_EQ(mixed_gc.gc_acks, 4 * mixed_gc.gc_runs);
@@ -357,13 +343,9 @@ TEST_P(TopologyMixedEdgeTest, LeafChildrenOfTheMasterStayPlain) {
 
 INSTANTIATE_TEST_SUITE_P(
     Grid, TopologyMixedEdgeTest,
-    ::testing::Combine(::testing::Values(EngineKind::kLrc,
-                                         EngineKind::kHomeLrc),
-                       ::testing::Values(PiggybackMode::kOff,
-                                         PiggybackMode::kOn)),
-    [](const ::testing::TestParamInfo<GridParam>& info) {
-      return std::string(enum_name(std::get<0>(info.param))) + "_" +
-             enum_name(std::get<1>(info.param));
+    ::testing::Values(EngineKind::kLrc, EngineKind::kHomeLrc),
+    [](const ::testing::TestParamInfo<EngineKind>& info) {
+      return std::string(enum_name(info.param));
     });
 
 // ---------------------------------------------------------------------------
@@ -377,7 +359,6 @@ INSTANTIATE_TEST_SUITE_P(
 
 struct StarCase {
   EngineKind engine;
-  PiggybackMode mode;
   int dir_shards;
   std::int64_t gc_threshold;
   StarPin pin;
@@ -385,28 +366,16 @@ struct StarCase {
 
 const StarCase kStarCases[] = {
     // clang-format off
-    {EngineKind::kLrc, PiggybackMode::kOff, 1, 0,
-     {845, 1011256, 845, 898536, 180, 257, 160,
-      160, 70, 0, 0, 0, 7, 50888745}},
-    {EngineKind::kLrc, PiggybackMode::kOff, 4, 32 << 10,
-     {611, 463816, 611, 332432, 192, 269, 160,
-      160, 70, 8, 8, 3, 7, 31523241}},
-    {EngineKind::kLrc, PiggybackMode::kOn, 1, 0,
+    {EngineKind::kLrc, 1, 0,
      {733, 1002856, 803, 897808, 180, 257, 160,
       160, 70, 0, 0, 0, 7, 48977550}},
-    {EngineKind::kLrc, PiggybackMode::kOn, 4, 32 << 10,
+    {EngineKind::kLrc, 4, 32 << 10,
      {539, 458616, 609, 332344, 192, 269, 160,
       160, 70, 8, 8, 3, 7, 27014374}},
-    {EngineKind::kHomeLrc, PiggybackMode::kOff, 1, 0,
-     {727, 691004, 727, 522828, 198, 275, 160,
-      160, 70, 16, 16, 0, 7, 42469908}},
-    {EngineKind::kHomeLrc, PiggybackMode::kOff, 4, 32 << 10,
-     {715, 664928, 715, 510384, 198, 275, 160,
-      160, 70, 16, 16, 0, 7, 40647828}},
-    {EngineKind::kHomeLrc, PiggybackMode::kOn, 1, 0,
+    {EngineKind::kHomeLrc, 1, 0,
      {641, 684748, 719, 522636, 198, 275, 160,
       160, 70, 16, 16, 0, 7, 42142686}},
-    {EngineKind::kHomeLrc, PiggybackMode::kOn, 4, 32 << 10,
+    {EngineKind::kHomeLrc, 4, 32 << 10,
      {627, 658520, 706, 510168, 198, 275, 160,
       160, 70, 16, 16, 0, 7, 40464377}},
     // clang-format on
@@ -415,12 +384,11 @@ const StarCase kStarCases[] = {
 TEST(TopologyStarPin, TeamCoveringFanoutsSendTheStarsEnvelopes) {
   for (const StarCase& c : kStarCases) {
     for (const int fanout : {kUnboundedFanout, 7, 1000}) {
-      SCOPED_TRACE(std::string(enum_name(c.engine)) + "_" +
-                   enum_name(c.mode) +
+      SCOPED_TRACE(std::string(enum_name(c.engine)) +
                    " dir_shards=" + std::to_string(c.dir_shards) +
                    " fanout=" + fanout_name(fanout));
       const TopoOutcome out =
-          run_barrier_workload(c.engine, c.mode, fanout, c.dir_shards,
+          run_barrier_workload(c.engine, fanout, c.dir_shards,
                                c.gc_threshold, Knobs::builtin());
       for (std::size_t i = 0; i < kNumStarCounters; ++i) {
         EXPECT_EQ(out.star[i], c.pin[i]) << kStarCounters[i];
@@ -441,7 +409,6 @@ TEST(TopologyStarPin, JoinLeaveRunUnderCoveringFanouts) {
     cfg.size = apps::Size::kTest;
     cfg.nprocs = 6;
     cfg.engine = EngineKind::kHomeLrc;
-    cfg.piggyback = PiggybackMode::kOn;
     cfg.dir_shards = 4;
     cfg.fanout = fanout;
     cfg.adaptive = false;
@@ -472,20 +439,17 @@ TEST(TopologyStarPin, JoinLeaveRunUnderCoveringFanouts) {
 // departing-interior-node promotion path.
 // ---------------------------------------------------------------------------
 
-using LeaveParam = std::tuple<EngineKind, PiggybackMode>;
-
 class TopologyInteriorLeaveTest
-    : public ::testing::TestWithParam<LeaveParam> {};
+    : public ::testing::TestWithParam<EngineKind> {};
 
 TEST_P(TopologyInteriorLeaveTest, InteriorLeaveJoinKeepsFlatChecksums) {
-  const auto [engine, mode] = GetParam();
+  const EngineKind engine = GetParam();
 
   harness::RunConfig cfg;
   cfg.app = "jacobi";
   cfg.size = apps::Size::kTest;
   cfg.nprocs = 6;
   cfg.engine = engine;
-  cfg.piggyback = mode;
   cfg.dir_shards = 4;
   cfg.fanout = kUnboundedFanout;
   cfg.adaptive = false;
@@ -514,13 +478,9 @@ TEST_P(TopologyInteriorLeaveTest, InteriorLeaveJoinKeepsFlatChecksums) {
 
 INSTANTIATE_TEST_SUITE_P(
     Grid, TopologyInteriorLeaveTest,
-    ::testing::Combine(::testing::Values(EngineKind::kLrc,
-                                         EngineKind::kHomeLrc),
-                       ::testing::Values(PiggybackMode::kOff,
-                                         PiggybackMode::kOn)),
-    [](const ::testing::TestParamInfo<LeaveParam>& info) {
-      return std::string(enum_name(std::get<0>(info.param))) + "_" +
-             enum_name(std::get<1>(info.param));
+    ::testing::Values(EngineKind::kLrc, EngineKind::kHomeLrc),
+    [](const ::testing::TestParamInfo<EngineKind>& info) {
+      return std::string(enum_name(info.param));
     });
 
 }  // namespace

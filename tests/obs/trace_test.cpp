@@ -1,7 +1,7 @@
 // Trace/attribution tests (DESIGN.md §11): recorder unit behavior
 // (conservation, innermost-wins, ring eviction, flow pairing, export), and
-// whole-system invariants over the engine × piggyback × dir-shards ×
-// placement grid — bucket conservation when traced, plus traced-vs-untraced
+// whole-system invariants over the engine × dir-shards × placement
+// grid — bucket conservation when traced, plus traced-vs-untraced
 // counter and checksum identity (tracing must not perturb the run).
 #include <gtest/gtest.h>
 
@@ -206,7 +206,6 @@ TEST(TraceRecorder, EpochDeltasAndStalls) {
 
 struct GridPoint {
   dsm::EngineKind engine;
-  dsm::PiggybackMode piggyback;
   int dir_shards;
   dsm::PlacementMode placement;
 };
@@ -214,12 +213,10 @@ struct GridPoint {
 std::vector<GridPoint> grid() {
   std::vector<GridPoint> points;
   for (const auto engine : {dsm::EngineKind::kLrc, dsm::EngineKind::kHomeLrc}) {
-    for (const auto pb : {dsm::PiggybackMode::kOff, dsm::PiggybackMode::kOn}) {
-      for (const int shards : {1, 4}) {
-        for (const auto pl :
-             {dsm::PlacementMode::kStatic, dsm::PlacementMode::kAdaptive}) {
-          points.push_back({engine, pb, shards, pl});
-        }
+    for (const int shards : {1, 4}) {
+      for (const auto pl :
+           {dsm::PlacementMode::kStatic, dsm::PlacementMode::kAdaptive}) {
+        points.push_back({engine, shards, pl});
       }
     }
   }
@@ -233,7 +230,6 @@ harness::RunConfig grid_config(const GridPoint& g) {
   cfg.nprocs = 4;
   cfg.adaptive = false;
   cfg.engine = g.engine;
-  cfg.piggyback = g.piggyback;
   cfg.dir_shards = g.dir_shards;
   cfg.placement = g.placement;
   cfg.trace_file.clear();  // ignore any ambient ANOW_TRACE
@@ -246,9 +242,8 @@ harness::RunConfig grid_config(const GridPoint& g) {
 
 std::string point_name(const GridPoint& g) {
   std::ostringstream os;
-  os << dsm::enum_name(g.engine) << "/"
-     << dsm::enum_name(g.piggyback) << "/shards=" << g.dir_shards
-     << "/" << dsm::enum_name(g.placement);
+  os << dsm::enum_name(g.engine) << "/shards=" << g.dir_shards << "/"
+     << dsm::enum_name(g.placement);
   return os.str();
 }
 
