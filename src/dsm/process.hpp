@@ -282,8 +282,8 @@ class DsmProcess {
   util::StatsRegistry::Counter* ctr_home_validation_faults_ = nullptr;
 
   /// The shared-region storage behind the execution seam (DESIGN.md §14):
-  /// SimHeap (one plain buffer) or RealHeap (dual-mapped memfd pages whose
-  /// app view is protected per page), per DsmConfig::backend.
+  /// SimHeap (one anonymous mapping) or RealHeap (dual-mapped memfd pages
+  /// whose app view is protected per page), per DsmConfig::backend.
   std::unique_ptr<exec::ProcessHeap> heap_;
   /// True under --backend real; gates the protection sync.
   bool real_ = false;

@@ -58,7 +58,7 @@ void HomeLrcEngine::declare_write(PageId p) {
     // within an interval — home changes only ride fork/release boundaries
     // — so this decision cannot be invalidated before the flush.
     ANOW_CHECK(pm.twin == nullptr);
-    pm.twin = std::make_unique<std::uint8_t[]>(kPageSize);
+    pm.twin = std::make_unique_for_overwrite<std::uint8_t[]>(kPageSize);
     std::memcpy(pm.twin.get(), region_ + page_base(p), kPageSize);
     twin_bytes_ += static_cast<std::int64_t>(kPageSize);
   }

@@ -85,7 +85,7 @@ void LrcEngine::declare_write(PageId p) {
   PageMeta& pm = page(p);
   if (protocol_of(p) == Protocol::kMultiWriter) {
     ANOW_CHECK(pm.twin == nullptr);
-    pm.twin = std::make_unique<std::uint8_t[]>(kPageSize);
+    pm.twin = std::make_unique_for_overwrite<std::uint8_t[]>(kPageSize);
     std::memcpy(pm.twin.get(), region_ + page_base(p), kPageSize);
     twin_bytes_ += static_cast<std::int64_t>(kPageSize);
   }
@@ -237,7 +237,7 @@ bool LrcEngine::prepare_serve(PageId p) {
     if (!pm.dirty && maybe_mid_write) {
       if (protocol_of(p) == Protocol::kMultiWriter) {
         ANOW_CHECK(pm.twin == nullptr);
-        pm.twin = std::make_unique<std::uint8_t[]>(kPageSize);
+        pm.twin = std::make_unique_for_overwrite<std::uint8_t[]>(kPageSize);
         std::memcpy(pm.twin.get(), region_ + page_base(p), kPageSize);
         twin_bytes_ += static_cast<std::int64_t>(kPageSize);
       }

@@ -4,51 +4,62 @@
 #include <sys/syscall.h>
 #include <unistd.h>
 
-#include <cstring>
-
 #include "util/check.hpp"
 
 namespace anow::exec {
 
-ProcessHeap::~ProcessHeap() = default;
+namespace {
 
-SimHeap::SimHeap(std::size_t bytes) : buf_(bytes, 0) {
-  ANOW_CHECK(bytes % kPageBytes == 0);
-  app_ = buf_.data();
-  prot_ = buf_.data();
-  bytes_ = bytes;
+/// Maps `fd` over the reserved view at `view` with protection `prot`.
+bool map_view(std::uint8_t* view, std::size_t bytes, int prot, int fd) {
+  return mmap(view, bytes, prot, MAP_SHARED | MAP_FIXED, fd, 0) == view;
 }
 
-RealHeap::RealHeap(std::size_t bytes) {
+}  // namespace
+
+ProcessHeap::~ProcessHeap() = default;
+
+GuardedReservation::GuardedReservation(std::size_t bytes) : bytes_(bytes) {
   ANOW_CHECK(bytes % kPageBytes == 0);
+  void* p = mmap(nullptr, bytes + 2 * kPageBytes, PROT_NONE,
+                 MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+  ANOW_CHECK_MSG(p != MAP_FAILED, "heap reservation failed");
+  base_ = static_cast<std::uint8_t*>(p);
+}
+
+GuardedReservation::~GuardedReservation() {
+  munmap(base_, bytes_ + 2 * kPageBytes);
+}
+
+SimHeap::SimHeap(std::size_t bytes) : view_(bytes) {
+  app_ = view_.view();
+  prot_ = app_;
+  bytes_ = bytes;
+  ANOW_CHECK(mprotect(app_, bytes, PROT_READ | PROT_WRITE) == 0);
+}
+
+RealHeap::RealHeap(std::size_t bytes) : prot_view_(bytes), app_view_(bytes) {
   ANOW_CHECK_MSG(static_cast<std::size_t>(sysconf(_SC_PAGESIZE)) == kPageBytes,
                  "real backend requires 4 KiB hardware pages");
+  prot_ = prot_view_.view();
+  app_ = app_view_.view();
   bytes_ = bytes;
 
   // One memfd, mapped twice: the protocol view is always RW, the app view
   // starts PROT_NONE (every page invalid) and is opened per page by
-  // set_access.
+  // set_access.  A fresh memfd reads as zeros and holds no page until one
+  // is written.
   const int fd =
       static_cast<int>(syscall(SYS_memfd_create, "anow-heap", 0u));
   ANOW_CHECK_MSG(fd >= 0, "memfd_create failed");
-  ANOW_CHECK(ftruncate(fd, static_cast<off_t>(bytes)) == 0);
-  void* prot_map =
-      mmap(nullptr, bytes, PROT_READ | PROT_WRITE, MAP_SHARED, fd, 0);
-  ANOW_CHECK_MSG(prot_map != MAP_FAILED, "mmap(protocol view) failed");
-  void* app_map = mmap(nullptr, bytes, PROT_NONE, MAP_SHARED, fd, 0);
-  ANOW_CHECK_MSG(app_map != MAP_FAILED, "mmap(app view) failed");
+  const bool mapped = ftruncate(fd, static_cast<off_t>(bytes)) == 0 &&
+                      map_view(prot_, bytes, PROT_READ | PROT_WRITE, fd) &&
+                      map_view(app_, bytes, PROT_NONE, fd);
   close(fd);  // mappings keep the pages alive
-  prot_ = static_cast<std::uint8_t*>(prot_map);
-  app_ = static_cast<std::uint8_t*>(app_map);
-  std::memset(prot_, 0, bytes);
+  ANOW_CHECK_MSG(mapped, "heap view mmap failed");
 
   // Value-initialized: every page kNone, matching the PROT_NONE mapping.
   access_ = std::make_unique<PageAccess[]>(bytes / kPageBytes);
-}
-
-RealHeap::~RealHeap() {
-  munmap(app_, bytes_);
-  munmap(prot_, bytes_);
 }
 
 void RealHeap::set_access(std::int32_t first, std::int32_t count,

@@ -6,12 +6,17 @@
 //  * prot_base() — the view the protocol machinery (engine install/serve,
 //    diff apply, region restore) reads and writes.
 //
-// SimHeap aliases both views onto one plain buffer — byte-identical to the
-// old std::vector<std::uint8_t> region.  RealHeap maps the same memfd pages
-// twice: the app view carries per-page mprotect state, while the protocol
-// view stays PROT_READ|PROT_WRITE so protocol writes never fault.  Writes
-// are detected by their write_range declaration under both backends, so
-// the app view's protection follows page validity alone, derived from
+// SimHeap aliases both views onto one anonymous mapping.  RealHeap maps the
+// same memfd pages twice: the app view carries per-page mprotect state,
+// while the protocol view stays PROT_READ|PROT_WRITE so protocol writes
+// never fault.  Either way a heap reserves address space only: a page is
+// committed by its first write and reads as zero until then, so memory
+// grows with the pages a process holds, not with the heap (DESIGN.md §10).
+// Every view sits between two PROT_NONE guard pages, so a store just past
+// either end dies at the faulting instruction.
+//
+// Writes are detected by their write_range declaration under both backends,
+// so the app view's protection follows page validity alone, derived from
 // engine state by the owning DsmProcess for the pages the engine logged as
 // changed (DsmProcess::heap_sync):
 //
@@ -22,7 +27,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <vector>
 
 namespace anow::exec {
 
@@ -59,20 +63,38 @@ class ProcessHeap {
   std::size_t bytes_ = 0;
 };
 
-/// Simulator backend: one plain buffer, both views alias it.
+/// Address space for one heap view: `bytes` (a multiple of kPageBytes)
+/// between two PROT_NONE guard pages, reserved but not committed, and
+/// unmapped, with whatever was mapped over it, on destruction.
+class GuardedReservation {
+ public:
+  explicit GuardedReservation(std::size_t bytes);
+  ~GuardedReservation();
+
+  GuardedReservation(const GuardedReservation&) = delete;
+  GuardedReservation& operator=(const GuardedReservation&) = delete;
+
+  /// The first byte past the low guard page.
+  std::uint8_t* view() const { return base_ + kPageBytes; }
+
+ private:
+  std::uint8_t* base_ = nullptr;
+  std::size_t bytes_;  // the view's, guards excluded
+};
+
+/// Simulator backend: one anonymous mapping, both views alias it.
 class SimHeap final : public ProcessHeap {
  public:
   explicit SimHeap(std::size_t bytes);
 
  private:
-  std::vector<std::uint8_t> buf_;
+  GuardedReservation view_;
 };
 
 /// Real backend: dual-mapped memfd pages, the app view protected per page.
 class RealHeap final : public ProcessHeap {
  public:
   explicit RealHeap(std::size_t bytes);
-  ~RealHeap() override;
 
   void set_access(std::int32_t first, std::int32_t count,
                   PageAccess a) override;
@@ -83,6 +105,8 @@ class RealHeap final : public ProcessHeap {
   std::int64_t protect_calls() const { return protect_calls_; }
 
  private:
+  GuardedReservation prot_view_;
+  GuardedReservation app_view_;
   std::unique_ptr<PageAccess[]> access_;
   std::int64_t protect_calls_ = 0;
 };

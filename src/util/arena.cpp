@@ -36,7 +36,7 @@ void Arena::add_chunk(std::size_t n) {
     for (const Chunk& c : chunks_) want = std::max(want, c.size * 2);
     want = std::max(want, n);
     Chunk c;
-    c.data = std::make_unique<std::uint8_t[]>(want);
+    c.data = std::make_unique_for_overwrite<std::uint8_t[]>(want);
     c.size = want;
     bytes_reserved_ += want;
     chunks_.insert(chunks_.begin() + static_cast<std::ptrdiff_t>(next_chunk_),

@@ -27,6 +27,9 @@ class Arena {
 
   /// Returns n bytes of storage, 8-byte aligned, valid until reset().
   /// n == 0 returns a pointer that must not be dereferenced (may be null).
+  /// The bytes are not zeroed: a new chunk is allocated for overwrite and a
+  /// recycled one still holds the last generation's bytes, so the caller
+  /// writes every byte it hands on.
   std::uint8_t* alloc(std::size_t n);
 
   /// Recycles every chunk: all outstanding pointers become invalid, the

@@ -3,7 +3,8 @@
 // Three layers of coverage:
 //  * unit tests for the real backend's building blocks (the SPSC ring,
 //    RealHeap's dual mapping and per-page protection, and the CPU count
-//    behind the runtime's spin budget);
+//    behind the runtime's spin budget), and for what both heaps share:
+//    guard pages around every view and memory committed on first write;
 //  * differential tests: every Table 1 workload (+ hotspot) at test size,
 //    run under --backend sim and --backend real, must produce bit-identical
 //    checksums and agree on the deterministic protocol statistics;
@@ -13,7 +14,9 @@
 #include <gtest/gtest.h>
 #include <pthread.h>
 #include <sched.h>
+#include <sys/mman.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
 #include <thread>
@@ -127,6 +130,79 @@ TEST(RealHeap, RangedSetAccessSkipsPagesAlreadyThere) {
   heap.set_access(0, 8, exec::PageAccess::kWrite);
   heap.set_access(3, 4, exec::PageAccess::kWrite);
   EXPECT_EQ(heap.protect_calls(), 3);
+}
+
+// ---------------------------------------------------------------------------
+// Heap reservation: guard pages, commit on first write
+// ---------------------------------------------------------------------------
+
+// Every view sits between two PROT_NONE guard pages: a store one byte past
+// either end dies at the faulting instruction instead of landing in
+// whatever mapping comes next.  Each view is fully open first, so only the
+// guard can stop the store.  The empty pattern also accepts ASan's exit
+// code for the SIGSEGV it intercepts.
+void expect_stores_beside_view_die(std::uint8_t* view, std::size_t bytes) {
+  volatile std::uint8_t* v = view;
+  v[0] = 1;  // both ends of the view itself take stores
+  v[bytes - 1] = 1;
+  EXPECT_DEATH(v[bytes] = 1, "");
+  EXPECT_DEATH(*(v - 1) = 1, "");
+}
+
+TEST(SimHeapDeathTest, StoreBesideTheViewDies) {
+  exec::SimHeap heap(8 * exec::kPageBytes);
+  expect_stores_beside_view_die(heap.app_base(), heap.bytes());
+}
+
+TEST(RealHeapDeathTest, StoreBesideTheAppViewDies) {
+  exec::RealHeap heap(8 * exec::kPageBytes);
+  heap.set_access(0, heap.npages(), exec::PageAccess::kWrite);
+  expect_stores_beside_view_die(heap.app_base(), heap.bytes());
+}
+
+TEST(RealHeapDeathTest, StoreBesideTheProtocolViewDies) {
+  exec::RealHeap heap(8 * exec::kPageBytes);
+  expect_stores_beside_view_die(heap.prot_base(), heap.bytes());
+}
+
+// A heap reserves address space; a page is committed by its first write.
+// Three stores far apart must commit at least their three pages and far
+// fewer than the heap: under transparent huge pages set to `always`, each
+// store may be backed by a 2 MiB page.
+
+constexpr std::size_t kBigHeapBytes = std::size_t{64} << 20;
+
+std::size_t resident_pages(std::uint8_t* base, std::size_t bytes) {
+  std::vector<unsigned char> vec(bytes / exec::kPageBytes);
+  EXPECT_EQ(mincore(base, bytes, vec.data()), 0);
+  return static_cast<std::size_t>(std::count_if(
+      vec.begin(), vec.end(), [](unsigned char c) { return (c & 1) != 0; }));
+}
+
+void store_to_three_pages(std::uint8_t* base, std::size_t bytes) {
+  base[0] = 1;
+  base[bytes / 2] = 1;
+  base[bytes - 1] = 1;
+}
+
+TEST(SimHeap, CommitsOnlyTouchedPages) {
+  exec::SimHeap heap(kBigHeapBytes);
+  const auto npages = static_cast<std::size_t>(heap.npages());
+  EXPECT_EQ(resident_pages(heap.app_base(), heap.bytes()), 0u);
+  store_to_three_pages(heap.app_base(), heap.bytes());
+  const std::size_t resident = resident_pages(heap.app_base(), heap.bytes());
+  EXPECT_GE(resident, 3u);
+  EXPECT_LT(resident, npages / 8);
+}
+
+TEST(RealHeap, CommitsOnlyTouchedPages) {
+  exec::RealHeap heap(kBigHeapBytes);
+  const auto npages = static_cast<std::size_t>(heap.npages());
+  EXPECT_EQ(resident_pages(heap.prot_base(), heap.bytes()), 0u);
+  store_to_three_pages(heap.prot_base(), heap.bytes());
+  const std::size_t resident = resident_pages(heap.prot_base(), heap.bytes());
+  EXPECT_GE(resident, 3u);
+  EXPECT_LT(resident, npages / 8);
 }
 
 // ---------------------------------------------------------------------------

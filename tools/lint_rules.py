@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Repo-specific lint rules (DESIGN.md §13).
 
-Seven structural conventions that clang-tidy cannot express, enforced as
+Eight structural conventions that clang-tidy cannot express, enforced as
 baselines so existing, reviewed occurrences stay legal while new ones fail
 the lint CI job:
 
@@ -51,6 +51,14 @@ the lint CI job:
    <semaphore>, <mutex> or <condition_variable>, or call pthread_create:
    a second thread there would put a kernel handoff on every switch and
    make the event order depend on the OS scheduler.
+
+8. commit-on-write — process memory is committed by its first write
+   (DESIGN.md §10): a heap view reserves address space and each page is
+   backed when it is first stored to, and storage overwritten at once
+   (twins, diff-arena chunks) is allocated for overwrite.  No
+   make_unique<std::uint8_t[]> or make_unique<uint8_t[]>, which zero-fills
+   its buffer, may appear under src/, and no memset in src/exec/heap.cpp,
+   so a whole-heap zero-fill cannot come back.
 
 Exit code 0 = clean, 1 = violation (message names the rule and the line).
 Run from anywhere: paths resolve relative to the repo root.
@@ -122,6 +130,13 @@ PAGES_INDEX_BASELINE = {
 
 SIM_DIR = "src/sim"
 SIM_THREAD_HEADERS = ["thread", "semaphore", "mutex", "condition_variable"]
+
+# --- rule 8: memory is committed by its first write ---------------------
+
+ZERO_FILLED_BYTES = re.compile(
+    r"\bmake_unique\s*<\s*(?:std::)?uint8_t\s*\[\]\s*>")
+HEAP_FILE = "src/exec/heap.cpp"
+HEAP_ZERO_FILL = re.compile(r"\bmemset\b")
 
 CODE_SUFFIXES = {".cpp", ".hpp"}
 SCAN_DIRS = ["src", "bench", "tests", "examples"]
@@ -325,6 +340,24 @@ def check_sim_single_threaded(violations):
                 )
 
 
+def check_commit_on_write(violations):
+    for path in sorted((REPO / "src").rglob("*")):
+        if path.suffix not in CODE_SUFFIXES:
+            continue
+        name = rel(path)
+        for lineno, raw in enumerate(path.read_text().splitlines(), 1):
+            line = strip_comments(raw)
+            hit = ZERO_FILLED_BYTES.search(line)
+            if not hit and name == HEAP_FILE:
+                hit = HEAP_ZERO_FILL.search(line)
+            if hit:
+                violations.append(
+                    f"{name}:{lineno}: [commit-on-write] '{hit.group(0)}' — "
+                    "memory is committed by its first write; reserve it, "
+                    "or allocate it for overwrite, instead of zero-filling"
+                )
+
+
 def main() -> int:
     violations = []
     check_send_envelope(violations)
@@ -334,6 +367,7 @@ def main() -> int:
     check_one_collective_path(violations)
     check_page_state_through_accessor(violations)
     check_sim_single_threaded(violations)
+    check_commit_on_write(violations)
     if violations:
         for v in violations:
             print(v)
