@@ -283,7 +283,7 @@ int main(int argc, char** argv) {
   const double speedup =
       real_n.seconds > 0.0 ? real_1.seconds / real_n.seconds : 0.0;
   // Speedup needs a core per thread, counted in the affinity mask this run
-  // may use, as the runtime's spin budget counts them: on an oversubscribed
+  // may use, as the runtime's spin window counts them: on an oversubscribed
   // CPU set every message hop is a context switch and the measurement only
   // records the oversubscription penalty, so the gate does not apply.
   const int host_cores = exec::usable_cpus();

@@ -33,10 +33,10 @@ enum class EngineKind : std::uint8_t {
 enum class BackendKind : std::uint8_t {
   /// Discrete-event simulator: fibers, virtual time, modelled network.
   kSim,
-  /// Real hardware: one pthread per DSM process, mmap-privatized heaps
-  /// whose pages are mapped only while valid, writes detected by their
-  /// write_range declaration as under kSim, SPSC-ring transport, wall-clock
-  /// time.  The consistency engines run unchanged; virtual cost modelling
+  /// Real hardware: one pthread per DSM process, each with its own mmap'd
+  /// heap (checked builds map invalid pages PROT_NONE), writes detected by
+  /// their write_range declaration as under kSim, SPSC-ring transport,
+  /// wall-clock time.  The consistency engines run unchanged; virtual cost modelling
   /// evaporates.
   kReal,
 };

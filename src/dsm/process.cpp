@@ -35,12 +35,21 @@ DsmProcess::DsmProcess(DsmSystem& system, Uid uid, sim::HostId host)
       }) {
   const auto& cfg = system_.config();
   real_ = cfg.backend == BackendKind::kReal;
-  if (real_) {
-    heap_ = std::make_unique<exec::RealHeap>(
-        static_cast<std::size_t>(cfg.heap_bytes));
+  // The correctness-analysis observers exist before any process when
+  // configured in (DESIGN.md §13), so the cached pointers are stable and
+  // every hook below is a single pointer test.
+  race_ = system_.race_detector();
+  checker_ = system_.protocol_checker();
+  // Release builds run both backends on one plain read-write view.  With
+  // the protocol checker installed a real-backend process keeps the
+  // protected app view, so an access outside every declared range dies at
+  // the faulting instruction (DESIGN.md §14).
+  guarded_ = real_ && checker_ != nullptr;
+  const auto heap_bytes = static_cast<std::size_t>(cfg.heap_bytes);
+  if (guarded_) {
+    heap_ = std::make_unique<exec::RealHeap>(heap_bytes);
   } else {
-    heap_ = std::make_unique<exec::SimHeap>(
-        static_cast<std::size_t>(cfg.heap_bytes));
+    heap_ = std::make_unique<exec::SimHeap>(heap_bytes);
   }
   engine_ = protocol::make_engine(cfg);
   // The directory init seeds the initial data distribution: the master's
@@ -52,19 +61,8 @@ DsmProcess::DsmProcess(DsmSystem& system, Uid uid, sim::HostId host)
   engine_->attach_node(uid_, heap_->prot_base(), system_.num_pages(),
                        system_.protocol_table(), system_.stats(),
                        system_.node_dir_init_for(uid_));
-  // The correctness-analysis observers exist before any process when
-  // configured in (DESIGN.md §13), so the cached pointers are stable and
-  // every hook below is a single pointer test.  They are cached before the
-  // first heap_sync so its protections are checked too.
-  race_ = system_.race_detector();
-  checker_ = system_.protocol_checker();
   engine_->set_checker(checker_);
-  if (real_) {
-    heap_sync();  // attach_node logged every page: the seeded state
-    // Resync after every inbound envelope, so a handler that changes a
-    // page's validity leaves its protection consistent (DESIGN.md §14).
-    system_.rt().set_delivery_hook(uid_, [this] { heap_sync(); });
-  }
+  heap_sync();  // opens the seeded pages
   // The recorder (if any) was enabled before this process was constructed
   // (DsmSystem's constructor runs first), so the cached pointer is stable
   // for the process's lifetime.
@@ -113,7 +111,7 @@ void DsmProcess::read_range(GAddr addr, std::size_t len) {
   if (race_ != nullptr) race_->record_read(uid_, addr, len);
   if (last - first > 1) {
     fault_in_range(first, last);
-    if (real_) heap_sync();
+    heap_sync();
     return;
   }
   for (PageId p = first; p < last; ++p) {
@@ -122,7 +120,7 @@ void DsmProcess::read_range(GAddr addr, std::size_t len) {
       fault_in(p);
     }
   }
-  if (real_) heap_sync();
+  heap_sync();
 }
 
 void DsmProcess::write_range(GAddr addr, std::size_t len) {
@@ -196,7 +194,7 @@ void DsmProcess::write_range(GAddr addr, std::size_t len) {
                        << traced_word(p));
     ++accessed_since_fork_;
   }
-  if (real_) heap_sync();
+  heap_sync();
 }
 
 // ---------------------------------------------------------------------------
@@ -587,7 +585,7 @@ void DsmProcess::barrier(std::int32_t barrier_id) {
     if (race_ != nullptr) race_->on_barrier_release(uid_);
     // Invalidation notices just integrated must revoke app-view access
     // before application code resumes.
-    if (real_) heap_sync();
+    heap_sync();
     return;
   }
 }
@@ -605,7 +603,7 @@ void DsmProcess::lock_acquire(std::int32_t lock_id) {
   // Grant received: accesses before the acquire keep their pre-join clock
   // (segment closed), then this process joins the release chain's clock.
   if (race_ != nullptr) race_->on_lock_acquire(uid_, lock_id);
-  if (real_) heap_sync();  // grant-borne invalidations
+  heap_sync();  // grant-borne invalidations
 }
 
 void DsmProcess::lock_release(std::int32_t lock_id) {
@@ -620,7 +618,7 @@ void DsmProcess::lock_release(std::int32_t lock_id) {
   // front of the release notification in one envelope.
   channel_.send(kMasterUid, LockReleaseMsg{uid_, lock_id, std::move(iv)});
   // Releases are asynchronous in TreadMarks: no reply awaited.
-  if (real_) heap_sync();
+  heap_sync();
 }
 
 void DsmProcess::compute(double cpu_seconds) {
@@ -1300,7 +1298,7 @@ void DsmProcess::run_task(const ForkMsg& fork) {
   accessed_since_fork_ = 0;
   // Fork-borne invalidations/commits must revoke app-view access before
   // the task body runs.
-  if (real_) heap_sync();
+  heap_sync();
   system_.run_task_body(fork.task_id, *this, fork.args);
   barrier(kJoinBarrierId);
 }
@@ -1332,14 +1330,8 @@ void DsmProcess::slave_main() {
 }
 
 // ---------------------------------------------------------------------------
-// Real-backend protection sync (DESIGN.md §14)
+// Checked-build protection sync (DESIGN.md §14)
 // ---------------------------------------------------------------------------
-
-exec::PageAccess DsmProcess::desired_access(PageId page) const {
-  return std::as_const(*engine_).page(page).is_valid()
-             ? exec::PageAccess::kWrite
-             : exec::PageAccess::kNone;
-}
 
 std::int64_t DsmProcess::traced_word(PageId page) const {
   std::int64_t word = 0;
@@ -1348,30 +1340,18 @@ std::int64_t DsmProcess::traced_word(PageId page) const {
 }
 
 void DsmProcess::heap_sync() {
-  if (!real_) return;
-  engine_->take_changed_pages(sync_pages_);
-  const std::size_t n = sync_pages_.size();
-  for (std::size_t i = 0; i < n;) {
-    const PageId first = sync_pages_[i];
-    const exec::PageAccess a = desired_access(first);
-    std::size_t j = i + 1;
-    while (j < n && sync_pages_[j] == first + static_cast<PageId>(j - i) &&
-           desired_access(sync_pages_[j]) == a) {
-      ++j;
-    }
-    heap_->set_access(first, static_cast<std::int32_t>(j - i), a);
-    i = j;
-  }
-  if (checker_ != nullptr) {
-    // Oracle: the log-driven sync must leave the app view exactly where a
-    // rescan of the whole heap would.
-    for (PageId p = 0; p < system_.num_pages(); ++p) {
-      ANOW_CHECK_MSG(heap_->access(p) == desired_access(p),
-                     "protection sync: uid " << uid_ << " page " << p
-                         << " is at access "
-                         << static_cast<int>(heap_->access(p)) << ", want "
-                         << static_cast<int>(desired_access(p)));
-    }
+  if (!guarded_) return;
+  const PageId n = system_.num_pages();
+  auto want = [this](PageId p) {
+    return engine_->page(p).is_valid() ? exec::PageAccess::kWrite
+                                       : exec::PageAccess::kNone;
+  };
+  for (PageId first = 0; first < n;) {
+    const exec::PageAccess a = want(first);
+    PageId end = first + 1;
+    while (end < n && want(end) == a) ++end;
+    heap_->set_access(first, end - first, a);
+    first = end;
   }
 }
 

@@ -71,10 +71,10 @@ class DsmProcess {
   /// Raw pointer into the local copy of the shared region.  Only valid for
   /// ranges previously touched via read_range/write_range in this interval:
   /// a store is tracked by its write_range declaration alone, under both
-  /// backends.  Under --backend real this is the mprotect'd app view, whose
-  /// valid pages are read-write and whose invalid pages are PROT_NONE, so
-  /// touching a page no declaration faulted in dies at the faulting
-  /// instruction.
+  /// backends.  In checked builds under --backend real this is the
+  /// mprotect'd app view, whose valid pages are read-write and whose
+  /// invalid pages are PROT_NONE, so touching a page no declaration faulted
+  /// in dies at the faulting instruction.
   template <typename T>
   T* ptr(GAddr addr) {
     return reinterpret_cast<T*>(heap_->app_base() + addr);
@@ -228,21 +228,15 @@ class DsmProcess {
   /// self-send, everyone else through the ack combine).
   void handle_gc_prepare(const GcPrepare& gp);
 
-  // --- real-backend protection sync (DESIGN.md §14) --------------------------
-  /// Brings the app view's protections up to date with engine state at a
-  /// choke point (DESIGN.md §14): kNone for an invalid page, kWrite for a
-  /// valid one.  Only pages the engine logged as changed since the last
-  /// sync are re-derived, walked in page order, with one set_access per
-  /// run of consecutive pages wanting the same protection; a page's
-  /// protection changes only when it gains or loses validity.  With the
-  /// protocol checker installed every sync is checked against a whole-heap
-  /// rescan.  No-op under the simulator.
+  // --- checked-build protection sync (DESIGN.md §14) -----------------------
+  /// Brings the protected app view up to date with engine state at a choke
+  /// point: kNone for an invalid page, kWrite for a valid one.  Every page
+  /// is re-derived, with one set_access per run of consecutive pages
+  /// wanting the same protection; set_access skips the pages already
+  /// there.  No-op unless the heap is guarded (guarded_).
   void heap_sync();
-  /// Reads engine state through the const page() overload: the mutable one
-  /// would re-log every page the sync derives.
-  exec::PageAccess desired_access(PageId page) const;
   /// First word of `page` through the protocol view, for ANOW_TRACE_PAGE
-  /// lines: under --backend real a page the engine just made valid stays
+  /// lines: in a guarded heap a page the engine just made valid stays
   /// PROT_NONE in the app view until the next heap_sync.
   std::int64_t traced_word(PageId page) const;
 
@@ -282,13 +276,15 @@ class DsmProcess {
   util::StatsRegistry::Counter* ctr_home_validation_faults_ = nullptr;
 
   /// The shared-region storage behind the execution seam (DESIGN.md §14):
-  /// SimHeap (one anonymous mapping) or RealHeap (dual-mapped memfd pages
-  /// whose app view is protected per page), per DsmConfig::backend.
+  /// SimHeap (one read-write anonymous mapping) unless guarded_, then
+  /// RealHeap (dual-mapped memfd pages whose app view is protected per
+  /// page).
   std::unique_ptr<exec::ProcessHeap> heap_;
-  /// True under --backend real; gates the protection sync.
+  /// True under --backend real; skips the virtual-time cost model.
   bool real_ = false;
-  /// Scratch for heap_sync: the drained changed-page log.
-  std::vector<PageId> sync_pages_;
+  /// --backend real with the protocol checker installed (checked builds):
+  /// the app view is protected and heap_sync keeps it in step.
+  bool guarded_ = false;
   std::unique_ptr<protocol::ConsistencyEngine> engine_;
   /// Outbound transport: all sends depart through here (DESIGN.md §7).
   Channel channel_;

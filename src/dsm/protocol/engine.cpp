@@ -1,8 +1,5 @@
 #include "dsm/protocol/engine.hpp"
 
-#include <algorithm>
-#include <numeric>
-
 #include "dsm/protocol/home_lrc_engine.hpp"
 #include "dsm/protocol/lrc_engine.hpp"
 #include "util/check.hpp"
@@ -21,10 +18,6 @@ void ConsistencyEngine::attach_node(Uid self, std::uint8_t* region,
   protocol_ = &protocol;
   stats_ = &stats;
   pages_ = std::vector<PageMeta>(static_cast<std::size_t>(num_pages));
-  // Every page starts logged: the first drain derives the seeded state.
-  changed_flag_.assign(pages_.size(), 1);
-  changed_.resize(pages_.size());
-  std::iota(changed_.begin(), changed_.end(), PageId{0});
   if (dir.hint_map != nullptr) {
     // Sharded directory: every process can compute the default holder of
     // every page from the config alone, so hints start there instead of at
@@ -55,13 +48,6 @@ void ConsistencyEngine::attach_node(Uid self, std::uint8_t* region,
                                                      *dir.hint_map, self_));
   }
   on_attach_node();
-}
-
-void ConsistencyEngine::take_changed_pages(std::vector<PageId>& out) {
-  out.clear();
-  out.swap(changed_);
-  for (PageId p : out) changed_flag_[static_cast<std::size_t>(p)] = 0;
-  std::sort(out.begin(), out.end());
 }
 
 DirSlice* ConsistencyEngine::dir_slice(int shard) {

@@ -20,8 +20,7 @@
 //
 // Hot-path page state is a flat vector of PageMeta owned by the base class
 // (no per-access virtual dispatch, no node-based containers); virtuals cover
-// only protocol *transitions*.  Every mutable access goes through page(),
-// which logs the page for the real backend's protection sync.
+// only protocol *transitions*.
 #pragma once
 
 #include <cstdint>
@@ -147,28 +146,10 @@ class ConsistencyEngine {
   /// at the master, which re-seeds the whole restored region.
   void reset_directory_node_state();
 
-  /// Mutable page state.  Taking it logs `p` as possibly changed (once per
-  /// drain), so the log names every page whose state may differ from what
-  /// the last take_changed_pages caller derived from it.  Do not write
-  /// through the reference after a blocking wait: a drain inside the wait
-  /// would miss the write (engine calls never block, so they cannot).
-  PageMeta& page(PageId p) {
-    const auto i = static_cast<std::size_t>(p);
-    if (changed_flag_[i] == 0) {
-      changed_flag_[i] = 1;
-      changed_.push_back(p);
-    }
-    return pages_[i];
-  }
-  /// Read-only page state; logs nothing.
+  PageMeta& page(PageId p) { return pages_[static_cast<std::size_t>(p)]; }
   const PageMeta& page(PageId p) const {
     return pages_[static_cast<std::size_t>(p)];
   }
-  /// Drains the changed-page log into `out` (its old contents are
-  /// dropped): every page taken mutably since the last drain, unique and
-  /// in page order.  attach_node seeds the log with every page.  Under
-  /// --backend sim nothing drains it, and a full log never grows.
-  void take_changed_pages(std::vector<PageId>& out);
   PageId num_pages() const { return static_cast<PageId>(pages_.size()); }
   Protocol protocol_of(PageId p) const {
     return (*protocol_)[static_cast<std::size_t>(p)];
@@ -390,10 +371,6 @@ class ConsistencyEngine {
   std::uint8_t* region_ = nullptr;
   const std::vector<Protocol>* protocol_ = nullptr;
   std::vector<PageMeta> pages_;
-  /// Changed-page log: a flag per page plus the flagged pages in logging
-  /// order (see page()).
-  std::vector<std::uint8_t> changed_flag_;
-  std::vector<PageId> changed_;
   std::vector<PageId> dirty_pages_;
   std::int32_t next_iseq_ = 1;
   std::uint64_t serve_seq_ = 1;

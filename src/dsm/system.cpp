@@ -179,7 +179,7 @@ void DsmSystem::start(int nprocs) {
   while (cluster_.num_hosts() < nprocs) cluster_.add_host();
   if (config_.backend == BackendKind::kReal) {
     // The ring matrix is sized by the team, so the real runtime waits for
-    // start(); processes attach their delivery hooks in their constructors.
+    // start().
     rt_ = std::make_unique<exec::RealRuntime>(nprocs, cluster_.stats(),
                                               cluster_.cost().header_bytes);
   }

@@ -6,19 +6,22 @@
 //  * prot_base() — the view the protocol machinery (engine install/serve,
 //    diff apply, region restore) reads and writes.
 //
-// SimHeap aliases both views onto one anonymous mapping.  RealHeap maps the
-// same memfd pages twice: the app view carries per-page mprotect state,
+// SimHeap aliases both views onto one anonymous read-write mapping; every
+// process gets one in Release builds, under either backend.  RealHeap maps
+// the same memfd pages twice: the app view carries per-page mprotect state,
 // while the protocol view stays PROT_READ|PROT_WRITE so protocol writes
-// never fault.  Either way a heap reserves address space only: a page is
+// never fault.  Only checked builds (-DANOW_PROTOCOL_CHECKS) give it to a
+// --backend real process, as the detector of accesses outside every
+// declared range.  Either way a heap reserves address space only: a page is
 // committed by its first write and reads as zero until then, so memory
 // grows with the pages a process holds, not with the heap (DESIGN.md §10).
 // Every view sits between two PROT_NONE guard pages, so a store just past
 // either end dies at the faulting instruction.
 //
 // Writes are detected by their write_range declaration under both backends,
-// so the app view's protection follows page validity alone, derived from
-// engine state by the owning DsmProcess for the pages the engine logged as
-// changed (DsmProcess::heap_sync):
+// so RealHeap's app-view protection follows page validity alone, re-derived
+// from engine state for every page by the owning DsmProcess at each choke
+// point (DsmProcess::heap_sync):
 //
 //    invalid (no copy / pending notices)  -> kNone   (touch = app bug)
 //    valid                                -> kWrite
@@ -45,7 +48,7 @@ class ProcessHeap {
     return static_cast<std::int32_t>(bytes_ / kPageBytes);
   }
 
-  // Real-backend surface; no-ops on SimHeap so call sites stay branch-free.
+  // Checked-build surface; no-ops on SimHeap, whose one view is read-write.
   /// Sets the app-view protection of pages [first, first + count) to `a`.
   /// RealHeap skips pages already recorded at `a` and issues one mprotect
   /// per maximal sub-run of the rest, so a caller that hands over whole
@@ -53,9 +56,6 @@ class ProcessHeap {
   /// per run, not per page.
   virtual void set_access(std::int32_t /*first*/, std::int32_t /*count*/,
                           PageAccess /*a*/) {}
-  virtual PageAccess access(std::int32_t /*page*/) const {
-    return PageAccess::kWrite;
-  }
 
  protected:
   std::uint8_t* app_ = nullptr;
@@ -82,7 +82,7 @@ class GuardedReservation {
   std::size_t bytes_;  // the view's, guards excluded
 };
 
-/// Simulator backend: one anonymous mapping, both views alias it.
+/// One anonymous read-write mapping, both views alias it.
 class SimHeap final : public ProcessHeap {
  public:
   explicit SimHeap(std::size_t bytes);
@@ -91,14 +91,16 @@ class SimHeap final : public ProcessHeap {
   GuardedReservation view_;
 };
 
-/// Real backend: dual-mapped memfd pages, the app view protected per page.
+/// Dual-mapped memfd pages, the app view protected per page: a real-backend
+/// process's heap in checked builds.  Compiled in every build, so its tests
+/// run in Release too.
 class RealHeap final : public ProcessHeap {
  public:
   explicit RealHeap(std::size_t bytes);
 
   void set_access(std::int32_t first, std::int32_t count,
                   PageAccess a) override;
-  PageAccess access(std::int32_t page) const override {
+  PageAccess access(std::int32_t page) const {
     return access_[static_cast<std::size_t>(page)];
   }
   /// mprotect calls issued by set_access so far.

@@ -1,9 +1,15 @@
 #include "exec/real_runtime.hpp"
 
+#include <linux/futex.h>
 #include <sched.h>
+#include <sys/resource.h>
+#include <sys/syscall.h>
+#include <unistd.h>
 
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
+#include <ctime>
 #include <exception>
 
 #include "sim/simulator.hpp"
@@ -15,6 +21,38 @@ namespace {
 // Which process's context this thread is: -1 outside run(), 0 for the thread
 // that called run() (the master), 1..n-1 for slave threads.
 thread_local ProcId tl_uid = -1;
+
+// How long a waiter polls its rings before it parks: a spinning peer answers
+// in the time of a cache miss, a parked one must first be woken.  On a
+// 4-vCPU KVM guest 50 µs ran forkjoin and stencil 5–11% slower, and 1 ms
+// within 5% either way.  Time, not a count of `pause`s: one took 22.5 ns
+// there, and Skylake raised its latency from about 10 to 140 cycles.
+constexpr std::chrono::microseconds kSpin{200};
+
+// How long every process parks at once after a spinner finds it was
+// preempted, i.e. shares its CPUs with another task.  With one of 4 vCPUs
+// busy, forkjoin took 0.31 s without this rule and 0.10 s with it (0.14 s
+// with a 0.5 ms window); a 20 ms window cost 22% on a quiet host, where
+// involuntary switches also occur.  More in DESIGN.md §14.
+constexpr std::chrono::milliseconds kSharedCpuPark{2};
+
+// A park's only timeout.  Every wake is delivered, so a park that reaches it
+// with work in its rings lost its wakeup: that is counted and reported.
+constexpr std::time_t kParkCeilingS = 1;
+
+long futex(std::atomic<std::uint32_t>& word, int op, std::uint32_t val,
+           const timespec* timeout) {
+  static_assert(sizeof(word) == sizeof(std::uint32_t));
+  return syscall(SYS_futex, reinterpret_cast<std::uint32_t*>(&word), op, val,
+                 timeout, nullptr, 0);
+}
+
+std::int64_t involuntary_switches() {
+  rusage ru{};
+  getrusage(RUSAGE_THREAD, &ru);
+  return ru.ru_nivcsw;
+}
+
 }  // namespace
 
 int usable_cpus() {
@@ -27,9 +65,10 @@ int usable_cpus() {
 RealRuntime::RealRuntime(int nprocs, util::StatsRegistry& stats,
                          std::int64_t header_bytes)
     : nprocs_(nprocs),
-      spin_budget_(usable_cpus() >= nprocs ? 4000 : 0),
+      spin_(usable_cpus() >= nprocs),
       ctr_messages_(stats.handle("net.messages")),
       ctr_bytes_(stats.handle("net.bytes")),
+      ctr_park_timeouts_(stats.handle("exec.park_timeouts")),
       header_bytes_(header_bytes) {
   ANOW_CHECK(nprocs >= 1);
   procs_.resize(static_cast<std::size_t>(nprocs));
@@ -44,67 +83,102 @@ RealRuntime::RealRuntime(int nprocs, util::StatsRegistry& stats,
 RealRuntime::~RealRuntime() = default;
 
 sim::Time RealRuntime::now() const {
-  if (start_ == std::chrono::steady_clock::time_point{}) return 0;
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now() - start_)
+  if (start_ == Clock::time_point{}) return 0;
+  return std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
+                                                              start_)
       .count();
 }
 
 bool RealRuntime::drain_one(ProcId uid) {
-  Proc& p = *procs_[static_cast<std::size_t>(uid)];
+  Proc& p = proc(uid);
   for (int i = 0; i < nprocs_; ++i) {
     const int src = (p.rr_cursor + i) % nprocs_;
     std::function<void()> fn;
     if (!ring(src, uid).try_pop(fn)) continue;
     p.rr_cursor = (src + 1) % nprocs_;
     fn();
-    if (p.after_handle) p.after_handle();
     return true;
   }
   return false;
 }
 
-void RealRuntime::wait(sim::WaitPoint& wp, const char* /*tag*/) {
+bool RealRuntime::has_inbound(ProcId uid) {
+  for (ProcId src = 0; src < nprocs_; ++src) {
+    if (!ring(src, uid).empty()) return true;
+  }
+  return false;
+}
+
+void RealRuntime::wait(sim::WaitPoint& wp, const char* tag) {
   const ProcId self = tl_uid;
   ANOW_CHECK_MSG(self >= 0, "exec: wait() outside a process context");
-  Proc& p = *procs_[static_cast<std::size_t>(self)];
   // Request/reply latency to a blocked peer is the backend's critical path
-  // (a page or diff fetch is one full round trip), and waking a parked
-  // thread costs a futex round trip per message.  So spin-poll the rings
-  // for a while before parking: a waiter that is spinning answers in the
-  // time of a cache miss.  The budget (~tens of µs of ring polling; zero
-  // with fewer usable CPUs than processes — see spin_budget_) is reset by
-  // any progress.
-  int spins = 0;
+  // (a page or diff fetch is one full round trip), so a waiter with nothing
+  // to run polls its rings for a while before it parks.
   while (!wp.signaled) {
-    if (drain_one(self)) {
-      spins = 0;
-      continue;
-    }
-    if (++spins < spin_budget_) {
-#if defined(__x86_64__) || defined(__i386__)
-      __builtin_ia32_pause();
-#else
-      std::this_thread::yield();
-#endif
-      continue;
-    }
-    spins = 0;
-    // Spin budget exhausted: park, but bounded — the 1 ms ceiling backstops
-    // the (benign) race where a producer pushes between our scan and the
-    // wait.
-    std::unique_lock<std::mutex> lk(p.mu);
-    p.waiting.store(true, std::memory_order_seq_cst);
-    bool empty = !wp.signaled;
-    if (empty) {
-      for (int src = 0; src < nprocs_ && empty; ++src) {
-        if (!ring(src, self).empty()) empty = false;
-      }
-    }
-    if (empty) p.cv.wait_for(lk, std::chrono::milliseconds(1));
-    p.waiting.store(false, std::memory_order_seq_cst);
+    if (drain_one(self) || spin(self)) continue;
+    park(self, tag);
   }
   wp.signaled = false;  // the simulator's consume-on-wake semantics
+}
+
+bool RealRuntime::spin(ProcId uid) {
+  if (!spin_) return false;
+  const Clock::time_point start = Clock::now();
+  if (start.time_since_epoch().count() <
+      shared_until_.load(std::memory_order_relaxed)) {
+    return false;
+  }
+  const Clock::time_point deadline = start + kSpin;
+  do {
+    if (drain_one(uid)) return true;
+#if defined(__x86_64__) || defined(__i386__)
+    __builtin_ia32_pause();
+#endif
+  } while (Clock::now() < deadline);
+  // The window ran out.  A thread preempted since its last window ran out
+  // shares its CPUs with another task, so every process parks at once for
+  // a while.
+  Proc& p = proc(uid);
+  const std::int64_t switches = involuntary_switches();
+  if (switches > p.preemptions) {
+    shared_until_.store((Clock::now() + kSharedCpuPark).time_since_epoch()
+                            .count(),
+                        std::memory_order_relaxed);
+  }
+  p.preemptions = switches;
+  return false;
+}
+
+void RealRuntime::park(ProcId uid, const char* tag) {
+  Proc& p = proc(uid);
+  const std::uint32_t epoch = p.epoch.load(std::memory_order_acquire);
+  p.waiting.store(true, std::memory_order_relaxed);
+  // Pairs with the fence in wake(): either this rescan sees the producer's
+  // push, or the producer sees `waiting` and bumps the word past `epoch`,
+  // so the futex wait below returns at once or is woken.
+  std::atomic_thread_fence(std::memory_order_seq_cst);
+  if (!has_inbound(uid)) {
+    const timespec ceiling{kParkCeilingS, 0};
+    if (futex(p.epoch, FUTEX_WAIT_PRIVATE, epoch, &ceiling) == -1 &&
+        errno == ETIMEDOUT && has_inbound(uid)) {
+      *ctr_park_timeouts_ += 1;
+      std::fprintf(stderr,
+                   "exec: uid %d parked %lld s in wait(\"%s\") with inbound "
+                   "work pending: a wakeup was lost\n",
+                   uid, static_cast<long long>(kParkCeilingS), tag);
+    }
+  }
+  p.waiting.store(false, std::memory_order_relaxed);
+}
+
+void RealRuntime::wake(ProcId dst) {
+  Proc& p = proc(dst);
+  // Pairs with the fence in park().
+  std::atomic_thread_fence(std::memory_order_seq_cst);
+  if (!p.waiting.load(std::memory_order_relaxed)) return;
+  p.epoch.fetch_add(1, std::memory_order_release);
+  futex(p.epoch, FUTEX_WAKE_PRIVATE, 1, nullptr);
 }
 
 void RealRuntime::signal(sim::WaitPoint& wp) {
@@ -122,37 +196,15 @@ void RealRuntime::defer(sim::Time /*dt*/, std::function<void()> fn) {
 
 void RealRuntime::sleep_for(sim::Time /*dt*/) {}
 
-sim::Fiber* RealRuntime::start_process(ProcId uid, const std::string& name,
+sim::Fiber* RealRuntime::start_process(ProcId uid, const std::string& /*name*/,
                                        std::function<void()> body) {
   ANOW_CHECK_MSG(uid >= 1 && uid < nprocs_,
                  "exec: dynamic process spawn (joins/forks of new processes) "
                  "is not supported under --backend real");
   ANOW_CHECK_MSG(!running_.load(std::memory_order_relaxed),
                  "exec: start_process after run() under --backend real");
-  Proc& p = *procs_[static_cast<std::size_t>(uid)];
-  p.name = name;
-  p.body = std::move(body);
+  proc(uid).body = std::move(body);
   return nullptr;
-}
-
-void RealRuntime::set_delivery_hook(ProcId uid, std::function<void()> after) {
-  procs_[static_cast<std::size_t>(uid)]->after_handle = std::move(after);
-}
-
-void RealRuntime::wake(ProcId dst) {
-  Proc& p = *procs_[static_cast<std::size_t>(dst)];
-  // The lock pairs with the waiter, which sets `waiting` and re-scans its
-  // rings while holding it before parking: either this acquire happens
-  // before the scan (the scan sees the enqueued work) or after the park
-  // (`waiting` is true and the notify lands).  A lockless flag check here
-  // would race with that scan and lose wakeups, stranding the waiter on
-  // the backstop timeout.
-  bool parked;
-  {
-    std::lock_guard<std::mutex> lk(p.mu);
-    parked = p.waiting.load(std::memory_order_relaxed);
-  }
-  if (parked) p.cv.notify_all();
 }
 
 sim::Time RealRuntime::post(ProcId src, ProcId dst, int /*src_host*/,
@@ -179,18 +231,20 @@ sim::Time RealRuntime::post(ProcId src, ProcId dst, int /*src_host*/,
 
 void RealRuntime::run(std::function<void()> master_body) {
   ANOW_CHECK(!running_.load(std::memory_order_relaxed));
-  start_ = std::chrono::steady_clock::now();
+  start_ = Clock::now();
   running_.store(true, std::memory_order_seq_cst);
   for (ProcId uid = 1; uid < nprocs_; ++uid) {
-    Proc& p = *procs_[static_cast<std::size_t>(uid)];
+    Proc& p = proc(uid);
     ANOW_CHECK_MSG(p.body != nullptr, "exec: process never registered");
-    p.thread = std::thread([uid, body = std::move(p.body)]() {
+    p.thread = std::thread([uid, &p, body = std::move(p.body)]() {
       tl_uid = uid;
+      p.preemptions = involuntary_switches();
       body();
       tl_uid = -1;
     });
   }
   tl_uid = 0;
+  proc(0).preemptions = involuntary_switches();
   try {
     master_body();
   } catch (const std::exception& e) {
@@ -199,9 +253,7 @@ void RealRuntime::run(std::function<void()> master_body) {
     std::fprintf(stderr, "exec: master process failed: %s\n", e.what());
     std::abort();
   }
-  for (ProcId uid = 1; uid < nprocs_; ++uid) {
-    procs_[static_cast<std::size_t>(uid)]->thread.join();
-  }
+  for (ProcId uid = 1; uid < nprocs_; ++uid) proc(uid).thread.join();
   running_.store(false, std::memory_order_seq_cst);
   tl_uid = -1;
 }

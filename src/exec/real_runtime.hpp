@@ -8,20 +8,19 @@
 // needed.  Per-(src,dst) FIFO order is preserved by the rings, matching the
 // simulator's channel ordering guarantee.
 //
-// wait(wp) loops draining the process's inbound rings until wp.signaled,
-// then consumes the flag (the simulator's consume semantics); between empty
-// drains it parks on a bounded condition-variable sleep that producers cut
-// short via a waiting flag.  signal() is a plain flag write: it is only ever
-// invoked from a handler running on the destination's own thread.
+// wait(wp) drains the process's inbound rings until wp.signaled, then
+// consumes the flag (the simulator's semantics).  Between empty drains it
+// spins on the rings for a bounded time, then parks on an eventcount: a
+// futex word a producer bumps and wakes only if the parker flagged itself
+// waiting.  Neither side locks.  signal() is a plain flag write: only a
+// handler on the destination's own thread calls it.
 #pragma once
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -60,25 +59,20 @@ class RealRuntime final : public Runtime {
   void run(std::function<void()> master_body) override;
   bool in_context_of(ProcId uid) const override;
 
-  /// Hook a DsmProcess attaches so the runtime resyncs its protections
-  /// after every inbound envelope.
-  void set_delivery_hook(ProcId uid, std::function<void()> after) override;
-
-  /// Drains at most one pending inbound closure for the calling process.
-  /// Returns false if all rings were empty.  Exposed for poll points
-  /// outside wait() (e.g. compute loops); normal code never needs it.
-  bool drain_one(ProcId uid);
-
  private:
+  using Clock = std::chrono::steady_clock;
+
   struct Proc {
-    std::string name;
     std::function<void()> body;
-    std::function<void()> after_handle;
     std::thread thread;
-    std::mutex mu;
-    std::condition_variable cv;
+    /// The eventcount's futex word: a producer that finds `waiting` set
+    /// bumps it, so a park that read the old value returns at once.
+    std::atomic<std::uint32_t> epoch{0};
     std::atomic<bool> waiting{false};
     int rr_cursor = 0;  // round-robin over source rings
+    /// The owning thread's involuntary context switches when its last spin
+    /// ran out (the preemption rule in spin()).
+    std::int64_t preemptions = 0;
   };
 
   SpscQueue<std::function<void()>>& ring(ProcId src, ProcId dst) {
@@ -86,21 +80,35 @@ class RealRuntime final : public Runtime {
                        static_cast<std::size_t>(nprocs_) +
                    static_cast<std::size_t>(dst)];
   }
+  Proc& proc(ProcId uid) { return *procs_[static_cast<std::size_t>(uid)]; }
+
+  /// Runs at most one pending inbound closure for `uid`; false if every
+  /// ring was empty.
+  bool drain_one(ProcId uid);
+  bool has_inbound(ProcId uid);
+  /// Drains the rings for up to kSpin; false if the window closed with
+  /// every ring empty.
+  bool spin(ProcId uid);
+  /// Sleeps on the eventcount until a producer bumps it.
+  void park(ProcId uid, const char* tag);
+  /// Wakes `dst` if it is parked or about to park.
   void wake(ProcId dst);
 
   int nprocs_;
-  /// Ring-poll iterations before a waiter parks.  Positive only when the
-  /// constructing thread may run on a CPU per process (usable_cpus()):
-  /// spinning keeps request/reply latency at cache-miss scale, but on an
-  /// oversubscribed CPU set it burns the quantum the responder needs, so
-  /// there it is zero (park immediately).
-  int spin_budget_;
+  /// Whether a waiter spins before parking: only when the constructing
+  /// thread may run on a CPU per process (usable_cpus()).  On an
+  /// oversubscribed CPU set a spin burns the quantum the responder needs.
+  bool spin_;
+  /// Until this Clock count, no process spins: set by a spinner that finds
+  /// it was preempted, i.e. that another task shares its CPUs.
+  std::atomic<Clock::rep> shared_until_{0};
   std::vector<std::unique_ptr<Proc>> procs_;
   std::vector<std::unique_ptr<SpscQueue<std::function<void()>>>> rings_;
-  std::chrono::steady_clock::time_point start_{};
+  Clock::time_point start_{};
   std::atomic<bool> running_{false};
   util::StatsRegistry::Counter* ctr_messages_;
   util::StatsRegistry::Counter* ctr_bytes_;
+  util::StatsRegistry::Counter* ctr_park_timeouts_;
   std::int64_t header_bytes_;
 };
 

@@ -11,8 +11,9 @@
 //    byte-identical to the pre-seam code.
 //
 //  * RealRuntime — one pthread per DSM process, envelopes over lock-free
-//    SPSC rings, wall-clock time.  Virtual cost modelling (sleep_for,
-//    service delays) evaporates; the protocol pays only its real cost.
+//    SPSC rings, a waiter parked on a futex, wall-clock time.  Virtual cost
+//    modelling (sleep_for, service delays) evaporates; the protocol pays
+//    only its real cost.
 //
 // The seam's key invariant, shared by both backends: a process's inbound
 // envelopes are handled in its own execution context, one at a time, and
@@ -43,7 +44,7 @@ class Runtime {
   virtual ~Runtime();
 
   /// True for the pthread backend; lets rarely-taken call sites branch on
-  /// backend-specific behaviour (protection sync, cost-model skips).
+  /// backend-specific behaviour (cost-model skips, the master's launch).
   virtual bool real() const = 0;
 
   /// Simulator: current virtual time.  Real: monotonic wall-clock
@@ -82,7 +83,7 @@ class Runtime {
   /// Transport: delivers `deliver` at process `dst`.  Simulator: schedules
   /// through the switched-Ethernet model (returns the arrival time).  Real:
   /// enqueues on the (src, dst) SPSC ring — per-pair FIFO — and wakes the
-  /// destination if it is blocked; returns 0.
+  /// destination if it is parked; returns 0.
   virtual sim::Time post(ProcId src, ProcId dst, int src_host, int dst_host,
                          std::int64_t wire_bytes,
                          std::function<void()> deliver) = 0;
@@ -96,12 +97,6 @@ class Runtime {
   /// Whether the caller is executing in `uid`'s context (its fiber under
   /// the simulator, its thread under the real backend).
   virtual bool in_context_of(ProcId uid) const = 0;
-
-  /// Real backend only: a hook run after every inbound envelope delivered
-  /// to `uid` — the protection resync.  No-op under the simulator (there
-  /// are no protections to sync).
-  virtual void set_delivery_hook(ProcId /*uid*/,
-                                 std::function<void()> /*after*/) {}
 };
 
 }  // namespace anow::exec

@@ -1,21 +1,12 @@
 // Unit tests for the flat consistency-engine building blocks:
-// the per-page AppliedMap, the master's dense DeliveryMatrix, and the
-// engine's changed-page log.
+// the per-page AppliedMap and the master's dense DeliveryMatrix.
 #include <gtest/gtest.h>
 
 #include <map>
-#include <memory>
-#include <numeric>
-#include <string>
-#include <utility>
-#include <vector>
 
-#include "dsm/config.hpp"
 #include "dsm/protocol/applied_map.hpp"
 #include "dsm/protocol/delivery_matrix.hpp"
-#include "dsm/protocol/engine.hpp"
 #include "util/rng.hpp"
-#include "util/stats.hpp"
 
 namespace anow::dsm {
 namespace {
@@ -101,77 +92,6 @@ TEST(DeliveryMatrix, ClearResetsEverything) {
     for (Uid c = 0; c < 8; ++c) EXPECT_EQ(dm.get(t, c), 0);
   }
 }
-
-// The changed-page log the real backend's protection sync drains
-// (DESIGN.md §14).  It lives in the engine base class, so both engines
-// must behave alike.
-class ChangedPageLog : public ::testing::TestWithParam<EngineKind> {
- protected:
-  static constexpr PageId kPages = 8;
-
-  void SetUp() override {
-    config_.engine = GetParam();
-    engine_ = protocol::make_engine(config_);
-    engine_->attach_node(/*self=*/1, region_.data(), kPages, protocol_,
-                         stats_, protocol::NodeDirInit{});
-  }
-
-  std::vector<PageId> drain() {
-    std::vector<PageId> out;
-    engine_->take_changed_pages(out);
-    return out;
-  }
-
-  DsmConfig config_;
-  std::vector<std::uint8_t> region_ =
-      std::vector<std::uint8_t>(kPages * kPageSize);
-  std::vector<Protocol> protocol_ =
-      std::vector<Protocol>(kPages, Protocol::kMultiWriter);
-  util::StatsRegistry stats_;
-  std::unique_ptr<protocol::ConsistencyEngine> engine_;
-};
-
-TEST_P(ChangedPageLog, AttachLogsEveryPage) {
-  std::vector<PageId> all(kPages);
-  std::iota(all.begin(), all.end(), PageId{0});
-  EXPECT_EQ(drain(), all);
-  EXPECT_TRUE(drain().empty());  // the drain emptied the log
-}
-
-TEST_P(ChangedPageLog, MutablePageLogsOnceInPageOrder) {
-  drain();
-  engine_->page(5);
-  engine_->page(2);
-  engine_->page(5).owner_hint = 3;
-  engine_->page(2);
-  EXPECT_EQ(drain(), (std::vector<PageId>{2, 5}));
-  EXPECT_TRUE(drain().empty());
-  engine_->page(5);  // logged again after the drain
-  EXPECT_EQ(drain(), (std::vector<PageId>{5}));
-}
-
-TEST_P(ChangedPageLog, ConstPageLogsNothing) {
-  drain();
-  const protocol::ConsistencyEngine& view = std::as_const(*engine_);
-  for (PageId p = 0; p < kPages; ++p) EXPECT_FALSE(view.page(p).is_valid());
-  EXPECT_TRUE(drain().empty());
-}
-
-TEST_P(ChangedPageLog, DrainReplacesTheCallersContents) {
-  std::vector<PageId> out = {7, 7, 7};  // stale contents are dropped
-  engine_->take_changed_pages(out);
-  EXPECT_EQ(out.size(), static_cast<std::size_t>(kPages));
-  engine_->page(3);
-  engine_->take_changed_pages(out);
-  EXPECT_EQ(out, (std::vector<PageId>{3}));
-}
-
-INSTANTIATE_TEST_SUITE_P(Engines, ChangedPageLog,
-                         ::testing::Values(EngineKind::kLrc,
-                                           EngineKind::kHomeLrc),
-                         [](const auto& info) {
-                           return std::string(enum_name(info.param));
-                         });
 
 }  // namespace
 }  // namespace anow::dsm

@@ -3,22 +3,30 @@
 // Three layers of coverage:
 //  * unit tests for the real backend's building blocks (the SPSC ring,
 //    RealHeap's dual mapping and per-page protection, and the CPU count
-//    behind the runtime's spin budget), and for what both heaps share:
+//    behind the runtime's spin window), and for what both heaps share:
 //    guard pages around every view and memory committed on first write;
 //  * differential tests: every Table 1 workload (+ hotspot) at test size,
 //    run under --backend sim and --backend real, must produce bit-identical
-//    checksums and agree on the deterministic protocol statistics;
+//    checksums and agree on the deterministic protocol statistics, with no
+//    park ending on the runtime's lost-wakeup ceiling — also on one CPU,
+//    where every wait parks;
 //  * error paths: everything that needs the virtual clock (tracing, race
 //    checking, adaptive placement, adaptation events) is rejected up front
-//    with a util::CheckError under --backend real.
+//    with a util::CheckError under --backend real, and in checked builds an
+//    access outside every declared range dies.
 #include <gtest/gtest.h>
 #include <pthread.h>
 #include <sched.h>
 #include <sys/mman.h>
 
 #include <algorithm>
+#include <cerrno>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <exception>
+#include <functional>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -206,8 +214,30 @@ TEST(RealHeap, CommitsOnlyTouchedPages) {
 }
 
 // ---------------------------------------------------------------------------
-// Spin budget
+// Spin window
 // ---------------------------------------------------------------------------
+
+/// Runs `fn` on a helper thread whose affinity mask holds one CPU of this
+/// thread's mask, so this thread's mask stays as it was, and threads `fn`
+/// starts inherit the one CPU.  Returns pthread_setaffinity_np's status;
+/// `fn` runs only if it is 0.
+int on_one_cpu(const std::function<void()>& fn) {
+  cpu_set_t mask;
+  CPU_ZERO(&mask);
+  if (sched_getaffinity(0, sizeof(mask), &mask) != 0) return errno;
+  int cpu = 0;
+  while (!CPU_ISSET(cpu, &mask)) ++cpu;
+  int status = -1;
+  std::thread helper([&] {
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    CPU_SET(cpu, &one);
+    status = pthread_setaffinity_np(pthread_self(), sizeof(one), &one);
+    if (status == 0) fn();
+  });
+  helper.join();
+  return status;
+}
 
 TEST(RealRuntime, UsableCpusCountsTheAffinityMask) {
   cpu_set_t mask;
@@ -215,21 +245,9 @@ TEST(RealRuntime, UsableCpusCountsTheAffinityMask) {
   ASSERT_EQ(sched_getaffinity(0, sizeof(mask), &mask), 0);
   EXPECT_EQ(exec::usable_cpus(), CPU_COUNT(&mask));
 
-  // Under a one-CPU mask — set on a helper thread, so this thread's mask
-  // stays as it was — the count is 1 however many CPUs are online.
-  int cpu = 0;
-  while (!CPU_ISSET(cpu, &mask)) ++cpu;
-  int set_status = -1;
+  // Under a one-CPU mask the count is 1 however many CPUs are online.
   int seen = -1;
-  std::thread helper([&] {
-    cpu_set_t one;
-    CPU_ZERO(&one);
-    CPU_SET(cpu, &one);
-    set_status = pthread_setaffinity_np(pthread_self(), sizeof(one), &one);
-    seen = exec::usable_cpus();
-  });
-  helper.join();
-  ASSERT_EQ(set_status, 0);
+  ASSERT_EQ(on_one_cpu([&] { seen = exec::usable_cpus(); }), 0);
   EXPECT_EQ(seen, 1);
 }
 
@@ -288,12 +306,50 @@ TEST_P(BackendDifferential, RealMatchesSim) {
             sim.stats.counter("dsm.gc_runs"));
   EXPECT_GT(real.messages, 0);
   EXPECT_GT(real.seconds, 0.0);  // wall clock advanced
+  // Every wake reached its parker: none waited out the runtime's ceiling
+  // with work pending.
+  EXPECT_EQ(real.stats.counters.count("exec.park_timeouts"), 1u);
+  EXPECT_EQ(real.stats.counter("exec.park_timeouts"), 0) << app;
 }
 
 INSTANTIATE_TEST_SUITE_P(
     AllWorkloads, BackendDifferential,
     ::testing::Combine(::testing::Values("jacobi", "gauss", "fft3d", "nbf",
                                          "hotspot"),
+                       ::testing::Values(dsm::EngineKind::kLrc,
+                                         dsm::EngineKind::kHomeLrc)),
+    [](const auto& info) {
+      return std::string(std::get<0>(info.param)) + "_" +
+             dsm::enum_name(std::get<1>(info.param));
+    });
+
+// On one CPU the runtime does not spin (usable_cpus() is below nprocs), so
+// every wait parks on its futex and every message needs a wake.  No spin
+// then covers a lost wakeup: it would end a park on the ceiling.
+class BackendOnOneCpu : public BackendDifferential {};
+
+TEST_P(BackendOnOneCpu, EveryWaitParksAndNoWakeIsLost) {
+  const auto [app, engine] = GetParam();
+  const harness::RunResult sim = run_once(app, dsm::BackendKind::kSim, engine);
+  harness::RunResult real;
+  std::string error;
+  ASSERT_EQ(on_one_cpu([&] {
+              try {
+                real = run_once(app, dsm::BackendKind::kReal, engine);
+              } catch (const std::exception& e) {
+                error = e.what();
+              }
+            }),
+            0);
+  ASSERT_TRUE(error.empty()) << error;
+  EXPECT_EQ(real.checksum, sim.checksum) << app;
+  EXPECT_EQ(real.stats.counters.count("exec.park_timeouts"), 1u);
+  EXPECT_EQ(real.stats.counter("exec.park_timeouts"), 0) << app;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ForkJoinAndStencil, BackendOnOneCpu,
+    ::testing::Combine(::testing::Values("jacobi", "gauss"),
                        ::testing::Values(dsm::EngineKind::kLrc,
                                          dsm::EngineKind::kHomeLrc)),
     [](const auto& info) {
@@ -382,9 +438,51 @@ TEST(BackendDeathTest, MasterCheckFailureIsReported) {
       "master-side check failed");
 }
 
+TEST(BackendDeathTest, UndeclaredLoadDiesInCheckedBuilds) {
+#ifndef ANOW_PROTOCOL_CHECKS
+  GTEST_SKIP() << "the app view is protected only in checked builds "
+                  "(-DANOW_PROTOCOL_CHECKS=ON); Release runs every process "
+                  "on one plain read-write heap";
+#endif
+  // A slave task loads a word of a page the master wrote and the slave
+  // never declared, so the slave holds no copy of it: the protected app
+  // view has the page PROT_NONE and the load dies.  The statement can only
+  // end by dying, so a load that succeeded fails the test.
+  EXPECT_DEATH(
+      {
+        sim::Cluster cluster({}, 2);
+        dsm::DsmConfig cfg;
+        cfg.heap_bytes = 1 << 20;
+        cfg.backend = dsm::BackendKind::kReal;
+        cfg.dir_shards = 1;  // the master alone starts with valid pages
+        cfg.placement = dsm::PlacementMode::kStatic;
+        cfg.race_check = dsm::RaceCheckMode::kOff;
+        cfg.trace_file.clear();
+        dsm::DsmSystem sys(cluster, cfg);
+        dsm::GAddr addr = 0;
+        const std::int32_t peek = sys.register_task(
+            "peek", [&addr](dsm::DsmProcess& p,
+                            const std::vector<std::uint8_t>& /*args*/) {
+              if (p.is_master()) return;
+              const volatile std::int64_t* word = p.cptr<std::int64_t>(addr);
+              std::printf("undeclared load read %lld\n",
+                          static_cast<long long>(*word));
+            });
+        sys.start(2);
+        sys.run([&](dsm::DsmProcess& master) {
+          addr = sys.shared_malloc(exec::kPageBytes);
+          master.write_range(addr, sizeof(std::int64_t));
+          *master.ptr<std::int64_t>(addr) = 42;
+          sys.run_parallel(peek, {});
+        });
+      },
+      "");
+}
+
 TEST(BackendDeathTest, PageTraceUnderRealReadsTheProtocolView) {
   // ANOW_TRACE_PAGE lines print the page's first word while the page is
-  // being fetched or declared, before heap_sync opens it in the app view.
+  // being fetched or declared, before a checked build's heap_sync opens it
+  // in the app view.
   // The threadsafe style re-executes the binary, so the child parses the
   // variable afresh.
   const std::string style = ::testing::FLAGS_gtest_death_test_style;

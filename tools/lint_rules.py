@@ -21,12 +21,13 @@ the lint CI job:
    (the reviewed baseline cases charge fixed service costs deliberately).
 
 4. declared-writes-only — both backends detect a write by its
-   write_range declaration; the real backend's app view is read-write on
-   every valid page and PROT_NONE on every invalid one, so a fault there
-   is an application bug, not an event to handle (DESIGN.md §14).  No
-   sigaction call, and no signal() for SIGSEGV or SIGBUS, may appear
-   under src/, so a write-trap path cannot come back beside the declared
-   one.
+   write_range declaration.  Release builds give every process one plain
+   read-write heap; only checked builds (-DANOW_PROTOCOL_CHECKS) protect a
+   real-backend process's app view, read-write on every valid page and
+   PROT_NONE on every invalid one, so a fault there is an application bug,
+   not an event to handle (DESIGN.md §14).  No sigaction call, and no
+   signal() for SIGSEGV or SIGBUS, may appear under src/, so a write-trap
+   path cannot come back beside the declared one.
 
 5. one-collective-path — the master's collectives (fork, barrier release,
    GC prepare, delta round, terminate) leave through
@@ -36,14 +37,14 @@ the lint CI job:
    system.cpp may not grow, and the global routing-mode predicates the
    star used to branch on may not reappear anywhere under src/.
 
-6. page-state-through-accessor — the real backend's protection sync
-   re-derives only the pages the engine's changed-page log names, and the
-   log is filled by the mutable ConsistencyEngine::page() accessor
-   (DESIGN.md §14).  A write to PageMeta that bypasses page() leaves a
-   stale protection behind, so under src/dsm/protocol/ direct `pages_[`
-   indexing is allowed only in engine.hpp (the accessors) and engine.cpp
-   (attach_node's seeding, before the full log is drained), at their
-   reviewed counts, and a non-const range-for over pages_ is forbidden.
+6. lock-free-wait — the real backend's wait path is an eventcount on a
+   futex word (DESIGN.md §14): a producer fences after its push and wakes
+   only a parked process, and a park ends only on a wake, or on the
+   ceiling that reports a lost wakeup.  src/exec/real_runtime.{hpp,cpp}
+   may not include <mutex> or <condition_variable>, name std::mutex or
+   std::condition_variable, or call wait_for or wait_until, so a lock on
+   the post path or a timed backstop that hides a lost wakeup cannot come
+   back.
 
 7. sim-single-threaded — the simulator runs every fiber on the thread
    that calls Simulator::run, switching stacks in user space
@@ -117,14 +118,12 @@ MASTER_SEND_BASELINE = {
 MODE_PREDICATES = ["topology_.active", "topology().active",
                    "tree_routes_collectives"]
 
-# --- rule 6: PageMeta writes go through the logging accessor -------------
-# Baseline = the two page() overloads and attach_node's seeding loops.
+# --- rule 6: the real backend's wait path takes no lock and no timer ----
 
-PAGE_STATE_DIR = "src/dsm/protocol"
-PAGES_INDEX_BASELINE = {
-    "src/dsm/protocol/engine.hpp": 2,
-    "src/dsm/protocol/engine.cpp": 2,
-}
+WAIT_PATH_FILES = ["src/exec/real_runtime.hpp", "src/exec/real_runtime.cpp"]
+WAIT_PATH_BANNED = re.compile(
+    r"#\s*include\s*<(?:mutex|condition_variable)>"
+    r"|\bstd::(?:mutex|condition_variable)\b|\bwait_(?:for|until)\b")
 
 # --- rule 7: the simulator stays on one thread ---------------------------
 
@@ -291,35 +290,19 @@ def check_one_collective_path(violations):
                     )
 
 
-def check_page_state_through_accessor(violations):
-    index = re.compile(r"\bpages_\s*\[")
-    # `for (auto& pm : pages_)` hands out mutable PageMeta without logging;
-    # `for (const auto& pm : pages_)` is a read and stays legal.
-    mutable_loop = re.compile(r"\bfor\s*\(([^;:()]*):\s*pages_\s*\)")
-    for path in sorted((REPO / PAGE_STATE_DIR).rglob("*")):
-        if path.suffix not in CODE_SUFFIXES:
+def check_lock_free_wait(violations):
+    for name in WAIT_PATH_FILES:
+        path = REPO / name
+        if not path.is_file():
             continue
-        name = rel(path)
-        hits = []
         for lineno, raw in enumerate(path.read_text().splitlines(), 1):
-            line = strip_comments(raw)
-            if index.search(line):
-                hits.append(lineno)
-            loop = mutable_loop.search(line)
-            if loop and not re.search(r"\bconst\b", loop.group(1)):
+            hit = WAIT_PATH_BANNED.search(strip_comments(raw))
+            if hit:
                 violations.append(
-                    f"{name}:{lineno}: [page-state-through-accessor] "
-                    "non-const range-for over pages_ — take pages through "
-                    "page(p) so the changed-page log sees them"
+                    f"{name}:{lineno}: [lock-free-wait] '{hit.group(0)}' — "
+                    "the wait path parks on a futex eventcount; post takes "
+                    "no lock and a park ends only on a wake"
                 )
-        allowed = PAGES_INDEX_BASELINE.get(name, 0)
-        if len(hits) > allowed:
-            violations.append(
-                f"{name}: [page-state-through-accessor] {len(hits)} direct "
-                f"pages_[ uses (baseline {allowed}; lines {hits}) — go "
-                "through page(p), which logs the page for the protection "
-                "sync"
-            )
 
 
 def check_sim_single_threaded(violations):
@@ -365,7 +348,7 @@ def main() -> int:
     check_compute_in_span(violations)
     check_declared_writes_only(violations)
     check_one_collective_path(violations)
-    check_page_state_through_accessor(violations)
+    check_lock_free_wait(violations)
     check_sim_single_threaded(violations)
     check_commit_on_write(violations)
     if violations:
