@@ -2,6 +2,7 @@
 #pragma once
 
 #include <cstdlib>
+#include <iostream>
 
 #include "util/options.hpp"
 
@@ -18,3 +19,13 @@ inline int traced_page() {
 }
 
 }  // namespace anow::dsm
+
+// Engine-side tracer for ANOW_TRACE_PAGE, used inside ConsistencyEngine
+// members (it names the node by `self_`).  No timestamp: the engine has no
+// clock; the process-side tracer in process.cpp carries virtual time.
+#define ANOW_ETRACE(pg, what)                                        \
+  do {                                                               \
+    if ((pg) == ::anow::dsm::traced_page()) {                        \
+      std::cerr << "[ptrace uid" << self_ << "] " << what << "\n";   \
+    }                                                                \
+  } while (0)

@@ -41,12 +41,19 @@ struct Interval {
   }
 };
 
-/// A pending (not yet applied) invalidation at one process for one page.
+/// A pending (not yet resolved) invalidation at one process for one page:
+/// four 32-bit fields.  Where one fetched full copy resolves the page, one
+/// record stands for `count` notices of its creator and holds the newest
+/// of them (protocol/pending_notices.hpp); elsewhere `count` is 1.  The
+/// page's write-sharing protocol is not stored: it is the engine's
+/// protocol_of(page).
 struct PendingNotice {
   Uid creator = kNoUid;
   std::int32_t iseq = 0;
-  std::int64_t lamport = 0;
-  Protocol protocol = Protocol::kSingleWriter;
+  /// Interval::lamport, narrowed where the record is made (checked).
+  std::int32_t lamport = 0;
+  std::int32_t count = 1;
 };
+static_assert(sizeof(PendingNotice) == 16);
 
 }  // namespace anow::dsm

@@ -1,5 +1,6 @@
 #include "dsm/protocol/engine.hpp"
 
+#include "dsm/debug.hpp"
 #include "dsm/protocol/home_lrc_engine.hpp"
 #include "dsm/protocol/lrc_engine.hpp"
 #include "util/check.hpp"
@@ -139,6 +140,41 @@ bool ConsistencyEngine::note_exclusive_write(PageId p) {
   pm.exclusive_rw = true;
   pm.exclusive_epoch = epoch_;
   return true;
+}
+
+void ConsistencyEngine::settle_pending(PageId p, const AppliedMap& applied,
+                                       bool must_cover_pending) {
+  PageMeta& pm = page(p);
+  pm.have_copy = true;
+  pm.applied = applied;
+  if (!must_cover_pending) {
+    pending_.prune(pm.pending, pm.applied);
+    return;
+  }
+  // A single-writer fetch from the last writer, or a fetch from the home:
+  // the copy must cover every pending notice for the page.
+  const bool covered = pending_.cover_all(pm.pending, pm.applied);
+  ANOW_CHECK_MSG(covered, "full copy does not cover a pending notice for page "
+                              << p);
+}
+
+void ConsistencyEngine::integrate(const std::vector<Interval>& intervals) {
+  for (const auto& iv : intervals) {
+    ANOW_CHECK(iv.creator != self_);
+    for (const auto& wn : iv.notices) {
+      PageMeta& pm = page(wn.page);
+      if (pm.applied.covers(iv.creator, iv.iseq)) continue;
+      if (wn.protocol == Protocol::kSingleWriter) {
+        ANOW_CHECK_MSG(!pm.dirty,
+                       "single-writer page " << wn.page
+                                             << " written concurrently");
+      }
+      pending_.add(pm.pending, iv.creator, iv.iseq, iv.lamport,
+                   one_copy_resolves(wn.page));
+      ANOW_ETRACE(wn.page, "notice from " << iv.creator << " iseq "
+                                          << iv.iseq);
+    }
+  }
 }
 
 std::int64_t ConsistencyEngine::apply_home_flush(

@@ -32,6 +32,7 @@
 #include "dsm/msg.hpp"
 #include "dsm/protocol/applied_map.hpp"
 #include "dsm/protocol/dir_shards.hpp"
+#include "dsm/protocol/pending_notices.hpp"
 #include "dsm/types.hpp"
 #include "util/stats.hpp"
 
@@ -69,7 +70,11 @@ struct PageMeta {
   std::uint64_t last_served = 0;
   std::unique_ptr<std::uint8_t[]> twin;
   AppliedMap applied;
-  std::vector<PendingNotice> pending;
+  /// Write notices received and not yet resolved: one record per notice on
+  /// a page whose diffs are fetched by interval, one per writer where one
+  /// full copy resolves the page (pending_notices.hpp).  Changed only
+  /// through the engine's PendingNotices.
+  PendingList pending;
 
   bool is_valid() const { return have_copy && pending.empty(); }
 };
@@ -231,8 +236,9 @@ class ConsistencyEngine {
   /// Ends the current interval: write notices for dirty pages, lazy twins
   /// kept for on-demand diffing.  iseq == 0 means empty (not logged).
   virtual Interval finish_interval() = 0;
-  /// Integrates received write notices (invalidations) into page state.
-  virtual void integrate(const std::vector<Interval>& intervals) = 0;
+  /// Integrates received write notices (invalidations) into page state:
+  /// each notice the page's applied map does not cover becomes pending.
+  void integrate(const std::vector<Interval>& intervals);
 
   // --- GC, node side -----------------------------------------------------
   /// Snapshot the serve sequence at GC prepare (exclusivity soundness).
@@ -255,10 +261,15 @@ class ConsistencyEngine {
   }
 
   // --- accounting --------------------------------------------------------
+  /// GC model: bytes charged per pending write notice received, whatever
+  /// the records holding it weigh (a 16-byte record may stand for many
+  /// notices).  gc_should_run compares this footprint with the threshold,
+  /// so the charge is a model constant, not sizeof(PendingNotice).
+  static constexpr std::int64_t kPendingNoticeModelBytes = 24;
   /// Twins + own diff archive + pending notices (drives the GC threshold).
   std::int64_t consistency_bytes() const {
     return archive_bytes_ + twin_bytes_ +
-           pending_count_ * static_cast<std::int64_t>(sizeof(PendingNotice));
+           pending_.count() * kPendingNoticeModelBytes;
   }
   /// Bytes held in this node's diff archive (home-based engines keep none).
   std::int64_t archived_diff_bytes() const { return archive_bytes_; }
@@ -363,6 +374,20 @@ class ConsistencyEngine {
   }
   virtual void on_owners_reset() {}
 
+  /// One fetched full copy resolves every pending notice of `p`: all pages
+  /// of an engine whose full copies cover pending notices, and
+  /// single-writer pages.  Such a page keeps one pending record per
+  /// writer.
+  bool one_copy_resolves(PageId p) const {
+    return full_copy_covers_pending() ||
+           protocol_of(p) == Protocol::kSingleWriter;
+  }
+  /// The pending-notice half of install_copy: records the installed copy's
+  /// applied map and drops the notices it covers, or with
+  /// `must_cover_pending` checks that it covers them all.
+  void settle_pending(PageId p, const AppliedMap& applied,
+                      bool must_cover_pending);
+
   const DsmConfig* config_ = nullptr;
   util::StatsRegistry* stats_ = nullptr;
 
@@ -379,7 +404,7 @@ class ConsistencyEngine {
   std::int64_t epoch_ = 0;
   std::int64_t archive_bytes_ = 0;
   std::int64_t twin_bytes_ = 0;
-  std::int64_t pending_count_ = 0;
+  PendingNotices pending_;
   /// Authoritative owner slices this node holds (its own default shard at
   /// start; placement ShardMoves adopt/drop more at GC rounds).
   std::vector<std::unique_ptr<DirSlice>> dir_slices_;

@@ -2,24 +2,12 @@
 
 #include <algorithm>
 #include <cstring>
-#include <iostream>
 
 #include "dsm/debug.hpp"
 #include "dsm/diff.hpp"
 #include "util/check.hpp"
 
 namespace anow::dsm::protocol {
-
-namespace {
-
-#define ANOW_ETRACE(pg, what)                                      \
-  do {                                                             \
-    if ((pg) == traced_page()) {                                   \
-      std::cerr << "[ptrace uid" << self_ << "] " << what << "\n"; \
-    }                                                              \
-  } while (0)
-
-}  // namespace
 
 void HomeLrcEngine::on_attach_node() {
   ctr_intervals_ = &stats_->counter("dsm.intervals");
@@ -95,25 +83,7 @@ void HomeLrcEngine::install_copy(PageId p, const std::uint8_t* data,
   } else {
     std::memcpy(region_ + page_base(p), data, kPageSize);
   }
-  pm.have_copy = true;
-  pm.applied = applied;
-  if (must_cover_pending) {
-    for (const auto& n : pm.pending) {
-      ANOW_CHECK_MSG(pm.applied.covers(n.creator, n.iseq),
-                     "home copy does not cover notice for page " << p);
-      --pending_count_;
-    }
-    pm.pending.clear();
-    return;
-  }
-  auto covered = [&](const PendingNotice& n) {
-    const bool is_covered = pm.applied.covers(n.creator, n.iseq);
-    if (is_covered) --pending_count_;
-    return is_covered;
-  };
-  pm.pending.erase(
-      std::remove_if(pm.pending.begin(), pm.pending.end(), covered),
-      pm.pending.end());
+  settle_pending(p, applied, must_cover_pending);
 }
 
 std::vector<DiffFetchPlan> HomeLrcEngine::plan_diff_fetches(
@@ -255,25 +225,6 @@ Interval HomeLrcEngine::finish_interval() {
   return iv;
 }
 
-void HomeLrcEngine::integrate(const std::vector<Interval>& intervals) {
-  for (const auto& iv : intervals) {
-    ANOW_CHECK(iv.creator != self_);
-    for (const auto& wn : iv.notices) {
-      PageMeta& pm = page(wn.page);
-      if (pm.applied.covers(iv.creator, iv.iseq)) continue;
-      if (wn.protocol == Protocol::kSingleWriter) {
-        ANOW_CHECK_MSG(!pm.dirty,
-                       "single-writer page " << wn.page
-                                             << " written concurrently");
-      }
-      pm.pending.push_back({iv.creator, iv.iseq, iv.lamport, wn.protocol});
-      ANOW_ETRACE(wn.page, "notice from " << iv.creator << " iseq "
-                                          << iv.iseq);
-      ++pending_count_;
-    }
-  }
-}
-
 // ---------------------------------------------------------------------------
 // Node side: owner-delta validation + garbage collection
 // ---------------------------------------------------------------------------
@@ -335,13 +286,14 @@ void HomeLrcEngine::gc_commit_node(const OwnerDelta& delta) {
         ANOW_ETRACE(p, "gc: dropped copy, home " << pm.owner_hint);
       }
       pm.have_copy = false;
-      pm.pending.clear();
+      pending_.clear(pm.pending);
       pm.exclusive = false;
       pm.exclusive_rw = false;
     }
     pm.applied.clear();
   }
-  pending_count_ = 0;
+  ANOW_CHECK_MSG(pending_.count() == 0,
+                 "pending notices survived the GC commit at uid " << self_);
 }
 
 // ---------------------------------------------------------------------------

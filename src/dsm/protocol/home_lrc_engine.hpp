@@ -7,7 +7,8 @@
 // to the master.  That ordering is the engine's core invariant — *no write
 // notice exists anywhere before its data is applied at the home* — and it
 // makes a faulting reader's life trivial: one full-page fetch from the home
-// covers every pending notice.  Writers keep no diff archives, so the
+// covers every pending notice, so every page keeps one pending record per
+// writer (pending_notices.hpp).  Writers keep no diff archives, so the
 // interval-log GC degenerates to a local drop of non-home copies with
 // nothing to validate (DESIGN.md §5a).
 //
@@ -59,7 +60,6 @@ class HomeLrcEngine final : public ConsistencyEngine {
                     std::vector<DiffPageReply>& out) override;
 
   Interval finish_interval() override;
-  void integrate(const std::vector<Interval>& intervals) override;
 
   std::vector<PageId> gc_pages_to_validate(const OwnerDelta& owners) override;
   void gc_commit_node(const OwnerDelta& delta) override;

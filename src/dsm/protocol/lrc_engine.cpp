@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <iostream>
 
 #include "analysis/protocol_checker.hpp"
 #include "dsm/debug.hpp"
@@ -12,15 +11,6 @@
 namespace anow::dsm::protocol {
 
 namespace {
-
-// Engine-side tracer (ANOW_TRACE_PAGE): no timestamp — the engine has no
-// clock; the process-side tracer in process.cpp carries virtual time.
-#define ANOW_ETRACE(pg, what)                                      \
-  do {                                                             \
-    if ((pg) == traced_page()) {                                   \
-      std::cerr << "[ptrace uid" << self_ << "] " << what << "\n"; \
-    }                                                              \
-  } while (0)
 
 /// Application order for pending diffs: causal (lamport) first; concurrent
 /// intervals (same lamport) touch disjoint words, so any deterministic
@@ -99,18 +89,9 @@ void LrcEngine::declare_write(PageId p) {
 
 Uid LrcEngine::pick_page_source(PageId p) const {
   const PageMeta& pm = page(p);
-  if (!pm.pending.empty()) {
-    // Fetch from the most recent writer; its copy reflects everything it
-    // had applied before writing.
-    const PendingNotice* best = &pm.pending.front();
-    for (const auto& n : pm.pending) {
-      if (n.lamport > best->lamport ||
-          (n.lamport == best->lamport && n.creator > best->creator)) {
-        best = &n;
-      }
-    }
-    return best->creator;
-  }
+  // Fetch from the most recent writer; its copy reflects everything it had
+  // applied before writing.
+  if (!pm.pending.empty()) return pm.pending.newest_writer();
   return pm.owner_hint;
 }
 
@@ -123,29 +104,7 @@ void LrcEngine::install_copy(PageId p, const std::uint8_t* data,
   ANOW_CHECK_MSG(!pm.dirty && pm.twin == nullptr,
                  "full-copy install over local writes on page " << p);
   std::memcpy(region_ + page_base(p), data, kPageSize);
-  pm.have_copy = true;
-  pm.applied = applied;
-  if (must_cover_pending) {
-    // Single-writer fetch: the last writer's copy must cover every pending
-    // notice for the page.
-    for (const auto& n : pm.pending) {
-      ANOW_CHECK_MSG(pm.applied.covers(n.creator, n.iseq),
-                     "single-writer copy does not cover notice for page "
-                         << p);
-      --pending_count_;
-    }
-    pm.pending.clear();
-    return;
-  }
-  // Drop pending notices the copy already covers.
-  auto covered = [&](const PendingNotice& n) {
-    const bool is_covered = pm.applied.covers(n.creator, n.iseq);
-    if (is_covered) --pending_count_;
-    return is_covered;
-  };
-  pm.pending.erase(
-      std::remove_if(pm.pending.begin(), pm.pending.end(), covered),
-      pm.pending.end());
+  settle_pending(p, applied, must_cover_pending);
 }
 
 std::vector<DiffFetchPlan> LrcEngine::plan_diff_fetches(const PageId* pages,
@@ -157,6 +116,8 @@ std::vector<DiffFetchPlan> LrcEngine::plan_diff_fetches(const PageId* pages,
   };
   std::vector<Want> wants;
   for (std::size_t i = 0; i < count; ++i) {
+    // Diffs are fetched by interval, so the page must keep every notice.
+    ANOW_CHECK(!one_copy_resolves(pages[i]));
     for (const auto& n : page(pages[i]).pending) {
       wants.push_back({n.creator, pages[i], n.iseq});
     }
@@ -184,7 +145,7 @@ std::int64_t LrcEngine::apply_fetched_diffs(
     PageId p, const std::vector<DiffReply>& replies) {
   PageMeta& pm = page(p);
   // Apply in causal order.
-  std::vector<PendingNotice> order = pm.pending;
+  std::vector<PendingNotice> order(pm.pending.begin(), pm.pending.end());
   std::sort(order.begin(), order.end(), notice_order);
   std::int64_t applied_bytes = 0;
   for (const auto& n : order) {
@@ -211,8 +172,7 @@ std::int64_t LrcEngine::apply_fetched_diffs(
     applied_bytes += static_cast<std::int64_t>(found->size());
     pm.applied.bump(n.creator, n.iseq);
   }
-  pending_count_ -= static_cast<std::int64_t>(pm.pending.size());
-  pm.pending.clear();
+  pending_.clear(pm.pending);
   ANOW_ETRACE(p, "applied diffs");
   return applied_bytes;
 }
@@ -307,25 +267,6 @@ Interval LrcEngine::finish_interval() {
   return iv;
 }
 
-void LrcEngine::integrate(const std::vector<Interval>& intervals) {
-  for (const auto& iv : intervals) {
-    ANOW_CHECK(iv.creator != self_);
-    for (const auto& wn : iv.notices) {
-      PageMeta& pm = page(wn.page);
-      if (pm.applied.covers(iv.creator, iv.iseq)) continue;
-      if (wn.protocol == Protocol::kSingleWriter) {
-        ANOW_CHECK_MSG(!pm.dirty,
-                       "single-writer page " << wn.page
-                                             << " written concurrently");
-      }
-      pm.pending.push_back({iv.creator, iv.iseq, iv.lamport, wn.protocol});
-      ANOW_ETRACE(wn.page, "notice from " << iv.creator << " iseq "
-                                          << iv.iseq);
-      ++pending_count_;
-    }
-  }
-}
-
 // ---------------------------------------------------------------------------
 // Node side: garbage collection
 // ---------------------------------------------------------------------------
@@ -400,13 +341,14 @@ void LrcEngine::gc_commit_node(const OwnerDelta& delta) {
         ANOW_ETRACE(p, "gc: dropped copy, owner now " << pm.owner_hint);
       }
       pm.have_copy = false;
-      pm.pending.clear();
+      pending_.clear(pm.pending);
       pm.exclusive = false;
       pm.exclusive_rw = false;
     }
     pm.applied.clear();
   }
-  pending_count_ = 0;
+  ANOW_CHECK_MSG(pending_.count() == 0,
+                 "pending notices survived the GC commit at uid " << self_);
   for (auto& archive : own_diffs_) archive.clear();
   // Use-after-reset guard (DESIGN.md §13): every arena-backed DiffView is
   // archive-held, so none may remain once the archives clear.  Count what

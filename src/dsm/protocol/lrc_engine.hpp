@@ -2,9 +2,12 @@
 //
 // Node side: twin-and-diff multi-writer pages with lazy (on-demand) diff
 // materialization, full-copy single-writer pages, and the sole-copy
-// exclusivity shortcut.  Master side: the lamport-stamped interval log, the
-// dense delivery matrix, the last-writer map driving GC ownership, and the
-// interval-log garbage collection (DESIGN.md §5).
+// exclusivity shortcut.  A multi-writer page keeps a pending record per
+// write notice, since its diffs are fetched by interval; a single-writer
+// page, resolved by one copy from its last writer, keeps one per writer
+// (pending_notices.hpp).  Master side: the lamport-stamped interval log,
+// the dense delivery matrix, the last-writer map driving GC ownership, and
+// the interval-log garbage collection (DESIGN.md §5).
 #pragma once
 
 #include "dsm/protocol/engine.hpp"
@@ -41,7 +44,6 @@ class LrcEngine final : public ConsistencyEngine {
                     std::vector<DiffPageReply>& out) override;
 
   Interval finish_interval() override;
-  void integrate(const std::vector<Interval>& intervals) override;
 
   std::vector<PageId> gc_pages_to_validate(const OwnerDelta& owners) override;
   void gc_commit_node(const OwnerDelta& delta) override;

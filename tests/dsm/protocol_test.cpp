@@ -1,11 +1,17 @@
 // Unit tests for the flat consistency-engine building blocks:
-// the per-page AppliedMap and the master's dense DeliveryMatrix.
+// the per-page AppliedMap, the master's dense DeliveryMatrix and the
+// pending write notices (PendingNotices against the uncollapsed list it
+// replaced).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <set>
 
 #include "dsm/protocol/applied_map.hpp"
 #include "dsm/protocol/delivery_matrix.hpp"
+#include "dsm/protocol/pending_notices.hpp"
+#include "util/check.hpp"
 #include "util/rng.hpp"
 
 namespace anow::dsm {
@@ -91,6 +97,210 @@ TEST(DeliveryMatrix, ClearResetsEverything) {
   for (Uid t = 0; t < 8; ++t) {
     for (Uid c = 0; c < 8; ++c) EXPECT_EQ(dm.get(t, c), 0);
   }
+}
+
+// --- pending write notices -------------------------------------------------
+
+// The oracle: one record per notice with the loops the engines ran on it
+// before PendingNotices (integrate's push, install_copy's prune and
+// must-cover, the GC's clear, LrcEngine::pick_page_source).
+struct OracleNotice {
+  Uid creator = kNoUid;
+  std::int32_t iseq = 0;
+  std::int64_t lamport = 0;
+};
+
+struct OracleList {
+  std::vector<OracleNotice> notices;
+
+  Uid source() const {
+    if (notices.empty()) return kNoUid;
+    const OracleNotice* best = &notices.front();
+    for (const auto& n : notices) {
+      if (n.lamport > best->lamport ||
+          (n.lamport == best->lamport && n.creator > best->creator)) {
+        best = &n;
+      }
+    }
+    return best->creator;
+  }
+  std::int64_t prune(const AppliedMap& applied) {
+    const auto before = notices.size();
+    notices.erase(std::remove_if(notices.begin(), notices.end(),
+                                 [&](const OracleNotice& n) {
+                                   return applied.covers(n.creator, n.iseq);
+                                 }),
+                  notices.end());
+    return static_cast<std::int64_t>(before - notices.size());
+  }
+  bool must_cover(const AppliedMap& applied) {
+    bool all = true;
+    for (const auto& n : notices) {
+      all = all && applied.covers(n.creator, n.iseq);
+    }
+    notices.clear();
+    return all;
+  }
+  /// Lowest and highest pending iseq of `creator` (0, 0 when it has none).
+  std::pair<std::int32_t, std::int32_t> span(Uid creator) const {
+    std::int32_t lo = 0;
+    std::int32_t hi = 0;
+    for (const auto& n : notices) {
+      if (n.creator != creator) continue;
+      lo = lo == 0 ? n.iseq : std::min(lo, n.iseq);
+      hi = std::max(hi, n.iseq);
+    }
+    return {lo, hi};
+  }
+};
+
+/// Drives PendingNotices and the oracle through one seeded sequence of
+/// integrate batches, prunes, must-cover installs and clears over a few
+/// pages, and compares them after every step.  `per_writer` selects the
+/// collapse policy for every page.
+void run_pending_property(bool per_writer, std::uint64_t seed, int steps) {
+  constexpr int kPages = 4;
+  constexpr Uid kCreators = 6;
+  util::Rng rng(seed);
+  protocol::PendingNotices ledger;
+  std::vector<protocol::PendingList> lists(kPages);
+  std::vector<OracleList> oracle(kPages);
+  std::int64_t oracle_count = 0;
+  std::vector<std::int32_t> last_iseq(kCreators, 0);
+  std::int64_t clock = 0;
+
+  // An applied map whose entry for a creator with pending notices on `o`
+  // covers all of them with probability `p_all`.  Otherwise the entry is
+  // random; on a per-writer list it then covers none of them, the only
+  // other map a full copy can carry there (pending_notices.hpp).
+  auto draw_map = [&](const OracleList& o, double p_all) {
+    AppliedMap m;
+    for (Uid c = 0; c < kCreators; ++c) {
+      const auto [lo, hi] = o.span(c);
+      std::int64_t v = rng.next_in(0, last_iseq[c] + 1);
+      if (hi > 0 && rng.next_bool(p_all)) {
+        v = rng.next_in(hi, last_iseq[c] + 1);
+      } else if (hi > 0 && per_writer) {
+        v = rng.next_in(0, lo - 1);
+      }
+      if (v > 0) m.bump(c, static_cast<std::int32_t>(v));
+    }
+    return m;
+  };
+
+  for (int step = 0; step < steps; ++step) {
+    const auto page = static_cast<std::size_t>(rng.next_below(kPages));
+    const auto op = rng.next_below(100);
+    bool covered = true;
+    bool oracle_covered = true;
+    if (op < 50) {
+      // One barrier epoch (creators share a stamp) or one lock release:
+      // each creator's interval takes its next iseq and notices a random
+      // subset of the pages.
+      const std::int64_t stamp = ++clock;
+      const int writers = rng.next_bool(0.7) ? 1 + static_cast<int>(
+                                                       rng.next_below(3))
+                                             : 1;
+      std::set<Uid> chosen;
+      while (static_cast<int>(chosen.size()) < writers) {
+        chosen.insert(static_cast<Uid>(rng.next_below(kCreators)));
+      }
+      for (Uid c : chosen) {
+        const std::int32_t iseq = ++last_iseq[c];
+        for (std::size_t p = 0; p < kPages; ++p) {
+          if (p != page && !rng.next_bool(0.3)) continue;
+          ledger.add(lists[p], c, iseq, stamp, per_writer);
+          oracle[p].notices.push_back({c, iseq, stamp});
+          ++oracle_count;
+        }
+      }
+    } else if (op < 75) {
+      const AppliedMap m = draw_map(oracle[page], 0.5);
+      ledger.prune(lists[page], m);
+      oracle_count -= oracle[page].prune(m);
+    } else if (op < 95) {
+      const AppliedMap m = draw_map(oracle[page], 0.8);
+      oracle_count -= static_cast<std::int64_t>(oracle[page].notices.size());
+      oracle_covered = oracle[page].must_cover(m);
+      covered = ledger.cover_all(lists[page], m);
+    } else {
+      oracle_count -= static_cast<std::int64_t>(oracle[page].notices.size());
+      oracle[page].notices.clear();
+      ledger.clear(lists[page]);
+    }
+    ASSERT_EQ(covered, oracle_covered) << "step " << step;
+    ASSERT_EQ(ledger.count(), oracle_count) << "step " << step;
+    for (std::size_t p = 0; p < kPages; ++p) {
+      const auto& list = lists[p];
+      const auto& want = oracle[p].notices;
+      ASSERT_EQ(list.empty(), want.empty()) << "step " << step;
+      ASSERT_EQ(list.newest_writer(), oracle[p].source()) << "step " << step;
+      ASSERT_EQ(list.notices(), static_cast<std::int64_t>(want.size()))
+          << "step " << step << " page " << p;
+      std::set<Uid> writers;
+      for (const auto& n : want) writers.insert(n.creator);
+      ASSERT_EQ(list.records(), per_writer ? writers.size() : want.size())
+          << "step " << step << " page " << p;
+    }
+  }
+}
+
+TEST(PendingNotices, PerNoticeListsMatchTheUncollapsedList) {
+  for (std::uint64_t seed : {1, 2, 3}) {
+    SCOPED_TRACE(seed);
+    run_pending_property(/*per_writer=*/false, seed, 10000);
+  }
+}
+
+TEST(PendingNotices, PerWriterListsMatchTheUncollapsedList) {
+  for (std::uint64_t seed : {1, 2, 3}) {
+    SCOPED_TRACE(seed);
+    run_pending_property(/*per_writer=*/true, seed, 10000);
+  }
+}
+
+TEST(PendingNotices, PerWriterRecordKeepsTheNewestNoticeAndCountsAll) {
+  protocol::PendingNotices ledger;
+  protocol::PendingList list;
+  ledger.add(list, 3, 1, 10, true);
+  ledger.add(list, 5, 1, 11, true);
+  ledger.add(list, 3, 4, 12, true);
+  EXPECT_EQ(list.records(), 2u);
+  EXPECT_EQ(list.notices(), 3);
+  EXPECT_EQ(ledger.count(), 3);
+  EXPECT_EQ(list.newest_writer(), 3);
+  // A copy that reflects creator 3's newest notice reflects the older one.
+  AppliedMap applied;
+  applied.bump(3, 4);
+  ledger.prune(list, applied);
+  EXPECT_EQ(list.records(), 1u);
+  EXPECT_EQ(ledger.count(), 1);
+  EXPECT_EQ(list.newest_writer(), 5);
+  // Outside the contract, a copy that reflects only an older notice of a
+  // writer keeps the writer's record and its whole count: on such a page
+  // the fault that pruned goes on to a must-cover refetch, which clears it.
+  ledger.add(list, 5, 2, 13, true);
+  applied.bump(5, 1);
+  ledger.prune(list, applied);
+  EXPECT_EQ(list.notices(), 2);
+  EXPECT_EQ(ledger.count(), 2);
+  applied.bump(5, 2);
+  EXPECT_TRUE(ledger.cover_all(list, applied));
+  EXPECT_TRUE(list.empty());
+  EXPECT_EQ(ledger.count(), 0);
+}
+
+TEST(PendingNotices, RecordsAreCheckedWhereTheyNarrowOrCollapse) {
+  protocol::PendingNotices ledger;
+  protocol::PendingList list;
+  ledger.add(list, 1, 7, 20, true);
+  // A writer's newer notice must carry a higher iseq.
+  EXPECT_THROW(ledger.add(list, 1, 7, 21, true), util::CheckError);
+  EXPECT_THROW(ledger.add(list, 1, 6, 21, true), util::CheckError);
+  // The lamport stamp is stored in 32 bits.
+  EXPECT_THROW(ledger.add(list, 2, 1, std::int64_t{1} << 31, false),
+               util::CheckError);
+  EXPECT_EQ(ledger.count(), 1);
 }
 
 }  // namespace

@@ -303,6 +303,95 @@ TEST_P(EngineStressTest, PendingNoticesStayBounded) {
   }
 }
 
+TEST_P(EngineStressTest, SingleWriterPendingNoticesDriveGc) {
+  // The single-writer form of the test above, sized so that pending notices
+  // alone push the master over the GC threshold again and again: two
+  // writers swap halves of 128 single-writer pages every round, and the
+  // master never touches them.  A single-writer page keeps one pending
+  // record per writer, yet the GC model charges every notice, so the GC
+  // rounds and the footprint the master reports after each round are the
+  // ones the uncollapsed one-record-per-notice lists produced.
+  sim::Cluster cluster({}, 3);
+  DsmConfig cfg;
+  // The pins hold for the built-in knobs, whatever ANOW_* the suite runs
+  // under.
+  static_cast<Knobs&>(cfg) = Knobs::builtin();
+  cfg.heap_bytes = 1 << 20;
+  cfg.gc_threshold_bytes = 32 * 1024;
+  cfg.default_protocol = Protocol::kSingleWriter;
+  cfg.engine = GetParam();
+  DsmSystem sys(cluster, cfg);
+  struct Args {
+    GAddr addr;
+    std::int64_t n;
+    std::int64_t round;
+  };
+  auto task = sys.register_task(
+      "swapped slabs", [](DsmProcess& p, const std::vector<std::uint8_t>& a) {
+        Args args;
+        std::memcpy(&args, a.data(), sizeof(args));
+        if (p.pid() == 0) return;  // the master never reads these pages
+        const std::int64_t half = args.n / 2;
+        const bool low = (p.pid() + args.round) % 2 == 1;
+        const std::int64_t lo = low ? 0 : half;
+        const std::int64_t hi = low ? half : args.n;
+        p.write_range(args.addr + lo * 8,
+                      static_cast<std::size_t>(hi - lo) * 8);
+        auto* d = p.ptr<std::int64_t>(args.addr);
+        for (std::int64_t i = lo; i < hi; ++i) d[i] += 1;
+      });
+  constexpr std::int64_t kPages = 128;
+  constexpr std::int64_t kWords = kPages * kPageSize / 8;
+  constexpr int kRounds = 40;
+  // 128 notices of 24 model bytes reach the master per round; a GC runs
+  // once a round's arrival reports more than 32 KiB.
+  const std::vector<std::int64_t> lrc_bytes = {
+      3072,  6144,  9216,  12288, 15360, 18432, 21504, 24576, 27648, 30720,
+      33792, 0,     3072,  6144,  9216,  12288, 15360, 18432, 21504, 24576,
+      27648, 30720, 33792, 0,     3072,  6144,  9216,  12288, 15360, 18432,
+      21504, 24576, 27648, 30720, 33792, 0,     3072,  6144,  9216,  12288};
+  // The home engine's first round also commits the first-touch homes.
+  const std::vector<std::int64_t> home_bytes = {
+      0,     3072,  6144,  9216,  12288, 15360, 18432, 21504, 24576, 27648,
+      30720, 33792, 0,     3072,  6144,  9216,  12288, 15360, 18432, 21504,
+      24576, 27648, 30720, 33792, 0,     3072,  6144,  9216,  12288, 15360,
+      18432, 21504, 24576, 27648, 30720, 33792, 0,     3072,  6144,  9216};
+  const bool lrc = GetParam() == EngineKind::kLrc;
+  const auto& want_bytes = lrc ? lrc_bytes : home_bytes;
+  sys.start(3);
+  sys.run([&](DsmProcess& master) {
+    Args args{sys.shared_malloc(kWords * 8), kWords, 0};
+    const PageId first = page_of(args.addr);
+    ASSERT_EQ(page_base(first), args.addr);
+    std::vector<std::uint8_t> packed(sizeof(args));
+    for (int r = 0; r < kRounds; ++r) {
+      args.round = r;
+      std::memcpy(packed.data(), &args, sizeof(args));
+      sys.run_parallel(task, packed);
+      EXPECT_EQ(master.consistency_bytes(), want_bytes[r]) << "round " << r;
+      // The master writes nothing, so its footprint is its notices; each
+      // slab page has two writers and keeps at most one record per writer.
+      std::int64_t notices = 0;
+      for (Uid uid : sys.team()) {
+        const auto& engine = sys.process(uid).engine();
+        for (PageId p = 0; p < engine.num_pages(); ++p) {
+          const bool slab = p >= first && p < first + kPages;
+          EXPECT_LE(engine.page(p).pending.records(), slab ? 2u : 0u)
+              << "uid " << uid << " page " << p << " round " << r;
+          if (uid == kMasterUid) notices += engine.page(p).pending.notices();
+        }
+      }
+      EXPECT_EQ(notices * protocol::ConsistencyEngine::kPendingNoticeModelBytes,
+                master.consistency_bytes());
+    }
+    master.read_range(args.addr, kWords * 8);
+    for (std::int64_t i = 0; i < kWords; ++i) {
+      ASSERT_EQ(master.cptr<std::int64_t>(args.addr)[i], kRounds);
+    }
+  });
+  EXPECT_EQ(sys.stats().counter_value("dsm.gc_runs"), lrc ? 3 : 4);
+}
+
 INSTANTIATE_TEST_SUITE_P(Engines, EngineStressTest,
                          ::testing::Values(EngineKind::kLrc,
                                            EngineKind::kHomeLrc),

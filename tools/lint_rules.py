@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Repo-specific lint rules (DESIGN.md §13).
 
-Eight structural conventions that clang-tidy cannot express, enforced as
+Nine structural conventions that clang-tidy cannot express, enforced as
 baselines so existing, reviewed occurrences stay legal while new ones fail
 the lint CI job:
 
@@ -60,6 +60,14 @@ the lint CI job:
    make_unique<std::uint8_t[]> or make_unique<uint8_t[]>, which zero-fills
    its buffer, may appear under src/, and no memset in src/exec/heap.cpp,
    so a whole-heap zero-fill cannot come back.
+
+9. notices-in-one-type — a page's pending write notices keep one record
+   per writer where one fetched full copy resolves the page, and the
+   node's notice count is what the GC model charges (DESIGN.md §5).  Only
+   src/dsm/protocol/pending_notices.{hpp,cpp} may call push_back,
+   emplace_back, insert, erase or clear on a `pending` list or write
+   pending_count_, so an engine cannot grow a list or move the count
+   beside the type that keeps both exact.
 
 Exit code 0 = clean, 1 = violation (message names the rule and the line).
 Run from anywhere: paths resolve relative to the repo root.
@@ -136,6 +144,17 @@ ZERO_FILLED_BYTES = re.compile(
     r"\bmake_unique\s*<\s*(?:std::)?uint8_t\s*\[\]\s*>")
 HEAP_FILE = "src/exec/heap.cpp"
 HEAP_ZERO_FILL = re.compile(r"\bmemset\b")
+
+# --- rule 9: pending write notices change only inside their type --------
+
+NOTICE_FILES = {"src/dsm/protocol/pending_notices.hpp",
+                "src/dsm/protocol/pending_notices.cpp"}
+NOTICE_LIST_EDIT = re.compile(
+    r"\bpending\s*(?:\.|->)\s*"
+    r"(?:push_back|emplace_back|insert|erase|clear)\s*\(")
+NOTICE_COUNT_WRITE = re.compile(
+    r"\bpending_count_\s*(?:[-+*/%&|^]?=(?!=)|\+\+|--)"
+    r"|(?:\+\+|--)\s*pending_count_\b")
 
 CODE_SUFFIXES = {".cpp", ".hpp"}
 SCAN_DIRS = ["src", "bench", "tests", "examples"]
@@ -341,6 +360,26 @@ def check_commit_on_write(violations):
                 )
 
 
+def check_notices_in_one_type(violations):
+    for path in sorted((REPO / "src").rglob("*")):
+        if path.suffix not in CODE_SUFFIXES:
+            continue
+        name = rel(path)
+        if name in NOTICE_FILES:
+            continue
+        for lineno, raw in enumerate(path.read_text().splitlines(), 1):
+            line = strip_comments(raw)
+            hit = NOTICE_LIST_EDIT.search(line) or \
+                NOTICE_COUNT_WRITE.search(line)
+            if hit:
+                violations.append(
+                    f"{name}:{lineno}: [notices-in-one-type] "
+                    f"'{hit.group(0)}' — change pending notices through "
+                    "PendingNotices (src/dsm/protocol/pending_notices.hpp), "
+                    "which keeps the records and the notice count exact"
+                )
+
+
 def main() -> int:
     violations = []
     check_send_envelope(violations)
@@ -351,6 +390,7 @@ def main() -> int:
     check_lock_free_wait(violations)
     check_sim_single_threaded(violations)
     check_commit_on_write(violations)
+    check_notices_in_one_type(violations)
     if violations:
         for v in violations:
             print(v)
