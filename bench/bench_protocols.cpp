@@ -7,7 +7,7 @@
 // master-held directory, N = page ranges spread across the first N
 // processes).
 //
-// Results go to stdout and to BENCH_protocols.json (schema 10).  Every
+// Results go to stdout and to BENCH_protocols.json (schema 11).  Every
 // field is a deterministic function of the code (the simulator's virtual
 // time and counters); host wall-clock lives in the repository benchmark,
 // which repeats its runs.  Per (engine, dir-shards), the `static` leg
@@ -18,9 +18,9 @@
 // compute/barrier/lock/fault/gc/idle bucket totals that sum exactly to the
 // total runtime; DESIGN.md §11) and the per-barrier-epoch timeline
 // (`epochs`, capped at 32 entries plus `epochs_total`: per-process stall,
-// message/byte deltas, placement moves) — plus one `--placement adaptive`
-// leg with the dsm.placement.{home_moves,shard_moves} counters (DESIGN.md
-// §9), and, at the first shard count, a traced-vs-untraced pair of reruns
+// message/byte deltas, home moves) — plus one `--placement adaptive` leg
+// with the dsm.placement.home_moves counter (DESIGN.md §9), and, at the
+// first shard count, a traced-vs-untraced pair of reruns
 // of the static leg (`trace_check`: the untraced rerun must carry zero
 // obs.* stats and identical counters, the fully-traced rerun writes
 // `--trace`, default BENCH_trace.json), and a `race_check` rerun of the
@@ -72,7 +72,6 @@ struct LegResult {
   std::int64_t lookups_shard = 0;
   std::int64_t placement_segments = 0;
   std::int64_t home_moves = 0;
-  std::int64_t shard_moves = 0;
 };
 
 std::vector<std::string> split_list(const std::string& list) {
@@ -135,7 +134,7 @@ int main(int argc, char** argv) {
           " nodes.  Fill = segments per envelope; MasterLkp = owner-lookup "
           "segments (page requests + directory rounds) inbound at the "
           "master.  The adaptive rows rerun the static leg with "
-          "--placement adaptive (home migration + shard rebalancing, "
+          "--placement adaptive (home migration under the home engine, "
           "DESIGN.md §9).");
 
   const dsm::EngineKind engines[] = {dsm::EngineKind::kLrc,
@@ -148,7 +147,7 @@ int main(int argc, char** argv) {
   util::JsonWriter json;
   json.begin_object();
   json.field("bench", "protocols");
-  json.field("schema_version", 10);
+  json.field("schema_version", 11);
   json.field("size", apps::size_name(size));
   json.field("nodes", nodes);
   json.field("fanout", dsm::fanout_name(fanout));
@@ -235,10 +234,8 @@ int main(int argc, char** argv) {
           r.lookups_shard =
               r.run.stats.counter("dsm.owner_lookups.shard_inbound");
           r.placement_segments =
-              r.run.stats.counter("dsm.seg.home_move.msgs") +
-              r.run.stats.counter("dsm.seg.shard_move.msgs");
+              r.run.stats.counter("dsm.seg.home_move.msgs");
           r.home_moves = r.run.stats.counter("dsm.placement.home_moves");
-          r.shard_moves = r.run.stats.counter("dsm.placement.shard_moves");
 
           const double fill =
               r.run.messages > 0 ? static_cast<double>(r.segments) /
@@ -279,7 +276,6 @@ int main(int argc, char** argv) {
           json.field("dir_delta_rounds",
                      r.run.stats.counter("dsm.dir.delta_rounds"));
           json.field("placement_home_moves", r.home_moves);
-          json.field("placement_shard_moves", r.shard_moves);
           json.field("checksum", r.run.checksum);
           if (r.run.trace.has_value()) {
             const obs::Report& rep = *r.run.trace;
@@ -309,7 +305,6 @@ int main(int argc, char** argv) {
               json.field("msgs", e.msgs);
               json.field("bytes", e.bytes);
               json.field("home_moves", e.home_moves);
-              json.field("shard_moves", e.shard_moves);
               json.begin_array("stalls");
               for (const auto& [proc, stall] : e.stalls) {
                 json.begin_object();

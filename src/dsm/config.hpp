@@ -41,18 +41,18 @@ enum class BackendKind : std::uint8_t {
   kReal,
 };
 
-/// Adaptive placement (DESIGN.md §9): whether the runtime monitors access
-/// traffic and migrates page homes / directory shards at GC rounds.
+/// Adaptive placement (DESIGN.md §9): whether the runtime monitors writes
+/// and migrates page homes at GC rounds.
 enum class PlacementMode : std::uint8_t {
-  /// Homes and shard holders stay wherever first touch / the initial
-  /// layout put them — byte-identical to the pre-placement protocol (no
-  /// placement segment is ever sent, no monitoring work is done).
+  /// Homes stay wherever first touch put them — byte-identical to the
+  /// pre-placement protocol (no placement segment is ever sent, no
+  /// monitoring work is done).
   kStatic,
-  /// The AccessMonitor aggregates per-page/per-holder traffic each epoch;
-  /// the PlacementPolicy re-homes pages to their dominant writer
-  /// (home-based engine) and moves directory shards off overloaded or
-  /// departing holders; the MigrationPlanner executes the moves by riding
-  /// the existing atomic GC commit round.
+  /// Under the home-based engine, the AccessMonitor aggregates per-page
+  /// write records each epoch and the PlacementPolicy re-homes pages to
+  /// their dominant writer; the moves ride the existing atomic GC commit
+  /// round.  Under lrc, whose GC already hands pages to their last
+  /// writers, it runs exactly the static path.
   kAdaptive,
 };
 
@@ -146,8 +146,8 @@ struct Knobs {
   Knobs();
 
   /// --backend / ANOW_BACKEND (DESIGN.md §14).  Under kReal, tracing, race
-  /// checking, adaptation events and adaptive placement are rejected at
-  /// start (they ride simulator-only machinery).
+  /// checking and adaptation events are rejected at start (they ride
+  /// simulator-only machinery).
   BackendKind backend = BackendKind::kSim;
   /// --engine / ANOW_ENGINE.
   EngineKind engine = EngineKind::kLrc;
@@ -195,17 +195,6 @@ struct DsmConfig : Knobs {
   /// Size of the global shared region; fixed for the lifetime of the system
   /// (TreadMarks pre-maps the shared heap).
   std::int64_t heap_bytes = 16ll << 20;
-
-  /// Placement hysteresis: a page re-homes only after the same sole writer
-  /// dominated it for this many consecutive monitoring windows (barrier
-  /// epochs).
-  int placement_hysteresis = 2;
-  /// A directory shard moves off its holder only when the holder's inbound
-  /// owner-lookup load exceeded placement_overload_factor times the
-  /// team-wide mean — and at least placement_min_lookups segments — for
-  /// placement_hysteresis consecutive windows.
-  double placement_overload_factor = 2.0;
-  std::int64_t placement_min_lookups = 128;
 
   /// Protocol for pages not covered by a protocol_override.
   Protocol default_protocol = Protocol::kMultiWriter;

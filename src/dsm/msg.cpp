@@ -83,22 +83,13 @@ struct WireSize {
     return 4 + static_cast<std::int64_t>(m.entries.size()) * 6;
   }
   std::int64_t operator()(const DirDeltaRequest& m) const {
-    // The want_slice flag is charged only when set, so --placement static
-    // requests weigh exactly what they did before the flag existed.
-    return 8 + static_cast<std::int64_t>(m.records.size()) * 6 +
-           (m.want_slice ? 1 : 0);
+    return 8 + static_cast<std::int64_t>(m.records.size()) * 6;
   }
   std::int64_t operator()(const DirDeltaReply& m) const {
-    return 8 + static_cast<std::int64_t>(m.delta.size()) * 6 +
-           (m.slice.empty()
-                ? 0
-                : 4 + static_cast<std::int64_t>(m.slice.size()) * 2);
+    return 8 + static_cast<std::int64_t>(m.delta.size()) * 6;
   }
   std::int64_t operator()(const HomeMove& m) const {
     return 4 + static_cast<std::int64_t>(m.entries.size()) * 6;
-  }
-  std::int64_t operator()(const ShardMove& m) const {
-    return 8 + static_cast<std::int64_t>(m.owners.size()) * 2;
   }
   std::int64_t operator()(const TreeArrive& m) const {
     std::int64_t total = 4;
@@ -124,8 +115,7 @@ constexpr const char* kSegmentKindNames[kNumSegmentKinds] = {
     "lock_grant",     "lock_release",   "fork",         "terminate",
     "join_ready",     "page_map",       "owner_query",  "owner_slice",
     "owner_update",   "dir_delta_request", "dir_delta_reply",
-    "home_move",      "shard_move",     "tree_arrive",  "tree_ack",
-    "tree_multicast",
+    "home_move",      "tree_arrive",    "tree_ack",     "tree_multicast",
 };
 
 static_assert(std::variant_size_v<Segment> == kNumSegmentKinds,

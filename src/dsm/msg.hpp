@@ -204,11 +204,6 @@ struct OwnerUpdate {
 struct DirDeltaRequest {
   std::int32_t shard = -1;
   OwnerDelta records;  // (page, last writer), page-ascending
-  /// Adaptive placement (DESIGN.md §9): the shard was chosen to move this
-  /// GC round, so the reply must also carry the authoritative pre-GC slice
-  /// contents (the master assembles the post-GC slice for the ShardMove).
-  /// Never set with --placement static.
-  bool want_slice = false;
   /// 0 = reply is routed to the master's GC state machine (barrier GC,
   /// event context); nonzero = fiber rendezvous (gc_at_fork).
   std::uint64_t cookie = 0;
@@ -219,19 +214,15 @@ struct DirDeltaRequest {
 struct DirDeltaReply {
   std::int32_t shard = -1;
   OwnerDelta delta;
-  /// The authoritative slice contents (local-index order), present exactly
-  /// when the request asked for them (want_slice).
-  std::vector<Uid> slice;
   std::uint64_t cookie = 0;
 };
 
 // --- adaptive placement (DESIGN.md §9) -------------------------------------
-// With --placement adaptive the MigrationPlanner executes the policy's
-// decisions by riding the GC commit round: both segments are *staged* on
-// the master's channel ahead of the GcPrepare fan-out, so they travel in
-// the prepare envelope and need no ack round of their own: the existing
-// GcAck already gates the commit.
-// Neither segment exists with --placement static.
+// With --placement adaptive under the home engine, DsmSystem executes the
+// policy's re-homes by riding the GC commit round: the notice is *staged*
+// on the master's channel ahead of the GcPrepare fan-out, so it travels in
+// the prepare envelope and needs no ack round of its own: the existing
+// GcAck already gates the commit.  It never exists with --placement static.
 
 /// Announces to a process the pages whose home the placement policy is
 /// moving *to it* this GC round (the re-homes themselves ride the commit's
@@ -239,18 +230,6 @@ struct DirDeltaReply {
 /// explicit adoption notice the new home counts and checks against).
 struct HomeMove {
   OwnerDelta entries;  // (page, new home == receiver)
-};
-
-/// Moves a directory shard's authority to a new holder.  Sent to the new
-/// holder with the post-GC slice contents (it adopts before processing the
-/// GcPrepare riding behind, whose delta application is then idempotent) and
-/// to the old holder with empty contents (it drops its slice).  The same
-/// segment re-homes a departing holder's slices to a survivor at leave
-/// adaptation points — the planner's replacement for the master fold.
-struct ShardMove {
-  std::int32_t shard = -1;
-  Uid new_holder = kNoUid;
-  std::vector<Uid> owners;  // empty = drop instruction for the old holder
 };
 
 // --- hierarchical control plane (DESIGN.md §12) ----------------------------
@@ -297,7 +276,7 @@ using Segment =
                  GcAck, LockAcquireReq, LockGrant, LockReleaseMsg, ForkMsg,
                  TerminateMsg, JoinReady, PageMapMsg, OwnerQuery, OwnerSlice,
                  OwnerUpdate, DirDeltaRequest, DirDeltaReply, HomeMove,
-                 ShardMove, TreeArrive, TreeAck, TreeMulticast>;
+                 TreeArrive, TreeAck, TreeMulticast>;
 
 struct TreeRoute {
   Uid dest = kNoUid;
@@ -332,12 +311,11 @@ enum class SegmentKind : std::uint8_t {
   kDirDeltaRequest,
   kDirDeltaReply,
   kHomeMove,
-  kShardMove,
   kTreeArrive,
   kTreeAck,
   kTreeMulticast,
 };
-constexpr int kNumSegmentKinds = 27;
+constexpr int kNumSegmentKinds = 26;
 
 inline SegmentKind segment_kind(const Segment& seg) {
   return static_cast<SegmentKind>(seg.index());

@@ -24,12 +24,6 @@ void AccessMonitor::record_write(PageId page, Uid writer) {
   ++ps.window_writes;
 }
 
-void AccessMonitor::record_lookup(Uid dest) {
-  const auto i = static_cast<std::size_t>(dest);
-  if (i >= lookups_.size()) lookups_.resize(i + 1, 0);
-  ++lookups_[i];
-}
-
 void AccessMonitor::end_window() {
   for (const PageId p : touched_) {
     PageStat& ps = pages_[static_cast<std::size_t>(p)];
@@ -54,21 +48,12 @@ void AccessMonitor::end_window() {
   }
   last_window_pages_ = std::move(touched_);
   touched_.clear();
-  last_window_lookups_ = std::move(lookups_);
-  lookups_.clear();
-  last_window_lookup_total_ = 0;
-  for (const std::int64_t n : last_window_lookups_) {
-    last_window_lookup_total_ += n;
-  }
 }
 
 void AccessMonitor::reset() {
   std::fill(pages_.begin(), pages_.end(), PageStat{});
   touched_.clear();
   last_window_pages_.clear();
-  lookups_.clear();
-  last_window_lookups_.clear();
-  last_window_lookup_total_ = 0;
 }
 
 }  // namespace anow::dsm::placement

@@ -1,21 +1,13 @@
 // AccessMonitor — the measurement half of the adaptive placement subsystem
 // (DESIGN.md §9).
 //
-// Aggregates, per monitoring *window* (one barrier epoch), the two traffic
-// signals the PlacementPolicy feeds on:
-//   * per-page write records — the (page, writer) pairs of every interval
-//     the master logs, i.e. exactly the write records the sharded GC
-//     already ships in DirDeltaRequest — the home-move dominance signal;
-//   * per-uid inbound owner-lookup counts (PageRequest / OwnerQuery /
-//     DirDeltaRequest by destination), tapped where the transport already
-//     walks every segment (DsmSystem::send_envelope) — the directory-load
-//     signal shard rebalancing acts on.
-// Neither needs an extra message or handler.
+// Aggregates, per monitoring *window* (one barrier epoch), the per-page
+// write records the PlacementPolicy feeds on: the (page, writer) pairs of
+// every interval the master logs.  It needs no extra message or handler.
 //
-// All hooks are O(1) appends/increments gated on --placement adaptive;
-// with --placement static the monitor is never called at all, which is
-// part of the static-is-byte-identical guarantee (and keeps the hot send
-// path free of even the branch cost the counters would add).
+// Every hook is an O(1) append gated on --placement adaptive under the
+// home engine; otherwise the monitor is never called at all, which is part
+// of the static-is-byte-identical guarantee.
 //
 // Window lifecycle: DsmSystem feeds records between barriers and calls
 // end_window() at each barrier; the monitor then folds the window into the
@@ -53,14 +45,11 @@ class AccessMonitor {
   // --- recording (adaptive mode only; event/handler context) -------------
   /// One write record: a logged interval's write notice (page, creator).
   void record_write(PageId page, Uid writer);
-  /// An owner-lookup segment (PageRequest/OwnerQuery/DirDeltaRequest)
-  /// inbound at `dest`.
-  void record_lookup(Uid dest);
 
   /// Folds the current window into the streaks (a page keeps its streak
   /// while sole-written by the same writer; mixed windows reset it;
   /// unwritten pages keep their streak — idleness is not evidence of a new
-  /// owner).  Decays the per-uid lookup loads to zero for the next window.
+  /// owner).
   void end_window();
 
   // --- policy-side queries ------------------------------------------------
@@ -72,13 +61,6 @@ class AccessMonitor {
   const PageStat& page(PageId p) const {
     return pages_[static_cast<std::size_t>(p)];
   }
-  /// Lookup load per uid over the window that just ended.
-  const std::vector<std::int64_t>& last_window_lookups() const {
-    return last_window_lookups_;
-  }
-  std::int64_t last_window_lookup_total() const {
-    return last_window_lookup_total_;
-  }
 
   /// Checkpoint restore / directory collapse: drop all state.
   void reset();
@@ -87,9 +69,6 @@ class AccessMonitor {
   std::vector<PageStat> pages_;
   std::vector<PageId> touched_;            // pages written this window
   std::vector<PageId> last_window_pages_;  // snapshot taken at end_window
-  std::vector<std::int64_t> lookups_;      // per uid, current window
-  std::vector<std::int64_t> last_window_lookups_;
-  std::int64_t last_window_lookup_total_ = 0;
 };
 
 }  // namespace anow::dsm::placement

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "dsm/placement/access_monitor.hpp"
-#include "util/check.hpp"
 
 namespace anow::dsm::placement {
 
@@ -22,10 +21,8 @@ void PlacementPolicy::note_owner_delta(const OwnerDelta& delta) {
   }
 }
 
-PlacementDecision PlacementPolicy::decide(
-    const AccessMonitor& monitor, const protocol::DirectoryShards& dir,
-    const std::vector<Uid>& team, bool home_engine) {
-  PlacementDecision out;
+OwnerDelta PlacementPolicy::decide(const AccessMonitor& monitor,
+                                  const std::vector<Uid>& team) const {
   // Team membership by uid (moves may only target live team members).
   Uid max_uid = kNoUid;
   for (const Uid u : team) max_uid = std::max(max_uid, u);
@@ -36,115 +33,22 @@ PlacementDecision PlacementPolicy::decide(
     return u >= 0 && u <= max_uid && in_team[static_cast<std::size_t>(u)];
   };
 
-  // --- page re-homes (home-based engine) --------------------------------
-  // A page moves to a writer that solely dominated it for
-  // placement_hysteresis consecutive windows.  Pages still at their
-  // default home are first-touch territory (assign_homes owns those); a
-  // page already homed at its dominant writer needs nothing.
-  if (home_engine) {
-    for (const PageId p : monitor.last_window_pages()) {
-      const PageStat& ps = monitor.page(p);
-      if (!ps.fresh ||
-          ps.streak < static_cast<std::uint16_t>(std::max(
-                          1, config_->placement_hysteresis))) {
-        continue;
-      }
-      const Uid writer = ps.streak_writer;
-      if (!is_member(writer)) continue;
-      if (shadow_owner(p) == writer) continue;
-      if (shadow_owner(p) == map_->default_holder_of_page(p)) continue;
-      out.home_moves.emplace_back(p, writer);
-    }
-    std::sort(out.home_moves.begin(), out.home_moves.end());
+  // A page moves to a writer that solely dominated it for kHysteresis
+  // consecutive windows.  Pages still at their default home are
+  // first-touch territory (assign_homes owns those); a page already homed
+  // at its dominant writer needs nothing.
+  OwnerDelta moves;
+  for (const PageId p : monitor.last_window_pages()) {
+    const PageStat& ps = monitor.page(p);
+    if (!ps.fresh || ps.streak < kHysteresis) continue;
+    const Uid writer = ps.streak_writer;
+    if (!is_member(writer)) continue;
+    if (shadow_owner(p) == writer) continue;
+    if (shadow_owner(p) == map_->default_holder_of_page(p)) continue;
+    moves.emplace_back(p, writer);
   }
-
-  // --- shard rebalancing -------------------------------------------------
-  // One shard per round, off a holder whose inbound owner-lookup load
-  // exceeded placement_overload_factor x the team mean (and an absolute
-  // floor) for placement_hysteresis consecutive windows.
-  if (dir.sharded() && team.size() > 1) {
-    const auto& loads = monitor.last_window_lookups();
-    auto load_of = [&](Uid u) -> std::int64_t {
-      const auto i = static_cast<std::size_t>(u);
-      return i < loads.size() ? loads[i] : 0;
-    };
-    const double mean =
-        static_cast<double>(monitor.last_window_lookup_total()) /
-        static_cast<double>(team.size());
-    if (overload_streak_.size() <= static_cast<std::size_t>(max_uid)) {
-      overload_streak_.resize(static_cast<std::size_t>(max_uid) + 1, 0);
-    }
-    // Current holders (a holder can hold several shards after moves).
-    std::vector<std::uint8_t> is_holder(static_cast<std::size_t>(max_uid + 1),
-                                        0);
-    for (int s = 0; s < dir.map().shards; ++s) {
-      const Uid h = dir.holder_of(s);
-      if (is_member(h)) is_holder[static_cast<std::size_t>(h)] = 1;
-    }
-    Uid worst = kNoUid;
-    for (const Uid u : team) {
-      auto& streak = overload_streak_[static_cast<std::size_t>(u)];
-      const bool overloaded =
-          is_holder[static_cast<std::size_t>(u)] &&
-          load_of(u) >= config_->placement_min_lookups &&
-          static_cast<double>(load_of(u)) >
-              config_->placement_overload_factor * mean;
-      streak = overloaded ? static_cast<std::uint16_t>(streak + 1) : 0;
-      if (streak < static_cast<std::uint16_t>(
-                       std::max(1, config_->placement_hysteresis))) {
-        continue;
-      }
-      if (worst == kNoUid || load_of(u) > load_of(worst) ||
-          (load_of(u) == load_of(worst) && u < worst)) {
-        worst = u;
-      }
-    }
-    if (worst != kNoUid) {
-      // Least-loaded other team member takes the overloaded holder's
-      // lowest shard; ties break toward the lower uid.
-      Uid target = kNoUid;
-      for (const Uid u : team) {
-        if (u == worst) continue;
-        if (target == kNoUid || load_of(u) < load_of(target) ||
-            (load_of(u) == load_of(target) && u < target)) {
-          target = u;
-        }
-      }
-      if (target != kNoUid) {
-        for (int s = 0; s < dir.map().shards; ++s) {
-          if (dir.holder_of(s) != worst) continue;
-          out.shard_moves.emplace_back(s, target);
-          overload_streak_[static_cast<std::size_t>(worst)] = 0;
-          break;
-        }
-      }
-    }
-  }
-  return out;
-}
-
-Uid PlacementPolicy::pick_leave_target(const AccessMonitor& monitor,
-                                       const std::vector<Uid>& team,
-                                       Uid leaver) const {
-  const auto& loads = monitor.last_window_lookups();
-  auto load_of = [&](Uid u) -> std::int64_t {
-    const auto i = static_cast<std::size_t>(u);
-    return i < loads.size() ? loads[i] : 0;
-  };
-  Uid best = kNoUid;
-  for (const Uid u : team) {
-    if (u == leaver || u == kMasterUid) continue;
-    if (best == kNoUid || load_of(u) < load_of(best) ||
-        (load_of(u) == load_of(best) && u < best)) {
-      best = u;
-    }
-  }
-  return best == kNoUid ? kMasterUid : best;
-}
-
-void PlacementPolicy::reset(const protocol::ShardMap& map) {
-  configure(map);
-  overload_streak_.clear();
+  std::sort(moves.begin(), moves.end());
+  return moves;
 }
 
 }  // namespace anow::dsm::placement

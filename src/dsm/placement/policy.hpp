@@ -2,18 +2,14 @@
 // (DESIGN.md §9).
 //
 // Reads the AccessMonitor's window aggregates at each barrier and decides
-//   * which pages should re-home to their dominant writer (home-based
-//     engine only: LRC's GC already moves owners to last writers, so page
-//     placement is the home engine's problem), and
-//   * which directory shards should move off overloaded holders, and where
-//     a departing holder's shards should go (the leave path's survivor
-//     pick).
+// which pages should re-home to their dominant writer.  Only the home-based
+// engine has page homes to move: LRC's GC already moves owners to last
+// writers, so DsmSystem runs the policy under --engine home alone.
 //
-// Both decisions are hysteresis-gated (DsmConfig::placement_* tunables) so
-// a page ping-ponging between writers or a holder with one noisy window
-// never triggers a move.  Decisions are *executed* by the MigrationPlanner
-// at the next GC round; the policy itself only reads state and keeps the
-// master-side owner shadow.
+// Decisions are hysteresis-gated (kHysteresis windows) so a page
+// ping-ponging between writers never triggers a move.  DsmSystem executes
+// them at the next GC round; the policy itself only reads state and keeps
+// the master-side owner shadow.
 //
 // The owner shadow: every ownership change in the system flows through the
 // master (GC commit deltas, first-touch assignments, leave-protocol
@@ -26,7 +22,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "dsm/config.hpp"
 #include "dsm/msg.hpp"
 #include "dsm/protocol/dir_shards.hpp"
 #include "dsm/types.hpp"
@@ -35,21 +30,14 @@ namespace anow::dsm::placement {
 
 class AccessMonitor;
 
-/// One GC round's worth of placement decisions.
-struct PlacementDecision {
-  /// Page re-homes (home-based engine): (page, dominant writer).
-  OwnerDelta home_moves;
-  /// Directory shard authority moves: (shard, new holder).
-  std::vector<std::pair<int, Uid>> shard_moves;
-
-  bool empty() const { return home_moves.empty() && shard_moves.empty(); }
-};
-
 class PlacementPolicy {
  public:
-  explicit PlacementPolicy(const DsmConfig& config) : config_(&config) {}
+  /// A page re-homes only after the same sole writer dominated it for this
+  /// many consecutive monitoring windows (barrier epochs).
+  static constexpr std::uint16_t kHysteresis = 2;
 
-  /// Seeds the owner shadow from the shard layout fixed at start().
+  /// Seeds the owner shadow from the shard layout fixed at start(), and
+  /// again after a checkpoint restore collapses the directory.
   void configure(const protocol::ShardMap& map);
 
   /// Keeps the owner shadow exact: called for every delta the master
@@ -61,29 +49,14 @@ class PlacementPolicy {
   }
 
   /// Evaluates the window that just ended (monitor.end_window() must have
-  /// run).  `team` is the current team by pid; `home_engine` enables page
-  /// re-homes.  Deterministic: ties break toward lower uids/shards.
-  PlacementDecision decide(const AccessMonitor& monitor,
-                           const protocol::DirectoryShards& dir,
-                           const std::vector<Uid>& team, bool home_engine);
-
-  /// The leave path's survivor pick: the least-loaded team member (by the
-  /// last window's lookup loads) other than `leaver`; prefers non-master
-  /// holders so folded authority spreads instead of re-concentrating, and
-  /// returns kMasterUid only when no other survivor exists.
-  Uid pick_leave_target(const AccessMonitor& monitor,
-                        const std::vector<Uid>& team, Uid leaver) const;
-
-  /// Checkpoint restore / directory collapse.
-  void reset(const protocol::ShardMap& map);
+  /// run): the (page, dominant writer) re-homes, page-ascending.  `team` is
+  /// the current team by pid; moves only target its members.
+  OwnerDelta decide(const AccessMonitor& monitor,
+                    const std::vector<Uid>& team) const;
 
  private:
-  const DsmConfig* config_;
   const protocol::ShardMap* map_ = nullptr;
   std::vector<Uid> owner_shadow_;
-  /// Consecutive windows each uid's lookup load exceeded the overload
-  /// threshold (shard-move hysteresis).
-  std::vector<std::uint16_t> overload_streak_;
 };
 
 }  // namespace anow::dsm::placement

@@ -573,7 +573,7 @@ void DsmProcess::barrier(std::int32_t barrier_id) {
     ANOW_CHECK_MSG(rel != nullptr, "unexpected instruction inside barrier");
     ANOW_CHECK(rel->barrier_id == barrier_id);
     // Idempotent after the prepare.
-    engine_->apply_delta_to_slices(rel->owner_delta);
+    engine_->apply_delta_to_slice(rel->owner_delta);
     engine_->integrate(rel->intervals);
     if (rel->gc_commit) {
       engine_->gc_commit_node(rel->owner_delta);
@@ -691,10 +691,10 @@ void DsmProcess::gc_validate(const OwnerDelta& owners) {
 
 void DsmProcess::handle_gc_prepare(const GcPrepare& gp) {
   obs::ScopedSpan span(tracer_, uid_, obs::SpanKind::kGcPrepare);
-  // A shard holder's authoritative slices adopt the delta at the prepare
+  // A shard holder's authoritative slice adopts the delta at the prepare
   // phase: by the time the master's gc_finish runs (all acks in), every
   // slice already answers queries with post-GC owners.
-  engine_->apply_delta_to_slices(gp.owners);
+  engine_->apply_delta_to_slice(gp.owners);
   engine_->note_gc_prepare();
   engine_->integrate(gp.intervals);
   gc_validate(gp.owners);
@@ -748,8 +748,6 @@ void DsmProcess::handle_segment(Segment seg, Uid src,
           handle_dir_delta_request(body, src);
         } else if constexpr (std::is_same_v<T, HomeMove>) {
           handle_home_move(body);
-        } else if constexpr (std::is_same_v<T, ShardMove>) {
-          handle_shard_move(std::move(body));
         } else if constexpr (std::is_same_v<T, PageReply>) {
           deliver_reply(body.cookie, std::move(seg), shared_envelope);
         } else if constexpr (std::is_same_v<T, DiffReply>) {
@@ -938,9 +936,9 @@ void DsmProcess::handle_owner_query(const OwnerQuery& query, Uid src) {
 }
 
 void DsmProcess::handle_owner_update(const OwnerUpdate& msg) {
-  ANOW_CHECK_MSG(engine_->holds_slices(),
+  ANOW_CHECK_MSG(engine_->holds_slice(),
                  "owner update reached non-holder " << uid_);
-  engine_->apply_delta_to_slices(msg.entries);
+  engine_->apply_delta_to_slice(msg.entries);
 }
 
 void DsmProcess::handle_dir_delta_request(const DirDeltaRequest& req,
@@ -952,9 +950,6 @@ void DsmProcess::handle_dir_delta_request(const DirDeltaRequest& req,
   DirDeltaReply reply;
   reply.shard = req.shard;
   reply.delta = slice->partial_delta(req.records);
-  // Placement slice fetch (DESIGN.md §9): the shard is moving this GC
-  // round, so the master also needs the authoritative pre-GC contents.
-  if (req.want_slice) reply.slice = slice->owners();
   reply.cookie = req.cookie;
   // A barrier-GC round's reply (cookie 0) climbs back through the holder's
   // parent — the request came down the tree, and the partial is relayed hop
@@ -974,9 +969,10 @@ void DsmProcess::handle_dir_delta_request(const DirDeltaRequest& req,
 }
 
 // ---------------------------------------------------------------------------
-// Adaptive placement (DESIGN.md §9; event context).  Both segments ride the
-// GcPrepare envelope (staged ahead of it on the master's channel), so they
-// are applied before the prepare is processed — no ack round of their own.
+// Adaptive placement (DESIGN.md §9; event context).  The HomeMove notice
+// rides the GcPrepare envelope (staged ahead of it on the master's channel),
+// so it is applied before the prepare is processed — no ack round of its
+// own.
 // ---------------------------------------------------------------------------
 
 void DsmProcess::handle_home_move(const HomeMove& msg) {
@@ -992,22 +988,6 @@ void DsmProcess::handle_home_move(const HomeMove& msg) {
   }
   system_.stats().counter("dsm.placement.home_moves_adopted") +=
       static_cast<std::int64_t>(msg.entries.size());
-}
-
-void DsmProcess::handle_shard_move(ShardMove msg) {
-  if (msg.new_holder == uid_) {
-    // Adoption: the master shipped the authoritative (post-GC when riding
-    // a prepare) contents; the GcPrepare behind this segment re-applies
-    // its delta to the new slice, which is idempotent.
-    engine_->adopt_dir_slice(msg.shard, system_.shard_map(),
-                             std::move(msg.owners));
-    system_.stats().counter("dsm.placement.shard_adoptions")++;
-    return;
-  }
-  // Drop instruction for the old holder: authority moved to msg.new_holder.
-  ANOW_CHECK_MSG(msg.owners.empty(),
-                 "shard move with contents delivered to old holder " << uid_);
-  engine_->drop_dir_slice(msg.shard);
 }
 
 void DsmProcess::handle_diff_request(const DiffRequest& req, Uid /*src*/) {
@@ -1287,7 +1267,7 @@ void DsmProcess::run_task(const ForkMsg& fork) {
   apply_team(fork.team);
   // Queued ownership transfers (leave protocol) riding the fork; GC
   // entries were already applied at the prepare.
-  engine_->apply_delta_to_slices(fork.owner_delta);
+  engine_->apply_delta_to_slice(fork.owner_delta);
   engine_->integrate(fork.intervals);
   if (race_ != nullptr) race_->on_fork_join(uid_);
   if (fork.gc_commit) {

@@ -139,7 +139,6 @@ class DsmProcess {
   void handle_dir_delta_request(const DirDeltaRequest& req, Uid src);
   // Adaptive placement (DESIGN.md §9), node side.
   void handle_home_move(const HomeMove& msg);
-  void handle_shard_move(ShardMove msg);
 
   // --- hierarchical control plane (DESIGN.md §12) ----------------------------
   /// The vehicle rule at the master's edge: this process's barrier arrival

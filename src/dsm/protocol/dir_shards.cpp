@@ -88,12 +88,6 @@ void DirectoryShards::fold(int shard, std::vector<Uid> owners) {
   });
 }
 
-void DirectoryShards::move_holder(int shard, Uid new_holder) {
-  ANOW_CHECK_MSG(new_holder != kMasterUid,
-                 "shard move to the master must go through fold()");
-  holders_[static_cast<std::size_t>(shard)] = new_holder;
-}
-
 void DirectoryShards::collapse_to_master() {
   ANOW_CHECK_MSG(records_total_ == 0,
                  "directory collapse with buffered write records");

@@ -116,11 +116,6 @@ class DirSlice {
         owners_(static_cast<std::size_t>(map.pages_in_shard(shard)),
                 holder) {}
 
-  /// Adoption of a moved shard (placement ShardMove, DESIGN.md §9): the
-  /// new holder installs the authoritative contents shipped to it.
-  DirSlice(int shard, const ShardMap& map, std::vector<Uid> owners)
-      : shard_(shard), map_(map), owners_(std::move(owners)) {}
-
   int shard() const { return shard_; }
   bool contains(PageId p) const { return map_.shard_of(p) == shard_; }
 
@@ -200,11 +195,6 @@ class DirectoryShards {
   /// Re-adopts a shard at the master with the given authoritative contents
   /// (leave of its holder; `owners` comes from the final OwnerQuery).
   void fold(int shard, std::vector<Uid> owners);
-  /// Adaptive placement (DESIGN.md §9): records that a shard's authority
-  /// moved to a new remote holder.  The slice contents travel to the new
-  /// holder as a ShardMove segment; the master only tracks routing here.
-  /// Moving *to* the master goes through fold() instead (contents needed).
-  void move_holder(int shard, Uid new_holder);
   /// Restore path: every shard back to the master, every owner to the
   /// master (the directory collapses to the unsharded layout).
   void collapse_to_master();

@@ -45,48 +45,24 @@ void ConsistencyEngine::attach_node(Uid self, std::uint8_t* region,
   }
   if (dir.slice_shard >= 0) {
     ANOW_CHECK(dir.hint_map != nullptr);
-    dir_slices_.push_back(std::make_unique<DirSlice>(dir.slice_shard,
-                                                     *dir.hint_map, self_));
+    dir_slice_ =
+        std::make_unique<DirSlice>(dir.slice_shard, *dir.hint_map, self_);
   }
   on_attach_node();
 }
 
 DirSlice* ConsistencyEngine::dir_slice(int shard) {
-  for (auto& slice : dir_slices_) {
-    if (slice->shard() == shard) return slice.get();
-  }
-  return nullptr;
+  return holds_slice() && dir_slice_->shard() == shard ? dir_slice_.get()
+                                                        : nullptr;
 }
 
 const DirSlice* ConsistencyEngine::dir_slice(int shard) const {
-  for (const auto& slice : dir_slices_) {
-    if (slice->shard() == shard) return slice.get();
-  }
-  return nullptr;
+  return holds_slice() && dir_slice_->shard() == shard ? dir_slice_.get()
+                                                        : nullptr;
 }
 
-void ConsistencyEngine::apply_delta_to_slices(const OwnerDelta& delta) {
-  for (auto& slice : dir_slices_) slice->apply_delta(delta);
-}
-
-void ConsistencyEngine::adopt_dir_slice(int shard, const ShardMap& map,
-                                        std::vector<Uid> owners) {
-  ANOW_CHECK_MSG(dir_slice(shard) == nullptr,
-                 "node " << self_ << " already holds shard " << shard);
-  ANOW_CHECK(static_cast<PageId>(owners.size()) == map.pages_in_shard(shard));
-  dir_slices_.push_back(
-      std::make_unique<DirSlice>(shard, map, std::move(owners)));
-}
-
-void ConsistencyEngine::drop_dir_slice(int shard) {
-  for (auto& slice : dir_slices_) {
-    if (slice->shard() != shard) continue;
-    slice = std::move(dir_slices_.back());
-    dir_slices_.pop_back();
-    return;
-  }
-  ANOW_CHECK_MSG(false, "node " << self_ << " asked to drop shard " << shard
-                                << " it does not hold");
+void ConsistencyEngine::apply_delta_to_slice(const OwnerDelta& delta) {
+  if (holds_slice()) dir_slice_->apply_delta(delta);
 }
 
 OwnerDelta ConsistencyEngine::stage_owner_moves(const OwnerDelta& moves) {
@@ -109,7 +85,7 @@ void ConsistencyEngine::configure_directory(const ShardMap& map) {
 }
 
 void ConsistencyEngine::reset_directory_node_state() {
-  dir_slices_.clear();
+  dir_slice_.reset();
   for (PageId p = 0; p < num_pages(); ++p) {
     PageMeta& pm = page(p);
     // Pre-fork there can be no twins or pending notices anywhere (no

@@ -130,21 +130,15 @@ class ConsistencyEngine {
 
   /// The authoritative owner slice of `shard`, if this node holds it
   /// (null otherwise; the master's slices live in the master-side
-  /// directory).  A node starts with at most its own default shard but can
-  /// adopt more through placement ShardMoves (DESIGN.md §9).
+  /// directory).  A node holds at most its own default shard, from start
+  /// until it leaves (its authority then folds to the master).
   DirSlice* dir_slice(int shard);
   const DirSlice* dir_slice(int shard) const;
-  bool holds_slices() const { return !dir_slices_.empty(); }
+  bool holds_slice() const { return dir_slice_ != nullptr; }
 
-  /// Applies a GC/commit delta to every slice this node holds (each slice
-  /// filters to its own range; idempotent).
-  void apply_delta_to_slices(const OwnerDelta& delta);
-  /// Placement ShardMove, new-holder side: installs the authoritative
-  /// contents of a shard moved to this node.
-  void adopt_dir_slice(int shard, const ShardMap& map,
-                       std::vector<Uid> owners);
-  /// Placement ShardMove, old-holder side: drops the moved-away slice.
-  void drop_dir_slice(int shard);
+  /// Applies a GC/commit delta to the slice this node holds, if any (the
+  /// slice filters to its own range; idempotent).
+  void apply_delta_to_slice(const OwnerDelta& delta);
 
   /// Checkpoint-restore collapse of a sharded directory (pre-fork only):
   /// drops this node's slice and seeded copies and points every hint back
@@ -327,7 +321,7 @@ class ConsistencyEngine {
   /// validated at the prepare phase exactly like first-touch assignments.
   /// Returns the subset actually staged (entries whose page already has a
   /// pending assignment this round, is still first-touch territory, or
-  /// already lives at the target are skipped) — the planner sends the new
+  /// already lives at the target are skipped) — DsmSystem sends the new
   /// homes their adoption notices from it.  Only the home-based engine
   /// owns page homes; the base implementation rejects non-empty lists.
   virtual OwnerDelta stage_owner_moves(const OwnerDelta& moves);
@@ -405,9 +399,9 @@ class ConsistencyEngine {
   std::int64_t archive_bytes_ = 0;
   std::int64_t twin_bytes_ = 0;
   PendingNotices pending_;
-  /// Authoritative owner slices this node holds (its own default shard at
-  /// start; placement ShardMoves adopt/drop more at GC rounds).
-  std::vector<std::unique_ptr<DirSlice>> dir_slices_;
+  /// The authoritative owner slice this node holds: its own default
+  /// shard, when it is a holder of the initial team.
+  std::unique_ptr<DirSlice> dir_slice_;
 
   // Master-side state.
   DirectoryShards dir_;

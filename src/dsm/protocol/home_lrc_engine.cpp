@@ -416,9 +416,8 @@ bool HomeLrcEngine::gc_should_run(std::int64_t max_consistency_bytes) const {
 
 OwnerDelta HomeLrcEngine::gc_begin(
     std::vector<std::pair<int, OwnerDelta>> remote_partials) {
-  // Home-based GC never records writes, so every partial must be empty —
-  // the only DirDeltaRequests a home-engine GC sends are the placement
-  // planner's slice fetches (want_slice, no records).
+  // Home-based GC never records writes, so it plans no DirDeltaRequest and
+  // no partial can carry an entry.
   for (const auto& [shard, partial] : remote_partials) {
     (void)shard;
     ANOW_CHECK(partial.empty());

@@ -12,7 +12,7 @@
 namespace anow::dsm {
 
 DsmSystem::DsmSystem(sim::Cluster& cluster, DsmConfig config)
-    : cluster_(cluster), config_(config), policy_(config_) {
+    : cluster_(cluster), config_(config) {
   ANOW_CHECK(config_.heap_bytes > 0);
   ANOW_CHECK_MSG(config_.heap_bytes % static_cast<std::int64_t>(kPageSize) ==
                      0,
@@ -24,17 +24,13 @@ DsmSystem::DsmSystem(sim::Cluster& cluster, DsmConfig config)
   if (config_.backend == BackendKind::kReal) {
     // Simulator-only machinery is rejected up front rather than silently
     // producing wrong numbers: the tracer and race detector timestamp with
-    // virtual time, and adaptive placement taps send_envelope from many
-    // threads (DESIGN.md §14).
+    // virtual time (DESIGN.md §14).
     ANOW_CHECK_MSG(config_.trace_file.empty(),
                    "--trace requires the simulator clock; rerun with "
                    "--backend sim");
     ANOW_CHECK_MSG(config_.race_check == RaceCheckMode::kOff,
                    "--race-check rides the simulator's interval machinery; "
                    "rerun with --backend sim");
-    ANOW_CHECK_MSG(config_.placement == PlacementMode::kStatic,
-                   "--placement adaptive is not supported under "
-                   "--backend real");
     ANOW_CHECK_MSG(cluster_.trace() == nullptr,
                    "tracing is not supported under --backend real");
   } else {
@@ -78,9 +74,12 @@ DsmSystem::DsmSystem(sim::Cluster& cluster, DsmConfig config)
   engine_->set_checker(checker_.get());
 #endif
   shard_map_ = protocol::ShardMap(num_pages(), 1);
-  placement_adaptive_ = config_.placement == PlacementMode::kAdaptive;
-  // The subsystem's own guarantee: static runs never execute placement
-  // code — not even the per-page table allocations here.
+  // Only the home engine has page homes to move: LRC's GC already hands
+  // each page to its last writer, so under lrc the policy has nothing to
+  // decide and adaptive runs take the static path.  Static runs never
+  // execute placement code — not even the per-page table allocations here.
+  placement_adaptive_ = config_.placement == PlacementMode::kAdaptive &&
+                        config_.engine == EngineKind::kHomeLrc;
   if (placement_adaptive_) {
     monitor_.attach(num_pages());
     policy_.configure(shard_map_);
@@ -318,24 +317,8 @@ void DsmSystem::expel(Uid uid) {
   if (dir.sharded()) {
     for (int s = 0; s < dir.map().shards; ++s) {
       if (dir.holder_of(s) != uid) continue;
-      std::vector<Uid> owners = shard_slice(s);
-      // Adaptive placement re-homes the folded slice to a surviving
-      // holder (the least-loaded one) instead of re-concentrating
-      // authority at the master; the ShardMove departs before the
-      // terminate below, and per-pair FIFO makes any later query or
-      // delta round to the new holder see the adopted slice.
-      const Uid target = placement_adaptive_
-                             ? policy_.pick_leave_target(monitor_, team_, uid)
-                             : kMasterUid;
-      if (target != kMasterUid && is_alive(target)) {
-        channel(kMasterUid).send(target,
-                                 ShardMove{s, target, std::move(owners)});
-        dir.move_holder(s, target);
-        stats().counter("dsm.placement.shard_moves")++;
-      } else {
-        dir.fold(s, std::move(owners));
-        stats().counter("dsm.dir.folds")++;
-      }
+      dir.fold(s, shard_slice(s));
+      stats().counter("dsm.dir.folds")++;
     }
   }
   switch (config_.pid_strategy) {
@@ -708,27 +691,47 @@ void DsmSystem::placement_note_interval(const Interval& interval) {
 
 void DsmSystem::evaluate_placement() {
   monitor_.end_window();
-  if (planner_.has_work()) return;  // a round is already armed
-  auto decision =
-      policy_.decide(monitor_, engine_->dir(), team_,
-                     config_.engine == EngineKind::kHomeLrc);
-  if (decision.empty()) return;
+  if (!placement_moves_.empty()) return;  // a round is already armed
+  OwnerDelta moves = policy_.decide(monitor_, team_);
+  if (moves.empty()) return;
   stats().counter("dsm.placement.decisions")++;
   if (tracer_ != nullptr) {
     tracer_->instant(kMasterUid, "placement_round",
-                     static_cast<std::int64_t>(decision.home_moves.size() +
-                                               decision.shard_moves.size()));
+                     static_cast<std::int64_t>(moves.size()));
   }
-  planner_.set_decision(std::move(decision));
+  placement_moves_ = std::move(moves);
   // The moves ride this very barrier's GC round (gc_should_run sees the
   // request below); no extra message exists outside that round.
   engine_->request_gc();
 }
 
+void DsmSystem::stage_placement_moves() {
+  if (placement_moves_.empty()) return;
+  gc_home_moves_ = engine_->stage_owner_moves(placement_moves_);
+}
+
+void DsmSystem::stage_home_move_notices() {
+  // The re-homes themselves are in the round's delta (stage_owner_moves);
+  // this is the adoption notice, one per new home.  The master itself
+  // never needs one.
+  std::vector<std::pair<Uid, OwnerDelta>> by_home;
+  for (const auto& [page, home] : gc_home_moves_) {
+    if (home == kMasterUid) continue;
+    auto it = std::find_if(by_home.begin(), by_home.end(),
+                           [home](const auto& e) { return e.first == home; });
+    if (it == by_home.end()) it = by_home.insert(it, {home, {}});
+    it->second.emplace_back(page, home);
+  }
+  for (auto& [home, entries] : by_home) {
+    if (!is_alive(home)) continue;
+    channel(kMasterUid).stage(home, HomeMove{std::move(entries)});
+  }
+}
+
 void DsmSystem::placement_note_gc_commit(const OwnerDelta& delta) {
   if (!placement_adaptive_) return;
   policy_.note_owner_delta(delta);
-  planner_.clear();
+  placement_moves_.clear();
   gc_home_moves_.clear();
 }
 
@@ -742,19 +745,13 @@ void DsmSystem::begin_gc_at_barrier() {
   // Placement page re-homes join the engine's pending commit delta now,
   // before the delta is assembled, so they ride the same atomic commit as
   // first-touch assignments (DESIGN.md §9).
-  if (placement_adaptive_ && planner_.has_work()) {
-    gc_home_moves_ = engine_->stage_owner_moves(planner_.decision().home_moves);
-  }
+  stage_placement_moves();
   // Sharded delta collection first (event context, so the fan-out to the
   // shard holders is asynchronous; on_dir_delta_reply resumes the GC once
   // every partial is in).  With an unsharded directory or no remote write
   // records the delta is computed locally and the prepare fan-out starts
-  // at once — the historical single-step path.  Shards slated to move get
-  // their authoritative contents fetched on the same round (want_slice).
+  // at once — the historical single-step path.
   auto requests = engine_->plan_dir_delta_requests();
-  if (placement_adaptive_ && planner_.has_work()) {
-    planner_.add_slice_requests(requests, engine_->dir());
-  }
   if (requests.empty()) {
     start_gc_prepare(engine_->gc_begin({}));
     return;
@@ -776,7 +773,6 @@ void DsmSystem::begin_gc_at_barrier() {
 
 void DsmSystem::on_dir_delta_reply(DirDeltaReply msg) {
   ANOW_CHECK(gc_in_progress_ && dir_partials_outstanding_ > 0);
-  if (!msg.slice.empty()) planner_.note_slice(msg.shard, std::move(msg.slice));
   dir_partials_.emplace_back(msg.shard, std::move(msg.delta));
   if (--dir_partials_outstanding_ > 0) return;
   auto partials = std::move(dir_partials_);
@@ -786,23 +782,18 @@ void DsmSystem::on_dir_delta_reply(DirDeltaReply msg) {
 
 void DsmSystem::start_gc_prepare(OwnerDelta delta) {
   gc_delta_ = std::move(delta);
-  // Placement moves ride the prepare fan-out: ShardMove (adopt/drop) and
-  // HomeMove segments staged here depart inside — or, unbuffered,
-  // immediately before — each target's GcPrepare envelope below.  The
-  // GcAcks that already gate the commit double as the adoption barrier.
-  if (placement_adaptive_ && (planner_.has_work() || !gc_home_moves_.empty())) {
-    planner_.stage_moves(engine_->dir(), channel(kMasterUid), gc_delta_,
-                         gc_home_moves_,
-                         [this](Uid u) { return is_alive(u); }, stats());
-  }
+  // HomeMove notices staged here depart inside each new home's GcPrepare
+  // envelope below.  The GcAcks that already gate the commit double as
+  // the adoption barrier.
+  stage_home_move_notices();
   gc_acks_outstanding_ = static_cast<int>(team_.size());
   std::vector<std::pair<Uid, Segment>> routed;
   for (Uid uid : team_) {
     GcPrepare gp;
     gp.owners = gc_delta_;
     gp.intervals = engine_->collect_undelivered(uid);
-    // The fan-out delivers any staged HomeMove/ShardMove ahead of each
-    // prepare, keeping the adopt-before-prepare order.  The master's own
+    // The fan-out delivers any staged HomeMove ahead of each prepare,
+    // keeping the adopt-before-prepare order.  The master's own
     // prepare is a self-send — it is the root.
     if (uid == kMasterUid) {
       channel(kMasterUid).send(uid, std::move(gp));
@@ -815,9 +806,6 @@ void DsmSystem::start_gc_prepare(OwnerDelta delta) {
 
 OwnerDelta DsmSystem::collect_gc_delta() {
   auto requests = engine_->plan_dir_delta_requests();
-  if (placement_adaptive_ && planner_.has_work()) {
-    planner_.add_slice_requests(requests, engine_->dir());
-  }
   std::vector<std::pair<int, OwnerDelta>> partials;
   if (!requests.empty()) {
     stats().counter("dsm.dir.delta_rounds")++;
@@ -840,9 +828,6 @@ OwnerDelta DsmSystem::collect_gc_delta() {
         rt_->wait(pr->wp, "dir delta reply");
       }
       auto& reply = std::get<DirDeltaReply>(pr->seg);
-      if (!reply.slice.empty()) {
-        planner_.note_slice(reply.shard, std::move(reply.slice));
-      }
       partials.emplace_back(shard, std::move(reply.delta));
       master.erase_reply(cookie);
     }
@@ -894,9 +879,7 @@ void DsmSystem::gc_at_fork() {
   close_master_interval();
 
   stats().counter("dsm.gc_runs")++;
-  if (placement_adaptive_ && planner_.has_work()) {
-    gc_home_moves_ = engine_->stage_owner_moves(planner_.decision().home_moves);
-  }
+  stage_placement_moves();
   OwnerDelta delta = collect_gc_delta();
 
   // Deliver pending intervals + validate at the master first (fiber
@@ -911,11 +894,7 @@ void DsmSystem::gc_at_fork() {
   gc_in_progress_ = true;
   gc_delta_ = delta;
   gc_resume_ = GcResume::kForkHook;
-  if (placement_adaptive_ && (planner_.has_work() || !gc_home_moves_.empty())) {
-    planner_.stage_moves(engine_->dir(), channel(kMasterUid), gc_delta_,
-                         gc_home_moves_,
-                         [this](Uid u) { return is_alive(u); }, stats());
-  }
+  stage_home_move_notices();
   gc_acks_outstanding_ = static_cast<int>(team_.size()) - 1;
   if (gc_acks_outstanding_ > 0) {
     // A slave parked at the join barrier with a staged release gets
@@ -1043,8 +1022,8 @@ void DsmSystem::restore_master_region(const std::vector<std::uint8_t>& region,
   master.heap_sync();
   if (placement_adaptive_) {
     monitor_.reset();
-    policy_.reset(shard_map_);
-    planner_.clear();
+    policy_.configure(shard_map_);
+    placement_moves_.clear();
     gc_home_moves_.clear();
   }
 }
@@ -1188,13 +1167,11 @@ void DsmSystem::send_envelope(Uid to, Envelope env) {
     }
     // Owner-lookup load by destination: page-location requests and
     // directory rounds landing on the master are the serialisation point
-    // the sharded directory spreads out (DESIGN.md §8), and the load signal
-    // adaptive placement moves shards on (§9).
+    // the sharded directory spreads out (DESIGN.md §8).
     const auto k = static_cast<SegmentKind>(kind);
     if (k == SegmentKind::kPageRequest || k == SegmentKind::kOwnerQuery ||
         k == SegmentKind::kDirDeltaRequest) {
       (*(to == kMasterUid ? ctr_lookups_master_ : ctr_lookups_shard_))++;
-      if (placement_adaptive_) monitor_.record_lookup(to);
     }
   }
   // wire_bytes() must be taken before the capture moves env (argument

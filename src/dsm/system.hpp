@@ -23,7 +23,6 @@
 #include "dsm/config.hpp"
 #include "dsm/msg.hpp"
 #include "dsm/placement/access_monitor.hpp"
-#include "dsm/placement/planner.hpp"
 #include "dsm/placement/policy.hpp"
 #include "dsm/process.hpp"
 #include "dsm/protocol/engine.hpp"
@@ -224,16 +223,24 @@ class DsmSystem {
 
   void barrier_complete();
   void release_barrier();
-  // --- adaptive placement (DESIGN.md §9; all no-ops under --placement
-  // static, which is byte-identical to the pre-placement protocol) --------
+  // --- adaptive placement (DESIGN.md §9; all no-ops unless
+  // placement_adaptive_, so static runs are byte-identical to the
+  // pre-placement protocol) ---------------------------------------------
   /// Rolls the monitoring window at a barrier and, when the policy wants
-  /// moves, arms the planner and requests a GC so the moves ride this very
-  /// barrier's commit round.
+  /// moves, arms them and requests a GC so they ride this very barrier's
+  /// commit round.
   void evaluate_placement();
   /// Feeds a logged interval's write notices to the monitor.
   void placement_note_interval(const Interval& interval);
+  /// Stages the armed re-homes into the engine's pending commit delta, so
+  /// they ride the GC round about to be assembled.
+  void stage_placement_moves();
+  /// One HomeMove adoption notice per new home, staged on the master's
+  /// channel so it rides that node's GcPrepare (the GcAcks that gate the
+  /// commit double as the adoption barrier).
+  void stage_home_move_notices();
   /// Keeps the policy's owner shadow exact across every delta the master
-  /// commits, and closes the planner's round after a GC.
+  /// commits, and disarms the round's moves after a GC.
   void placement_note_gc_commit(const OwnerDelta& delta);
   /// Closes and logs the master's open sequential-section interval (fork
   /// and gc_at_fork are release points for the master).  No-op when every
@@ -303,15 +310,17 @@ class DsmSystem {
   /// map, last-writer tracking, GC policy (DESIGN.md §5).
   std::unique_ptr<protocol::ConsistencyEngine> engine_;
 
-  /// Adaptive placement (DESIGN.md §9): traffic monitoring, the migration
-  /// policy, and the planner that executes its decisions at GC rounds.
-  /// Inert under --placement static (placement_adaptive_ gates every hook).
+  /// Adaptive placement (DESIGN.md §9): write monitoring and the re-home
+  /// policy.  placement_adaptive_ gates every hook; it is set only for
+  /// --placement adaptive under the home engine, the one engine with page
+  /// homes to move.
   bool placement_adaptive_ = false;
   placement::AccessMonitor monitor_;
   placement::PlacementPolicy policy_;
-  placement::MigrationPlanner planner_;
-  /// Page re-homes staged into the current GC round's pending delta (the
-  /// subset of the policy's decision the engine accepted).
+  /// The policy's re-homes, armed at a barrier for the next GC round.
+  OwnerDelta placement_moves_;
+  /// The subset of placement_moves_ the engine staged into the current GC
+  /// round's pending delta (the new homes get HomeMove notices).
   OwnerDelta gc_home_moves_;
 
   /// The cluster's TraceRecorder, cached at construction (null = tracing

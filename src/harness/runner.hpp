@@ -22,7 +22,7 @@ namespace anow::harness {
 /// One run: the workload, the team, the adaptation schedule, and the DSM
 /// knobs (inherited; each defaults to its ANOW_* environment variable).
 /// Real-backend runs report wall-clock seconds and cannot trace,
-/// race-check, use adaptive placement, or take adaptation events.
+/// race-check, or take adaptation events.
 struct RunConfig : dsm::Knobs {
   std::string app = "jacobi";
   apps::Size size = apps::Size::kBench;

@@ -210,16 +210,12 @@ void TraceRecorder::note_barrier_release() {
   const std::int64_t msgs = stats_.counter_value("net.messages");
   const std::int64_t bytes = stats_.counter_value("net.bytes");
   const std::int64_t homes = stats_.counter_value("dsm.placement.home_moves");
-  const std::int64_t shards =
-      stats_.counter_value("dsm.placement.shard_moves");
   rec.msgs = msgs - last_msgs_;
   rec.bytes = bytes - last_bytes_;
   rec.home_moves = homes - last_home_moves_;
-  rec.shard_moves = shards - last_shard_moves_;
   last_msgs_ = msgs;
   last_bytes_ = bytes;
   last_home_moves_ = homes;
-  last_shard_moves_ = shards;
   epochs_.push_back(std::move(rec));
 
   if (opts_.record_events) {

@@ -113,7 +113,6 @@ struct EpochRecord {
   std::int64_t msgs = 0;      // net.messages delta over the epoch
   std::int64_t bytes = 0;     // net.bytes delta
   std::int64_t home_moves = 0;
-  std::int64_t shard_moves = 0;
 };
 
 /// Finalized per-run attribution + timeline, cheap to copy into RunResult.
@@ -225,7 +224,6 @@ class TraceRecorder {
   std::int64_t last_msgs_ = 0;
   std::int64_t last_bytes_ = 0;
   std::int64_t last_home_moves_ = 0;
-  std::int64_t last_shard_moves_ = 0;
   bool finalized_ = false;
 };
 

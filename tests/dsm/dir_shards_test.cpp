@@ -239,16 +239,10 @@ TEST_P(DirShardsAdaptTest, HolderLeaveAndJoinKeepResultsIntact) {
   EXPECT_EQ(adapted.checksum, baseline.checksum);
   EXPECT_GE(adapted.leaves, 1);
   if (shards > 1) {
-    // A departing shard holder's authority must go somewhere: to the
-    // master (static fold) or to a surviving holder (adaptive placement
-    // re-home, DESIGN.md §9) when the suite runs under ANOW_PLACEMENT.
-    if (Knobs().placement == PlacementMode::kAdaptive) {
-      EXPECT_GE(adapted.stats.counter("dsm.placement.shard_moves"), 1)
-          << "a departing holder's slice must re-home to a survivor";
-    } else {
-      EXPECT_GE(adapted.stats.counter("dsm.dir.folds"), 1)
-          << "a departing shard holder must fold its slice to the master";
-    }
+    // Under either placement a departing shard holder's authority folds
+    // to the master.
+    EXPECT_GE(adapted.stats.counter("dsm.dir.folds"), 1)
+        << "a departing shard holder must fold its slice to the master";
   } else {
     EXPECT_EQ(adapted.stats.counter("dsm.dir.folds"), 0);
   }

@@ -147,18 +147,13 @@ struct SegmentEq {
   }
   static bool eq(const DirDeltaRequest& a, const DirDeltaRequest& b) {
     return a.shard == b.shard && a.records == b.records &&
-           a.want_slice == b.want_slice && a.cookie == b.cookie;
+           a.cookie == b.cookie;
   }
   static bool eq(const DirDeltaReply& a, const DirDeltaReply& b) {
-    return a.shard == b.shard && a.delta == b.delta && a.slice == b.slice &&
-           a.cookie == b.cookie;
+    return a.shard == b.shard && a.delta == b.delta && a.cookie == b.cookie;
   }
   static bool eq(const HomeMove& a, const HomeMove& b) {
     return a.entries == b.entries;
-  }
-  static bool eq(const ShardMove& a, const ShardMove& b) {
-    return a.shard == b.shard && a.new_holder == b.new_holder &&
-           a.owners == b.owners;
   }
   static bool eq(const TreeArrive& a, const TreeArrive& b) {
     if (a.barrier_id != b.barrier_id ||
@@ -365,32 +360,13 @@ Segment random_segment(util::Rng& rng) {
       return OwnerUpdate{random_delta(rng)};
     case 20:
       return DirDeltaRequest{static_cast<std::int32_t>(rng.next_below(8)),
-                             random_delta(rng), rng.next_bool(0.3),
-                             rng.next_u64()};
-    case 21: {
-      DirDeltaReply r;
-      r.shard = static_cast<std::int32_t>(rng.next_below(8));
-      r.delta = random_delta(rng);
-      const auto n = rng.next_below(24);
-      for (std::uint64_t i = 0; i < n; ++i) {
-        r.slice.push_back(static_cast<Uid>(rng.next_below(8)));
-      }
-      r.cookie = rng.next_u64();
-      return r;
-    }
+                             random_delta(rng), rng.next_u64()};
+    case 21:
+      return DirDeltaReply{static_cast<std::int32_t>(rng.next_below(8)),
+                           random_delta(rng), rng.next_u64()};
     case 22:
       return HomeMove{random_delta(rng)};
     case 23: {
-      ShardMove m;
-      m.shard = static_cast<std::int32_t>(rng.next_below(8));
-      m.new_holder = static_cast<Uid>(rng.next_below(8));
-      const auto n = rng.next_below(24);
-      for (std::uint64_t i = 0; i < n; ++i) {
-        m.owners.push_back(static_cast<Uid>(rng.next_below(8)));
-      }
-      return m;
-    }
-    case 24: {
       TreeArrive t;
       t.barrier_id = static_cast<std::int32_t>(rng.next_below(16));
       const auto nf = rng.next_below(3);
@@ -410,7 +386,7 @@ Segment random_segment(util::Rng& rng) {
       }
       return t;
     }
-    case 25:
+    case 24:
       return TreeAck{static_cast<std::int32_t>(1 + rng.next_below(8))};
     default: {
       // TreeMulticast: shallow routes of non-tree segments (the runtime

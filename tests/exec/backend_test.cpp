@@ -9,11 +9,11 @@
 //    run under --backend sim and --backend real, must produce bit-identical
 //    checksums and agree on the deterministic protocol statistics, with no
 //    park ending on the runtime's lost-wakeup ceiling — also on one CPU,
-//    where every wait parks;
+//    where every wait parks, and with adaptive placement re-homing pages;
 //  * error paths: everything that needs the virtual clock (tracing, race
-//    checking, adaptive placement, adaptation events) is rejected up front
-//    with a util::CheckError under --backend real, and in checked builds an
-//    access outside every declared range dies.
+//    checking, adaptation events) is rejected up front with a
+//    util::CheckError under --backend real, and in checked builds an access
+//    outside every declared range dies.
 #include <gtest/gtest.h>
 #include <pthread.h>
 #include <sched.h>
@@ -255,26 +255,31 @@ TEST(RealRuntime, UsableCpusCountsTheAffinityMask) {
 // Differential: sim vs real
 // ---------------------------------------------------------------------------
 
-/// Pins the knobs --backend real refuses, so an ambient ANOW_PLACEMENT,
-/// ANOW_RACE_CHECK or ANOW_TRACE cannot turn a real-backend config into a
-/// guard failure.  The guard tests below set exactly one of them back.
+/// Pins the knobs --backend real refuses, so an ambient ANOW_RACE_CHECK or
+/// ANOW_TRACE cannot turn a real-backend config into a guard failure.  The
+/// guard tests below set exactly one of them back.
 harness::RunConfig real_compatible(harness::RunConfig cfg) {
-  cfg.placement = dsm::PlacementMode::kStatic;
   cfg.race_check = dsm::RaceCheckMode::kOff;
   cfg.trace_file.clear();
   return cfg;
 }
 
-harness::RunResult run_once(const std::string& app, dsm::BackendKind backend,
-                            dsm::EngineKind engine, int nprocs = 4) {
+harness::RunConfig test_config(const std::string& app,
+                               dsm::BackendKind backend,
+                               dsm::EngineKind engine) {
   harness::RunConfig cfg;
   cfg.app = app;
   cfg.size = apps::Size::kTest;
-  cfg.nprocs = nprocs;
+  cfg.nprocs = 4;
   cfg.adaptive = false;
   cfg.backend = backend;
   cfg.engine = engine;
-  return harness::run_workload(real_compatible(cfg));
+  return real_compatible(cfg);
+}
+
+harness::RunResult run_once(const std::string& app, dsm::BackendKind backend,
+                            dsm::EngineKind engine) {
+  return harness::run_workload(test_config(app, backend, engine));
 }
 
 class BackendDifferential
@@ -357,6 +362,39 @@ INSTANTIATE_TEST_SUITE_P(
              dsm::enum_name(std::get<1>(info.param));
     });
 
+// Adaptive placement runs on the master's thread under both backends: the
+// write records it decides on come from the logged intervals, which the
+// workload fixes, so real must re-home the same pages in the same GC rounds.
+class BackendPlacement : public ::testing::TestWithParam<int> {};
+
+TEST_P(BackendPlacement, AdaptiveRealMatchesSim) {
+  const int shards = GetParam();
+  auto run = [shards](dsm::BackendKind backend) {
+    harness::RunConfig cfg =
+        test_config("hotspot", backend, dsm::EngineKind::kHomeLrc);
+    cfg.dir_shards = shards;
+    cfg.placement = dsm::PlacementMode::kAdaptive;
+    return harness::run_workload(cfg);
+  };
+  const harness::RunResult sim = run(dsm::BackendKind::kSim);
+  const harness::RunResult real = run(dsm::BackendKind::kReal);
+  ASSERT_GT(sim.stats.counter("dsm.placement.home_moves"), 0)
+      << "hotspot under the home engine must re-home pages";
+  EXPECT_EQ(real.checksum, sim.checksum);
+  for (const char* name :
+       {"dsm.placement.home_moves", "dsm.placement.home_moves_adopted",
+        "dsm.gc_runs"}) {
+    EXPECT_EQ(real.stats.counter(name), sim.stats.counter(name)) << name;
+  }
+  EXPECT_EQ(real.stats.counters.count("exec.park_timeouts"), 1u);
+  EXPECT_EQ(real.stats.counter("exec.park_timeouts"), 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(Shards, BackendPlacement, ::testing::Values(1, 4),
+                         [](const auto& info) {
+                           return "shards" + std::to_string(info.param);
+                         });
+
 TEST(BackendDifferential, SimIsDeterministic) {
   // Pinning --backend sim must stay byte-identical run to run: same
   // checksum, same full stats snapshot.
@@ -401,12 +439,6 @@ TEST(BackendGuards, RaceCheckRejectedUnderReal) {
   EXPECT_THROW(harness::run_workload(cfg), util::CheckError);
 }
 
-TEST(BackendGuards, AdaptivePlacementRejectedUnderReal) {
-  harness::RunConfig cfg = real_config();
-  cfg.placement = dsm::PlacementMode::kAdaptive;
-  EXPECT_THROW(harness::run_workload(cfg), util::CheckError);
-}
-
 TEST(BackendGuards, AdaptEventsRejectedUnderReal) {
   harness::RunConfig cfg = real_config();
   cfg.adaptive = true;
@@ -426,7 +458,6 @@ TEST(BackendDeathTest, MasterCheckFailureIsReported) {
         dsm::DsmConfig cfg;
         cfg.heap_bytes = 1 << 20;
         cfg.backend = dsm::BackendKind::kReal;
-        cfg.placement = dsm::PlacementMode::kStatic;
         cfg.race_check = dsm::RaceCheckMode::kOff;
         cfg.trace_file.clear();
         dsm::DsmSystem sys(cluster, cfg);
@@ -455,7 +486,6 @@ TEST(BackendDeathTest, UndeclaredLoadDiesInCheckedBuilds) {
         cfg.heap_bytes = 1 << 20;
         cfg.backend = dsm::BackendKind::kReal;
         cfg.dir_shards = 1;  // the master alone starts with valid pages
-        cfg.placement = dsm::PlacementMode::kStatic;
         cfg.race_check = dsm::RaceCheckMode::kOff;
         cfg.trace_file.clear();
         dsm::DsmSystem sys(cluster, cfg);

@@ -93,8 +93,8 @@ SEND_ENVELOPE_WHITELIST = {
 # the rare-event placement counters).  Lower is fine; higher fails.
 
 STATS_LOOKUP_BASELINE = {
-    "src/dsm/process.cpp": 3,
-    "src/dsm/system.cpp": 12,
+    "src/dsm/process.cpp": 2,
+    "src/dsm/system.cpp": 11,
     "src/dsm/channel.hpp": 0,
     "src/dsm/protocol/lrc_engine.cpp": 3,
     "src/dsm/protocol/home_lrc_engine.cpp": 5,
@@ -115,12 +115,12 @@ FAULT_HANDLER_INSTALL = re.compile(
 
 # --- rule 5: collective fan-outs go through fan_out_instructions ---------
 # Baseline = the reviewed direct sends: point-to-point messages (lock
-# grants, shard moves, the expel-time terminate, the joiner's page map),
+# grants, the expel-time terminate, the joiner's page map),
 # the master fiber's directory RPC rounds, the master's self-sends, and
 # fan_out_instructions' own send.
 
 MASTER_SEND_BASELINE = {
-    "src/dsm/system.cpp": 10,
+    "src/dsm/system.cpp": 9,
 }
 
 MODE_PREDICATES = ["topology_.active", "topology().active",
