@@ -101,7 +101,7 @@ void ProtocolChecker::on_epoch_logged(
 
 void ProtocolChecker::note_arena_reset(std::int64_t outstanding_views) const {
   ANOW_CHECK_MSG(outstanding_views == 0,
-                 "diff arena reset with " << outstanding_views
+                 "diff arena released with " << outstanding_views
                                           << " archived DiffView(s) still "
                                              "pointing into it");
 }

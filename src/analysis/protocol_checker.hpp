@@ -64,8 +64,8 @@ class ProtocolChecker {
                        const std::vector<dsm::Protocol>& protocol);
 
   // --- arena lifetime ------------------------------------------------------
-  /// The diff arena is about to be reset: no archived DiffView may still
-  /// point into it (gc_commit_node must clear the archives first).
+  /// The diff arena is about to be released: no archived DiffView may
+  /// still point into it (the GC commit must clear the archives first).
   void note_arena_reset(std::int64_t outstanding_views) const;
 
   // --- adaptation ----------------------------------------------------------

@@ -58,7 +58,7 @@ DsmProcess::DsmProcess(DsmSystem& system, Uid uid, sim::HostId host)
   // on demand with hints at the pages' default holders (DESIGN.md §8).
   // The engine works on the protocol view: serve/install/diff-apply must
   // not depend on the app view's protections.
-  engine_->attach_node(uid_, heap_->prot_base(), system_.num_pages(),
+  engine_->attach_node(uid_, *heap_, system_.num_pages(),
                        system_.protocol_table(), system_.stats(),
                        system_.node_dir_init_for(uid_));
   engine_->set_checker(checker_);

@@ -86,6 +86,7 @@ class DsmProcess {
   /// The protocol view (always readable/writable): checkpoint snapshots and
   /// region restores go through here, never through the protected app view.
   std::uint8_t* region_data() { return heap_->prot_base(); }
+  const exec::ProcessHeap& heap() const { return *heap_; }
 
   // --- synchronization (fiber context) ---------------------------------------
   void barrier(std::int32_t barrier_id);

@@ -3,19 +3,22 @@
 #include "dsm/debug.hpp"
 #include "dsm/protocol/home_lrc_engine.hpp"
 #include "dsm/protocol/lrc_engine.hpp"
+#include "exec/heap.hpp"
 #include "util/check.hpp"
 
 namespace anow::dsm::protocol {
 
-void ConsistencyEngine::attach_node(Uid self, std::uint8_t* region,
+void ConsistencyEngine::attach_node(Uid self, exec::ProcessHeap& heap,
                                     PageId num_pages,
                                     const std::vector<Protocol>& protocol,
                                     util::StatsRegistry& stats,
                                     const NodeDirInit& dir) {
   ANOW_CHECK_MSG(pages_.empty() && dir_.map().num_pages == 0,
                  "engine already attached");
+  ANOW_CHECK(heap.npages() >= num_pages);
   self_ = self;
-  region_ = region;
+  heap_ = &heap;
+  region_ = heap.prot_base();
   protocol_ = &protocol;
   stats_ = &stats;
   pages_ = std::vector<PageMeta>(static_cast<std::size_t>(num_pages));
@@ -116,6 +119,75 @@ bool ConsistencyEngine::note_exclusive_write(PageId p) {
   pm.exclusive_rw = true;
   pm.exclusive_epoch = epoch_;
   return true;
+}
+
+void ConsistencyEngine::gc_commit_node(const OwnerDelta& delta) {
+  on_gc_commit();
+  for (const auto& [p, owner] : delta) {
+    page(p).owner_hint = owner;
+  }
+  // Dropped frames go back to the heap one run of consecutive pages at a
+  // time: [drop_first, drop_end).
+  PageId drop_first = 0;
+  PageId drop_end = 0;
+  auto discard_run = [&] {
+    if (drop_end > drop_first) {
+      heap_->discard(drop_first, drop_end - drop_first);
+    }
+  };
+  for (PageId p = 0; p < num_pages(); ++p) {
+    PageMeta& pm = page(p);
+    if (pm.dirty) {
+      // Only possible via a serve of an exclusive page while the fiber is
+      // parked at the barrier (the conservative twin path); exclusivity
+      // is only granted to the owner.  Keep dirty (and any twin): the next
+      // release point announces the notice.
+      ANOW_CHECK_MSG(pm.owner_hint == self_,
+                     "dirty non-owned page " << p << " at GC commit");
+      pm.applied.clear();
+      continue;
+    }
+    if (pm.twin != nullptr) {
+      // Lazy twin whose diff was never requested; after the commit nobody
+      // can ever need it (all stale copies are dropped below).
+      pm.twin.reset();
+      pm.twin_iseq = 0;
+      twin_bytes_ -= static_cast<std::int64_t>(kPageSize);
+    }
+    if (pm.owner_hint == self_) {
+      ANOW_CHECK_MSG(pm.have_copy && pm.pending.empty(),
+                     "owned page " << p << " not valid at GC commit");
+      // Every other copy is dropped (on its holder), so the owner's copy is
+      // provably sole — unless it was served after the GC prepare, in
+      // which case the requester may already have committed and kept the
+      // copy: no exclusivity then.
+      if (pm.last_served <= gc_prepare_serve_seq_) {
+        ANOW_ETRACE(p, "gc: granted exclusivity");
+        pm.exclusive = true;
+        pm.exclusive_rw = false;
+        pm.exclusive_epoch = -1;
+      }
+    } else {
+      // Drop non-owned copies even when valid; this makes exclusivity
+      // sound and is why a join needs only the page->owner map (§4.1).
+      if (pm.have_copy) {
+        ANOW_ETRACE(p, "gc: dropped copy, owner now " << pm.owner_hint);
+        if (p != drop_end) {
+          discard_run();
+          drop_first = p;
+        }
+        drop_end = p + 1;
+      }
+      pm.have_copy = false;
+      pending_.clear(pm.pending);
+      pm.exclusive = false;
+      pm.exclusive_rw = false;
+    }
+    pm.applied.clear();
+  }
+  discard_run();
+  ANOW_CHECK_MSG(pending_.count() == 0,
+                 "pending notices survived the GC commit at uid " << self_);
 }
 
 void ConsistencyEngine::settle_pending(PageId p, const AppliedMap& applied,

@@ -40,6 +40,10 @@ namespace anow::analysis {
 class ProtocolChecker;
 }  // namespace anow::analysis
 
+namespace anow::exec {
+class ProcessHeap;
+}  // namespace anow::exec
+
 namespace anow::dsm::protocol {
 
 /// Flat per-page protocol state (one entry per page of the shared region).
@@ -118,13 +122,15 @@ class ConsistencyEngine {
   }
 
   // ========================= node side ===================================
-  /// Binds this engine to one process.  `region` is the process's local copy
-  /// of the shared heap (stable for the engine's lifetime).  `dir` seeds the
+  /// Binds this engine to one process.  `heap` holds the process's local
+  /// copy of the shared region (stable for the engine's lifetime): the
+  /// engine works on its protocol view and gives it back the frames of the
+  /// copies a GC commit drops.  `dir` seeds the
   /// node's directory role: the [seed_first, seed_end) range it starts with
   /// a valid+exclusive copy of (the master's whole heap when unsharded, a
   /// holder's own range when sharded), the initial owner hints, and the
   /// authoritative DirSlice if this node holds one (DESIGN.md §8).
-  void attach_node(Uid self, std::uint8_t* region, PageId num_pages,
+  void attach_node(Uid self, exec::ProcessHeap& heap, PageId num_pages,
                    const std::vector<Protocol>& protocol,
                    util::StatsRegistry& stats, const NodeDirInit& dir);
 
@@ -240,9 +246,12 @@ class ConsistencyEngine {
   /// Pages this node will own after the delta and must make fully valid.
   virtual std::vector<PageId> gc_pages_to_validate(
       const OwnerDelta& owners) = 0;
-  /// Drops consistency metadata and stale copies; applies the owner delta
-  /// and re-grants exclusivity where provably sound.
-  virtual void gc_commit_node(const OwnerDelta& delta) = 0;
+  /// Applies the owner delta, drops every non-owned copy (handing its
+  /// frame back to the heap, one discard per run of pages) and every lazy
+  /// twin, clears consistency metadata, and re-grants exclusivity where
+  /// provably sound.  The one GC commit of both engines; engine-specific
+  /// work runs in on_gc_commit.
+  void gc_commit_node(const OwnerDelta& delta);
 
   /// Pages the process must make fully valid (fiber context, blocking
   /// fetches allowed) *before* `delta` may be applied as owner hints.
@@ -359,6 +368,9 @@ class ConsistencyEngine {
   /// attach_master once the base state is in place.
   virtual void on_attach_node() {}
   virtual void on_attach_master() {}
+  /// Engine-specific GC commit work, before the page sweep: the LRC engine
+  /// releases its diff archive, the home engine checks every twin flushed.
+  virtual void on_gc_commit() {}
   /// Master side: an owner entry changed outside a GC commit (set_owner,
   /// queue_owner_update, reset).  Home-based engines track first-touch
   /// assignability here.
@@ -387,7 +399,8 @@ class ConsistencyEngine {
 
   // Node-side state.
   Uid self_ = kNoUid;
-  std::uint8_t* region_ = nullptr;
+  exec::ProcessHeap* heap_ = nullptr;
+  std::uint8_t* region_ = nullptr;  // heap_'s protocol view
   const std::vector<Protocol>* protocol_ = nullptr;
   std::vector<PageMeta> pages_;
   std::vector<PageId> dirty_pages_;

@@ -254,46 +254,11 @@ std::vector<PageId> HomeLrcEngine::gc_pages_to_validate(
   return pages_to_validate_before_delta(owners);
 }
 
-void HomeLrcEngine::gc_commit_node(const OwnerDelta& delta) {
-  for (const auto& [p, owner] : delta) {
-    page(p).owner_hint = owner;
-  }
-  for (PageId p = 0; p < num_pages(); ++p) {
-    PageMeta& pm = page(p);
-    if (pm.dirty) {
-      // Only possible via a serve of an exclusive page while the fiber is
-      // parked at the barrier; exclusivity implies we are the home.
-      ANOW_CHECK_MSG(pm.owner_hint == self_,
-                     "dirty non-home page " << p << " at GC commit");
-      pm.applied.clear();
-      continue;
-    }
-    ANOW_CHECK_MSG(pm.twin == nullptr,
-                   "unflushed twin for page " << p << " at GC commit");
-    if (pm.owner_hint == self_) {
-      ANOW_CHECK_MSG(pm.have_copy && pm.pending.empty(),
-                     "home page " << p << " not valid at GC commit");
-      // All other copies are dropped below, so the home's copy is provably
-      // sole — unless it was served after the GC prepare.
-      if (pm.last_served <= gc_prepare_serve_seq_) {
-        ANOW_ETRACE(p, "gc: granted exclusivity");
-        pm.exclusive = true;
-        pm.exclusive_rw = false;
-        pm.exclusive_epoch = -1;
-      }
-    } else {
-      if (pm.have_copy) {
-        ANOW_ETRACE(p, "gc: dropped copy, home " << pm.owner_hint);
-      }
-      pm.have_copy = false;
-      pending_.clear(pm.pending);
-      pm.exclusive = false;
-      pm.exclusive_rw = false;
-    }
-    pm.applied.clear();
-  }
-  ANOW_CHECK_MSG(pending_.count() == 0,
-                 "pending notices survived the GC commit at uid " << self_);
+void HomeLrcEngine::on_gc_commit() {
+  // A non-home twin lives from its interval's end to the release flush,
+  // which every GC commit follows.
+  ANOW_CHECK_MSG(flush_pages_.empty(),
+                 "unflushed twins at GC commit at uid " << self_);
 }
 
 // ---------------------------------------------------------------------------

@@ -62,7 +62,6 @@ class HomeLrcEngine final : public ConsistencyEngine {
   Interval finish_interval() override;
 
   std::vector<PageId> gc_pages_to_validate(const OwnerDelta& owners) override;
-  void gc_commit_node(const OwnerDelta& delta) override;
   std::vector<PageId> pages_to_validate_before_delta(
       const OwnerDelta& delta) override;
 
@@ -88,6 +87,7 @@ class HomeLrcEngine final : public ConsistencyEngine {
  protected:
   void on_attach_node() override;
   void on_attach_master() override;
+  void on_gc_commit() override;
   void on_owner_changed(PageId p, Uid owner) override;
   void on_owners_reset() override;
 

@@ -33,17 +33,25 @@ class IntervalDirectory {
   /// A fresh lamport stamp: one per barrier epoch / lock transfer.
   std::int64_t next_stamp() { return ++lamport_clock_; }
 
-  /// Logs one non-empty interval under its already-assigned stamp.
+  /// Logs one non-empty interval under its already-assigned stamp.  A
+  /// creator's iseqs rise through its log, which collect_undelivered's
+  /// binary search relies on.
   void log(Interval interval) {
     if (interval.iseq == 0) return;  // empty interval: never logged
     ANOW_CHECK(!interval.notices.empty());
+    auto& log = log_[static_cast<std::size_t>(interval.creator)];
+    ANOW_CHECK_MSG(log.empty() || interval.iseq > log.back().iseq,
+                   "interval " << interval.creator << ":" << interval.iseq
+                               << " logged after " << interval.creator
+                               << ":" << log.back().iseq);
     delivered_.raise(interval.creator, interval.creator, interval.iseq);
-    log_[static_cast<std::size_t>(interval.creator)].push_back(
-        std::move(interval));
+    log.push_back(std::move(interval));
   }
 
   /// Intervals the target has not seen yet, in causal order; marks them
-  /// delivered.
+  /// delivered.  Each creator's scan starts at its first undelivered
+  /// interval, so a call costs what it returns, not the whole log: the
+  /// log only grows between GCs, and some runs never collect.
   std::vector<Interval> collect_undelivered(Uid target) {
     delivered_.ensure(target);
     std::vector<Interval> out;
@@ -53,9 +61,10 @@ class IntervalDirectory {
       const auto& log = log_[static_cast<std::size_t>(creator)];
       if (log.empty()) continue;
       const std::int32_t high = delivered_.get(target, creator);
-      for (const auto& iv : log) {
-        if (iv.iseq > high) out.push_back(iv);
-      }
+      const auto first = std::upper_bound(
+          log.begin(), log.end(), high,
+          [](std::int32_t h, const Interval& iv) { return h < iv.iseq; });
+      out.insert(out.end(), first, log.end());
       delivered_.raise(target, creator, log.back().iseq);
     }
     std::sort(out.begin(), out.end(),

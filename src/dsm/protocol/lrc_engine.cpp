@@ -40,7 +40,7 @@ void LrcEngine::materialize_diff(PageId p) {
   PageMeta& pm = page(p);
   ANOW_CHECK(pm.twin != nullptr && !pm.dirty && pm.twin_iseq > 0);
   // Encoded straight into the per-generation arena: no vector round trip,
-  // and GC frees the whole archive with one reset (DESIGN.md §10).
+  // and GC frees the whole archive with one release (DESIGN.md §10).
   // Creation cost is a handler-side scan; charged as elapsed time by the
   // caller because materialization happens in both fiber and handler
   // contexts.
@@ -297,62 +297,13 @@ std::vector<PageId> LrcEngine::gc_pages_to_validate(const OwnerDelta& owners) {
   return need;
 }
 
-void LrcEngine::gc_commit_node(const OwnerDelta& delta) {
-  for (const auto& [p, owner] : delta) {
-    page(p).owner_hint = owner;
-  }
-  for (PageId p = 0; p < num_pages(); ++p) {
-    PageMeta& pm = page(p);
-    if (pm.dirty) {
-      // Only possible via a serve of an exclusive page while the fiber is
-      // parked at the barrier (the conservative twin path); we must own
-      // such a page.
-      ANOW_CHECK_MSG(pm.owner_hint == self_,
-                     "dirty non-owned page " << p << " at GC commit");
-      // Keep dirty + twin: the next release point announces the notice.
-      // The page is no longer exclusive (someone just got a copy).
-      pm.applied.clear();
-      continue;
-    }
-    if (pm.twin != nullptr) {
-      // Lazy twin whose diff was never requested; after the commit nobody
-      // can ever need it (all stale copies are dropped below).
-      pm.twin.reset();
-      pm.twin_iseq = 0;
-      twin_bytes_ -= static_cast<std::int64_t>(kPageSize);
-    }
-    if (pm.owner_hint == self_) {
-      ANOW_CHECK_MSG(pm.have_copy && pm.pending.empty(),
-                     "owned page " << p << " not validated at GC commit");
-      // Every other copy is dropped below (on its holder), so the owner's
-      // copy is provably sole — unless it was served after the GC prepare,
-      // in which case the requester may already have committed and kept
-      // the copy: no exclusivity then.
-      if (pm.last_served <= gc_prepare_serve_seq_) {
-        ANOW_ETRACE(p, "gc: granted exclusivity");
-        pm.exclusive = true;
-        pm.exclusive_rw = false;
-        pm.exclusive_epoch = -1;
-      }
-    } else {
-      // Drop non-owned copies even when valid; this makes exclusivity
-      // sound and is why a join needs only the page->owner map (§4.1).
-      if (pm.have_copy) {
-        ANOW_ETRACE(p, "gc: dropped copy, owner now " << pm.owner_hint);
-      }
-      pm.have_copy = false;
-      pending_.clear(pm.pending);
-      pm.exclusive = false;
-      pm.exclusive_rw = false;
-    }
-    pm.applied.clear();
-  }
-  ANOW_CHECK_MSG(pending_.count() == 0,
-                 "pending notices survived the GC commit at uid " << self_);
+void LrcEngine::on_gc_commit() {
+  // No stale copy survives the commit, so no diff can be requested again.
   for (auto& archive : own_diffs_) archive.clear();
-  // Use-after-reset guard (DESIGN.md §13): every arena-backed DiffView is
-  // archive-held, so none may remain once the archives clear.  Count what
-  // is still held at the reset and let the checker assert it is zero.
+  // Use-after-release guard (DESIGN.md §13): every arena-backed DiffView
+  // is archive-held, so none may remain once the archives clear.  Count
+  // what is still held at the release and let the checker assert it is
+  // zero.
   if (checker_ != nullptr) {
     std::int64_t outstanding = 0;
     for (const auto& archive : own_diffs_) {
@@ -360,7 +311,7 @@ void LrcEngine::gc_commit_node(const OwnerDelta& delta) {
     }
     checker_->note_arena_reset(outstanding);
   }
-  diff_arena_.reset();  // frees every archived diff's bytes wholesale
+  diff_arena_.release();  // every archived diff's bytes go back at once
   archive_bytes_ = 0;
 }
 

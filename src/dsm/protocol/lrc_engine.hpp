@@ -46,7 +46,11 @@ class LrcEngine final : public ConsistencyEngine {
   Interval finish_interval() override;
 
   std::vector<PageId> gc_pages_to_validate(const OwnerDelta& owners) override;
-  void gc_commit_node(const OwnerDelta& delta) override;
+
+  /// Chunk storage the diff archive's arena holds (0 after a GC commit).
+  std::size_t diff_arena_reserved() const {
+    return diff_arena_.bytes_reserved();
+  }
 
   // --- master side ---------------------------------------------------------
   void note_uid(Uid uid) override;
@@ -62,6 +66,7 @@ class LrcEngine final : public ConsistencyEngine {
  protected:
   void on_attach_node() override;
   void on_attach_master() override;
+  void on_gc_commit() override;
 
  private:
   /// Per-page archive of this node's own diffs, appended in iseq order
@@ -83,8 +88,8 @@ class LrcEngine final : public ConsistencyEngine {
 
   // Node side.
   std::vector<std::vector<ArchivedDiff>> own_diffs_;
-  /// Backs every archived diff of the current GC generation; reset (all
-  /// chunks recycled at once) in gc_commit_node when the archives clear.
+  /// Backs every archived diff of the current GC generation; released
+  /// (every chunk freed at once) at the GC commit that clears the archives.
   util::Arena diff_arena_;
   analysis::ProtocolChecker* checker_ = nullptr;
   util::StatsRegistry::Counter* ctr_diffs_created_ = nullptr;

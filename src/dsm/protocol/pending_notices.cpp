@@ -58,6 +58,7 @@ void PendingNotices::prune(PendingList& list, const AppliedMap& applied) {
   auto& records = list.records_;
   records.erase(std::remove_if(records.begin(), records.end(), covered),
                 records.end());
+  if (records.empty()) clear(list);
 }
 
 bool PendingNotices::cover_all(PendingList& list,
@@ -71,7 +72,7 @@ bool PendingNotices::cover_all(PendingList& list,
 
 void PendingNotices::clear(PendingList& list) {
   pending_count_ -= list.notices();
-  list.records_.clear();
+  std::vector<PendingNotice>().swap(list.records_);
 }
 
 }  // namespace anow::dsm::protocol

@@ -17,7 +17,9 @@
 //
 // PendingNotices is the one place that changes a list, and it keeps the
 // node's count of the notices its lists stand for: the count the GC model
-// charges (ConsistencyEngine::consistency_bytes).
+// charges (ConsistencyEngine::consistency_bytes).  A list it empties hands
+// its storage back, so a GC commit, which empties every list, leaves the
+// node holding no record storage at all.
 #pragma once
 
 #include <cstdint>
@@ -36,6 +38,8 @@ class PendingList {
   bool empty() const { return records_.empty(); }
   /// Records stored: one per notice or one per writer (see above).
   std::size_t records() const { return records_.size(); }
+  /// Records the list has room for; 0 whenever the list is empty.
+  std::size_t capacity() const { return records_.capacity(); }
   /// Notices the records stand for.
   std::int64_t notices() const;
   auto begin() const { return records_.begin(); }
@@ -64,6 +68,7 @@ class PendingNotices {
   /// must resolve the page).  The list is cleared either way; the caller
   /// fails the protocol check on false.
   bool cover_all(PendingList& list, const AppliedMap& applied);
+  /// Drops every record and hands the list's storage back.
   void clear(PendingList& list);
   /// Notices held across every list of the node.
   std::int64_t count() const { return pending_count_; }

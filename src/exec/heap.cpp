@@ -1,6 +1,8 @@
 #include "exec/heap.hpp"
 
+#include <fcntl.h>
 #include <sys/mman.h>
+#include <sys/stat.h>
 #include <sys/syscall.h>
 #include <unistd.h>
 
@@ -38,6 +40,12 @@ SimHeap::SimHeap(std::size_t bytes) : view_(bytes) {
   ANOW_CHECK(mprotect(app_, bytes, PROT_READ | PROT_WRITE) == 0);
 }
 
+void SimHeap::discard(std::int32_t first, std::int32_t count) {
+  ANOW_CHECK(madvise(prot_ + static_cast<std::size_t>(first) * kPageBytes,
+                     static_cast<std::size_t>(count) * kPageBytes,
+                     MADV_DONTNEED) == 0);
+}
+
 RealHeap::RealHeap(std::size_t bytes) : prot_view_(bytes), app_view_(bytes) {
   ANOW_CHECK_MSG(static_cast<std::size_t>(sysconf(_SC_PAGESIZE)) == kPageBytes,
                  "real backend requires 4 KiB hardware pages");
@@ -49,17 +57,30 @@ RealHeap::RealHeap(std::size_t bytes) : prot_view_(bytes), app_view_(bytes) {
   // starts PROT_NONE (every page invalid) and is opened per page by
   // set_access.  A fresh memfd reads as zeros and holds no page until one
   // is written.
-  const int fd =
-      static_cast<int>(syscall(SYS_memfd_create, "anow-heap", 0u));
-  ANOW_CHECK_MSG(fd >= 0, "memfd_create failed");
-  const bool mapped = ftruncate(fd, static_cast<off_t>(bytes)) == 0 &&
-                      map_view(prot_, bytes, PROT_READ | PROT_WRITE, fd) &&
-                      map_view(app_, bytes, PROT_NONE, fd);
-  close(fd);  // mappings keep the pages alive
+  fd_ = static_cast<int>(syscall(SYS_memfd_create, "anow-heap", 0u));
+  ANOW_CHECK_MSG(fd_ >= 0, "memfd_create failed");
+  const bool mapped = ftruncate(fd_, static_cast<off_t>(bytes)) == 0 &&
+                      map_view(prot_, bytes, PROT_READ | PROT_WRITE, fd_) &&
+                      map_view(app_, bytes, PROT_NONE, fd_);
+  if (!mapped) close(fd_);  // the destructor will not run
   ANOW_CHECK_MSG(mapped, "heap view mmap failed");
 
   // Value-initialized: every page kNone, matching the PROT_NONE mapping.
   access_ = std::make_unique<PageAccess[]>(bytes / kPageBytes);
+}
+
+RealHeap::~RealHeap() { close(fd_); }
+
+void RealHeap::discard(std::int32_t first, std::int32_t count) {
+  ANOW_CHECK(fallocate(fd_, FALLOC_FL_PUNCH_HOLE | FALLOC_FL_KEEP_SIZE,
+                       static_cast<off_t>(first) * kPageBytes,
+                       static_cast<off_t>(count) * kPageBytes) == 0);
+}
+
+std::int64_t RealHeap::committed_bytes() const {
+  struct stat st {};
+  ANOW_CHECK(fstat(fd_, &st) == 0);
+  return static_cast<std::int64_t>(st.st_blocks) * 512;
 }
 
 void RealHeap::set_access(std::int32_t first, std::int32_t count,

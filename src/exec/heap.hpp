@@ -15,6 +15,9 @@
 // declared range.  Either way a heap reserves address space only: a page is
 // committed by its first write and reads as zero until then, so memory
 // grows with the pages a process holds, not with the heap (DESIGN.md §10).
+// The converse holds too: when a GC commit drops a process's copy of a
+// page, the engine discards the page's frame, which reads as zero and
+// stays uncommitted until a fetch installs a full copy again.
 // Every view sits between two PROT_NONE guard pages, so a store just past
 // either end dies at the faulting instruction.
 //
@@ -57,6 +60,11 @@ class ProcessHeap {
   virtual void set_access(std::int32_t /*first*/, std::int32_t /*count*/,
                           PageAccess /*a*/) {}
 
+  /// Gives the frames of pages [first, first + count) back to the system:
+  /// the pages read as zero and are uncommitted until their next write.
+  /// The caller hands over whole runs, one call per run of pages.
+  virtual void discard(std::int32_t first, std::int32_t count) = 0;
+
  protected:
   std::uint8_t* app_ = nullptr;
   std::uint8_t* prot_ = nullptr;
@@ -87,6 +95,9 @@ class SimHeap final : public ProcessHeap {
  public:
   explicit SimHeap(std::size_t bytes);
 
+  /// madvise(MADV_DONTNEED) over the run.
+  void discard(std::int32_t first, std::int32_t count) override;
+
  private:
   GuardedReservation view_;
 };
@@ -97,18 +108,25 @@ class SimHeap final : public ProcessHeap {
 class RealHeap final : public ProcessHeap {
  public:
   explicit RealHeap(std::size_t bytes);
+  ~RealHeap() override;
 
   void set_access(std::int32_t first, std::int32_t count,
                   PageAccess a) override;
+  /// Punches the run out of the memfd, which unmaps it from both views.
+  void discard(std::int32_t first, std::int32_t count) override;
   PageAccess access(std::int32_t page) const {
     return access_[static_cast<std::size_t>(page)];
   }
   /// mprotect calls issued by set_access so far.
   std::int64_t protect_calls() const { return protect_calls_; }
+  /// Bytes of storage the memfd holds: the pages touched through either
+  /// view (a read commits a page too) and not discarded since.
+  std::int64_t committed_bytes() const;
 
  private:
   GuardedReservation prot_view_;
   GuardedReservation app_view_;
+  int fd_ = -1;  // kept open for discard()
   std::unique_ptr<PageAccess[]> access_;
   std::int64_t protect_calls_ = 0;
 };

@@ -26,39 +26,24 @@ std::uint8_t* Arena::alloc(std::size_t n) {
 }
 
 void Arena::add_chunk(std::size_t n) {
-  if (next_chunk_ < chunks_.size() && chunks_[next_chunk_].size >= n) {
-    // reset() left a chunk big enough; reuse it.
-  } else {
-    // Geometric growth keeps the chunk count logarithmic in the total
-    // footprint: each new chunk doubles the largest so far (floored at the
-    // configured chunk size, raised to n for oversized one-off payloads).
-    std::size_t want = chunk_bytes_;
-    for (const Chunk& c : chunks_) want = std::max(want, c.size * 2);
-    want = std::max(want, n);
-    Chunk c;
-    c.data = std::make_unique_for_overwrite<std::uint8_t[]>(want);
-    c.size = want;
-    bytes_reserved_ += want;
-    chunks_.insert(chunks_.begin() + static_cast<std::ptrdiff_t>(next_chunk_),
-                   std::move(c));
-  }
-  Chunk& chunk = chunks_[next_chunk_];
-  ++next_chunk_;
+  // Geometric growth keeps the chunk count logarithmic in the generation's
+  // footprint: each new chunk doubles the last, which is the largest
+  // (floored at the configured chunk size, raised to n for oversized
+  // one-off payloads).
+  std::size_t want = chunk_bytes_;
+  if (!chunks_.empty()) want = std::max(want, chunks_.back().size * 2);
+  want = std::max(want, n);
+  Chunk& chunk = chunks_.emplace_back();
+  chunk.data = std::make_unique_for_overwrite<std::uint8_t[]>(want);
+  chunk.size = want;
+  bytes_reserved_ += want;
   cur_ = chunk.data.get();
   end_ = cur_ + chunk.size;
-}
-
-void Arena::reset() {
-  next_chunk_ = 0;
-  cur_ = nullptr;
-  end_ = nullptr;
-  bytes_allocated_ = 0;
 }
 
 void Arena::release() {
   chunks_.clear();
   chunks_.shrink_to_fit();
-  next_chunk_ = 0;
   cur_ = nullptr;
   end_ = nullptr;
   bytes_allocated_ = 0;

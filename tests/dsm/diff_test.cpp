@@ -372,10 +372,11 @@ TEST_P(DiffPropertyTest, VectorizedMatchesScalarReference) {
   }
 }
 
-TEST(Diff, ArenaVariantSurvivesArenaReuse) {
-  // Views from one arena generation are valid until reset(); after reset the
-  // next generation reuses the same chunks (same pointers are fine — old
-  // views are dead by contract, matching the archive-until-GC lifetime).
+TEST(Diff, ArenaVariantSurvivesArenaRelease) {
+  // Views from one arena generation are valid until release(); after the
+  // release the arena holds nothing and the next generation grows afresh
+  // (old views are dead by contract, matching the archive-until-GC
+  // lifetime).
   util::Arena arena;
   Page twin = zero_page(), cur = zero_page();
   cur[8] = 0xAB;
@@ -392,8 +393,9 @@ TEST(Diff, ArenaVariantSurvivesArenaReuse) {
     apply_diff(target.data(), v.data, v.size);
     EXPECT_EQ(std::memcmp(target.data(), cur.data(), kPageSize), 0);
   }
-  arena.reset();
+  arena.release();
   EXPECT_EQ(arena.bytes_allocated(), 0u);
+  EXPECT_EQ(arena.bytes_reserved(), 0u);
   const DiffView again = make_diff_arena(twin.data(), cur.data(), arena);
   ASSERT_EQ(again.size, ref.size());
   EXPECT_EQ(std::memcmp(again.data, ref.data(), again.size), 0);

@@ -4,11 +4,15 @@
 // barriers, locks, GCs, and reads run through the full protocol and the
 // shared region must always equal the oracle at synchronization points.
 #include <gtest/gtest.h>
+#include <sys/mman.h>
 
+#include <atomic>
 #include <cstring>
 #include <vector>
 
+#include "dsm/protocol/lrc_engine.hpp"
 #include "dsm/system.hpp"
+#include "exec/heap.hpp"
 #include "sim/cluster.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
@@ -391,6 +395,136 @@ TEST_P(EngineStressTest, SingleWriterPendingNoticesDriveGc) {
   });
   EXPECT_EQ(sys.stats().counter_value("dsm.gc_runs"), lrc ? 3 : 4);
 }
+
+// ---------------------------------------------------------------------------
+// A GC commit gives back what it frees
+// ---------------------------------------------------------------------------
+
+/// (engine, backend) for the GC memory test.
+using GcMemoryParam = std::tuple<EngineKind, BackendKind>;
+
+class GcMemoryTest : public ::testing::TestWithParam<GcMemoryParam> {};
+
+/// The test's shared array: 16 pages, split off page bounds.
+constexpr std::int64_t kGcWords = 8192;
+
+/// What the tasks saw, summed over processes (the real backend runs them
+/// on one thread each).
+struct GcMemoryTally {
+  std::atomic<std::int64_t> commits_checked{0};
+  std::atomic<std::int64_t> copies_dropped{0};
+};
+
+/// Right after `p`'s GC commit: its diff arena holds no chunk, no pending
+/// list keeps storage, and no page it holds no copy of has a frame — the
+/// copies the commit dropped (`had_copy` lists the pages held before it)
+/// included.
+void expect_commit_gave_memory_back(DsmProcess& p,
+                                    const std::vector<bool>& had_copy,
+                                    GcMemoryTally& tally) {
+  const auto& engine = p.engine();
+  if (const auto* lrc = dynamic_cast<const protocol::LrcEngine*>(&engine)) {
+    EXPECT_EQ(lrc->diff_arena_reserved(), 0u) << "uid " << p.uid();
+  }
+  const PageId n = engine.num_pages();
+  std::vector<unsigned char> resident(static_cast<std::size_t>(n));
+  ASSERT_EQ(mincore(p.region_data(), static_cast<std::size_t>(n) * kPageSize,
+                    resident.data()),
+            0);
+  std::int64_t dropped = 0;
+  for (PageId pg = 0; pg < n; ++pg) {
+    const auto& pm = engine.page(pg);
+    EXPECT_EQ(pm.pending.capacity(), 0u) << "uid " << p.uid() << " page " << pg;
+    if (pm.have_copy) continue;
+    if (had_copy[static_cast<std::size_t>(pg)]) ++dropped;
+    EXPECT_EQ(resident[static_cast<std::size_t>(pg)] & 1, 0)
+        << "uid " << p.uid() << " page " << pg << " kept its frame";
+  }
+  if (const auto* real = dynamic_cast<const exec::RealHeap*>(&p.heap())) {
+    // The memfd holds no more than the copies the process still has.
+    EXPECT_LE(real->committed_bytes(),
+              engine.resident_pages() * static_cast<std::int64_t>(kPageSize))
+        << "uid " << p.uid();
+  }
+  tally.commits_checked++;
+  tally.copies_dropped += dropped;
+}
+
+TEST_P(GcMemoryTest, EveryCommitGivesBackWhatItFrees) {
+  const auto [engine, backend] = GetParam();
+  constexpr int kProcs = 4;
+  constexpr int kRounds = 4;
+  sim::Cluster cluster({}, kProcs);
+  DsmConfig cfg;
+  cfg.heap_bytes = 1 << 20;
+  cfg.engine = engine;
+  cfg.backend = backend;
+  cfg.race_check = RaceCheckMode::kOff;  // the real backend refuses both
+  cfg.trace_file.clear();
+  DsmSystem sys(cluster, cfg);
+  GcMemoryTally tally;
+  struct Args {
+    GAddr addr;
+    std::int64_t round;
+    GcMemoryTally* tally;
+  };
+  auto task = sys.register_task(
+      "gc memory", [](DsmProcess& p, const std::vector<std::uint8_t>& a) {
+        Args args;
+        std::memcpy(&args, a.data(), sizeof(args));
+        const std::int64_t per = kGcWords / p.nprocs() + 3;
+        const std::int64_t lo = std::min(kGcWords, p.pid() * per);
+        const std::int64_t hi = std::min(kGcWords, lo + per);
+        p.write_range(args.addr + lo * 8,
+                      static_cast<std::size_t>(hi - lo) * 8);
+        auto* d = p.ptr<std::int64_t>(args.addr);
+        for (std::int64_t i = lo; i < hi; ++i) d[i] = args.round * kGcWords + i;
+        p.barrier(1);
+        // Every process reads the whole array: boundary pages resolve by
+        // diffs under lrc, the rest by full copies it does not own.
+        p.read_range(args.addr, kGcWords * 8);
+        const auto* c = p.cptr<std::int64_t>(args.addr);
+        for (std::int64_t i = 0; i < kGcWords; ++i) {
+          ASSERT_EQ(c[i], args.round * kGcWords + i) << "word " << i;
+        }
+        const auto& engine = p.engine();
+        std::vector<bool> had_copy;
+        for (PageId pg = 0; pg < engine.num_pages(); ++pg) {
+          had_copy.push_back(engine.page(pg).have_copy);
+        }
+        if (p.is_master()) p.system().request_gc();
+        p.barrier(1);  // the GC commits before the release returns
+        expect_commit_gave_memory_back(p, had_copy, *args.tally);
+      });
+  sys.start(kProcs);
+  sys.run([&](DsmProcess&) {
+    Args args{sys.shared_malloc(kGcWords * 8), 0, &tally};
+    std::vector<std::uint8_t> packed(sizeof(args));
+    for (int r = 0; r < kRounds; ++r) {
+      args.round = r;
+      std::memcpy(packed.data(), &args, sizeof(args));
+      sys.run_parallel(task, packed);
+    }
+  });
+  EXPECT_GE(sys.stats().counter_value("dsm.gc_runs"), kRounds);
+  EXPECT_EQ(tally.commits_checked.load(), kRounds * kProcs);
+  EXPECT_GT(tally.copies_dropped.load(), 0);
+  if (engine == EngineKind::kLrc) {
+    // Diffs were archived, so the releases emptied non-empty arenas.
+    EXPECT_GT(sys.stats().counter_value("dsm.diffs_created"), 0);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    EnginesAndBackends, GcMemoryTest,
+    ::testing::Combine(::testing::Values(EngineKind::kLrc,
+                                         EngineKind::kHomeLrc),
+                       ::testing::Values(BackendKind::kSim,
+                                         BackendKind::kReal)),
+    [](const ::testing::TestParamInfo<GcMemoryParam>& i) {
+      return std::string(enum_name(std::get<0>(i.param))) + "_" +
+             enum_name(std::get<1>(i.param));
+    });
 
 INSTANTIATE_TEST_SUITE_P(Engines, EngineStressTest,
                          ::testing::Values(EngineKind::kLrc,

@@ -213,6 +213,49 @@ TEST(RealHeap, CommitsOnlyTouchedPages) {
   EXPECT_LT(resident, npages / 8);
 }
 
+/// Fills pages [0, 8) of `base` with 0xAB, discards pages 2..5 and checks
+/// that exactly those pages lost their frames.
+void fill_and_discard(exec::ProcessHeap& heap, std::uint8_t* base) {
+  constexpr std::size_t kPages = 8;
+  std::memset(base, 0xAB, kPages * exec::kPageBytes);
+  EXPECT_EQ(resident_pages(base, kPages * exec::kPageBytes), kPages);
+  heap.discard(2, 4);
+  std::vector<unsigned char> vec(kPages);
+  ASSERT_EQ(mincore(base, kPages * exec::kPageBytes, vec.data()), 0);
+  for (std::size_t p = 0; p < kPages; ++p) {
+    EXPECT_EQ((vec[p] & 1) != 0, p < 2 || p >= 6) << "page " << p;
+  }
+}
+
+/// After fill_and_discard: the discarded pages read as zero, the rest kept
+/// their bytes.
+void expect_discarded_read_zero(const std::uint8_t* base) {
+  for (std::size_t p = 0; p < 8; ++p) {
+    const std::uint8_t want = p < 2 || p >= 6 ? 0xAB : 0;
+    EXPECT_EQ(base[p * exec::kPageBytes], want) << "page " << p;
+    EXPECT_EQ(base[(p + 1) * exec::kPageBytes - 1], want) << "page " << p;
+  }
+}
+
+TEST(SimHeap, DiscardGivesFramesBack) {
+  exec::SimHeap heap(16 * exec::kPageBytes);
+  fill_and_discard(heap, heap.prot_base());
+  expect_discarded_read_zero(heap.prot_base());
+}
+
+TEST(RealHeap, DiscardPunchesThePagesOutOfTheMemfd) {
+  exec::RealHeap heap(16 * exec::kPageBytes);
+  heap.set_access(0, 16, exec::PageAccess::kWrite);
+  EXPECT_EQ(heap.committed_bytes(), 0);
+  fill_and_discard(heap, heap.prot_base());
+  // The memfd holds the four pages left, and both views see the holes
+  // (reading a hole through a shared view commits it again, so last).
+  EXPECT_EQ(heap.committed_bytes(),
+            static_cast<std::int64_t>(4 * exec::kPageBytes));
+  expect_discarded_read_zero(heap.app_base());
+  expect_discarded_read_zero(heap.prot_base());
+}
+
 // ---------------------------------------------------------------------------
 // Spin window
 // ---------------------------------------------------------------------------

@@ -401,17 +401,18 @@ TEST(Arena, AllocationsAreAlignedDisjointAndWritable) {
   EXPECT_GE(a.bytes_reserved(), total);
 }
 
-TEST(Arena, ResetRecyclesChunksWithoutFreeing) {
+TEST(Arena, ReleaseFreesEveryChunkAndTheNextGenerationGrowsAfresh) {
   Arena a(/*chunk_bytes=*/256);
   for (int i = 0; i < 10; ++i) a.alloc(100);
-  const std::size_t reserved = a.bytes_reserved();
-  EXPECT_GT(reserved, 0u);
-  a.reset();
+  // 1,000 bytes in 100-byte payloads: chunks of 256, 512 and 1,024.
+  EXPECT_EQ(a.bytes_reserved(), 256u + 512u + 1024u);
+  a.release();
   EXPECT_EQ(a.bytes_allocated(), 0u);
-  EXPECT_EQ(a.bytes_reserved(), reserved);
-  // The second generation fits in the recycled chunks: no new reservation.
-  for (int i = 0; i < 10; ++i) a.alloc(100);
-  EXPECT_EQ(a.bytes_reserved(), reserved);
+  EXPECT_EQ(a.bytes_reserved(), 0u);
+  // A smaller second generation holds only what it needs: growth starts
+  // over at the configured chunk size instead of keeping the last peak.
+  for (int i = 0; i < 2; ++i) a.alloc(100);
+  EXPECT_EQ(a.bytes_reserved(), 256u);
 }
 
 TEST(Arena, OversizedAllocationGetsItsOwnChunk) {
