@@ -7,6 +7,7 @@
 
 #include "dsm/debug.hpp"
 #include "dsm/system.hpp"
+#include "exec/real_runtime.hpp"
 #include "obs/trace.hpp"
 #include "util/check.hpp"
 #include "util/logging.hpp"
@@ -82,6 +83,11 @@ DsmProcess::DsmProcess(DsmSystem& system, Uid uid, sim::HostId host)
   ctr_home_flushes_pb_ = stats.handle("dsm.home_flushes_piggybacked");
   ctr_gc_validation_faults_ = stats.handle("dsm.gc_validation_faults");
   ctr_home_validation_faults_ = stats.handle("dsm.home_validation_faults");
+  if (real_) {
+    // start() builds the runtime before any process.
+    real_rt_ = static_cast<exec::RealRuntime*>(&system_.rt());
+    ctr_deferred_serves_ = stats.handle("exec.deferred_serves");
+  }
 }
 
 DsmProcess::~DsmProcess() = default;
@@ -97,10 +103,34 @@ std::int64_t DsmProcess::image_bytes() const {
 }
 
 // ---------------------------------------------------------------------------
+// Task bodies under --backend real
+// ---------------------------------------------------------------------------
+
+void DsmProcess::lend() {
+  if (real_rt_ == nullptr) return;
+  lent_ = true;
+  real_rt_->lend(uid_);
+}
+
+void DsmProcess::reclaim() {
+  if (!lent_) return;
+  real_rt_->reclaim(uid_);
+  lent_ = false;
+  // Requests a helper left here are answered before the call's own work:
+  // the body is not storing now.
+  if (deferred_requests_.empty()) return;
+  std::vector<std::pair<PageRequest, Uid>> requests;
+  requests.swap(deferred_requests_);
+  for (const auto& [req, src] : requests) handle_page_request(req, src);
+  flush_reply_batches();
+}
+
+// ---------------------------------------------------------------------------
 // Shared-memory access (the range-touch fault front-end)
 // ---------------------------------------------------------------------------
 
 void DsmProcess::read_range(GAddr addr, std::size_t len) {
+  const BodyCall call(*this);
   const PageId first = page_of(addr);
   const PageId last = page_end(addr, len);
   ANOW_CHECK_MSG(last <= system_.num_pages(),
@@ -124,6 +154,7 @@ void DsmProcess::read_range(GAddr addr, std::size_t len) {
 }
 
 void DsmProcess::write_range(GAddr addr, std::size_t len) {
+  const BodyCall call(*this);
   const PageId first = page_of(addr);
   const PageId last = page_end(addr, len);
   ANOW_CHECK_MSG(last <= system_.num_pages(),
@@ -543,6 +574,7 @@ void DsmProcess::flush_homes(bool at_barrier) {
 }
 
 void DsmProcess::barrier(std::int32_t barrier_id) {
+  const BodyCall call(*this);
   obs::ScopedSpan span(tracer_, uid_, obs::SpanKind::kBarrierWait);
   flush_cpu();
   (*ctr_barrier_waits_)++;
@@ -576,7 +608,7 @@ void DsmProcess::barrier(std::int32_t barrier_id) {
     engine_->apply_delta_to_slice(rel->owner_delta);
     engine_->integrate(rel->intervals);
     if (rel->gc_commit) {
-      engine_->gc_commit_node(rel->owner_delta);
+      commit_gc(rel->owner_delta);
     } else {
       apply_owner_hints(rel->owner_delta);
     }
@@ -591,6 +623,7 @@ void DsmProcess::barrier(std::int32_t barrier_id) {
 }
 
 void DsmProcess::lock_acquire(std::int32_t lock_id) {
+  const BodyCall call(*this);
   obs::ScopedSpan span(tracer_, uid_, obs::SpanKind::kLockStall);
   flush_cpu();
   (*ctr_lock_acquires_)++;
@@ -607,6 +640,7 @@ void DsmProcess::lock_acquire(std::int32_t lock_id) {
 }
 
 void DsmProcess::lock_release(std::int32_t lock_id) {
+  const BodyCall call(*this);
   obs::ScopedSpan span(tracer_, uid_, obs::SpanKind::kLockRelease);
   flush_cpu();
   // Release point: close the access segment and publish this clock into
@@ -689,8 +723,23 @@ void DsmProcess::gc_validate(const OwnerDelta& owners) {
   }
 }
 
+void DsmProcess::commit_gc(const OwnerDelta& delta) {
+  engine_->gc_commit_node(delta);
+  gc_prepared_ = false;
+  if (held_.empty()) return;
+  std::vector<HeldSegments> held;
+  held.swap(held_);
+  for (auto& h : held) {
+    for (auto& seg : h.segments) {
+      handle_segment(std::move(seg), h.src, h.shared_envelope);
+    }
+  }
+  flush_reply_batches();
+}
+
 void DsmProcess::handle_gc_prepare(const GcPrepare& gp) {
   obs::ScopedSpan span(tracer_, uid_, obs::SpanKind::kGcPrepare);
+  gc_prepared_ = true;
   // A shard holder's authoritative slice adopts the delta at the prepare
   // phase: by the time the master's gc_finish runs (all acks in), every
   // slice already answers queries with post-GC owners.
@@ -719,14 +768,37 @@ void DsmProcess::handle(Envelope env) {
   // a piggybacked flush is charged on the writer side, in flush_homes).
   const bool shared = env.segments.size() > 1;
   if (checker_ != nullptr) checker_->on_envelope_deliver(env.src, uid_, env);
-  for (auto& seg : env.segments) {
-    handle_segment(std::move(seg), env.src, shared);
+  for (std::size_t i = 0; i < env.segments.size(); ++i) {
+    if (gc_prepared_ && applies_home_flush(env.segments[i])) {
+      // Sent by a writer that already applied the GC commit this node has
+      // not applied yet: its pages may not be homed here yet, and the
+      // commit would clear what it applies.  It and what rides behind it
+      // (the announcement a piggybacked flush precedes) wait for
+      // commit_gc.  An acked flush's writer waits for that ack.
+      if (ctr_held_flushes_ == nullptr) {
+        ctr_held_flushes_ = system_.stats().handle("dsm.home_flushes_held");
+      }
+      (*ctr_held_flushes_)++;
+      HeldSegments held{env.src, shared, {}};
+      for (std::size_t j = i; j < env.segments.size(); ++j) {
+        held.segments.push_back(std::move(env.segments[j]));
+      }
+      held_.push_back(std::move(held));
+      break;
+    }
+    handle_segment(std::move(env.segments[i]), env.src, shared);
   }
   // Page replies produced for this envelope's requests depart together,
   // one envelope per requester (reply-side coalescing): a batched
   // multi-page fetch request gets a batched reply, so the batching delta
   // is symmetric in both directions.
   flush_reply_batches();
+}
+
+bool DsmProcess::applies_home_flush(const Segment& seg) const {
+  if (std::holds_alternative<HomeFlush>(seg)) return true;
+  const auto* arrive = std::get_if<TreeArrive>(&seg);
+  return arrive != nullptr && is_master() && !arrive->flushes.empty();
 }
 
 void DsmProcess::handle_segment(Segment seg, Uid src,
@@ -835,10 +907,17 @@ void DsmProcess::handle_segment(Segment seg, Uid src,
       seg);
 }
 
-void DsmProcess::handle_page_request(const PageRequest& req, Uid /*src*/) {
+void DsmProcess::handle_page_request(const PageRequest& req, Uid src) {
   ANOW_CHECK_MSG(alive_, "page request reached terminated process "
                              << uid_ << " (stale owner hint for page "
                              << req.page << ")");
+  if (lent_ && engine_->write_declared(req.page)) {
+    // A helper runs this while the task body may be storing to the page:
+    // the body's next DSM call serves it (reclaim).
+    deferred_requests_.emplace_back(req, src);
+    (*ctr_deferred_serves_)++;
+    return;
+  }
   if (!engine_->prepare_serve(req.page)) {
     // Stale hint: forward along our best knowledge (Li/Hudak-style chain).
     ANOW_CHECK_MSG(req.forward_hops < 16, "page request forwarding loop");
@@ -1271,7 +1350,7 @@ void DsmProcess::run_task(const ForkMsg& fork) {
   engine_->integrate(fork.intervals);
   if (race_ != nullptr) race_->on_fork_join(uid_);
   if (fork.gc_commit) {
-    engine_->gc_commit_node(fork.owner_delta);
+    commit_gc(fork.owner_delta);
   } else {
     apply_owner_hints(fork.owner_delta);
   }

@@ -27,6 +27,10 @@
 #include "sim/cluster.hpp"
 #include "sim/simulator.hpp"
 
+namespace anow::exec {
+class RealRuntime;
+}  // namespace anow::exec
+
 namespace anow::dsm {
 
 class DsmSystem;
@@ -122,6 +126,32 @@ class DsmProcess {
  private:
   friend class DsmSystem;
 
+  // --- task bodies under --backend real (DESIGN.md §14) -------------------
+  /// Around a task body this process's protocol state is lent to waiting
+  /// peers, which run its closures while the body computes (a request to a
+  /// computing process is then answered at once, as a TreadMarks signal
+  /// handler would).  run_task_body lends and reclaims; no-ops under sim.
+  void lend();
+  void reclaim();
+  /// Takes the protocol state back for one DSM call a task body makes
+  /// (read_range, write_range, barrier, lock_acquire, lock_release), and
+  /// lends it again when the call returns.  Outside a task body, and under
+  /// sim, it does nothing.
+  class BodyCall {
+   public:
+    explicit BodyCall(DsmProcess& p) : p_(p.lent_ ? &p : nullptr) {
+      if (p_ != nullptr) p_->reclaim();
+    }
+    ~BodyCall() {
+      if (p_ != nullptr) p_->lend();
+    }
+    BodyCall(const BodyCall&) = delete;
+    BodyCall& operator=(const BodyCall&) = delete;
+
+   private:
+    DsmProcess* p_;
+  };
+
   // --- message plumbing -------------------------------------------------------
   /// Delivers one envelope: its segments are dispatched strictly in order,
   /// which is what piggybacked segments rely on (a HomeFlush staged before
@@ -130,6 +160,8 @@ class DsmProcess {
   /// requester and depart as one envelope (reply-side coalescing, the
   /// mirror of the batched multi-page fetch request).
   void handle(Envelope env);
+  /// A segment that applies home flushes at this process.
+  bool applies_home_flush(const Segment& seg) const;
   void handle_segment(Segment seg, Uid src, bool shared_envelope);
   void handle_page_request(const PageRequest& req, Uid src);
   void handle_diff_request(const DiffRequest& req, Uid src);
@@ -219,6 +251,10 @@ class DsmProcess {
   void apply_owner_hints(const OwnerDelta& delta);
 
   // --- GC ------------------------------------------------------------------------
+  /// Applies a GC commit (the release or fork carrying it), then the
+  /// segments held since the prepare.
+  void commit_gc(const OwnerDelta& delta);
+
   /// Validates pages this process will own after GC: multi-writer pages
   /// with a copy are validated with one batched diff fetch per creator;
   /// the rest go through the normal fault path.
@@ -282,6 +318,31 @@ class DsmProcess {
   std::unique_ptr<exec::ProcessHeap> heap_;
   /// True under --backend real; skips the virtual-time cost model.
   bool real_ = false;
+  /// The pthread runtime under --backend real, null under sim.
+  exec::RealRuntime* real_rt_ = nullptr;
+  /// The task body runs with the protocol state lent (see lend()).  Written
+  /// only while this process holds its flag, so a closure sees true exactly
+  /// when it runs on a helper's thread.
+  bool lent_ = false;
+  /// Page requests a helper left for this process's own thread: the page
+  /// was write-declared in the current interval, so the body may be
+  /// storing to it.  Served when the body's next DSM call reclaims.
+  std::vector<std::pair<PageRequest, Uid>> deferred_requests_;
+  util::StatsRegistry::Counter* ctr_deferred_serves_ = nullptr;
+  /// Between handling a GcPrepare and applying its commit.  Under --backend
+  /// real a writer that already applied the commit can flush to this node
+  /// before the commit is drained here: such a flush (and what follows it
+  /// in its envelope) waits in held_ until commit_gc.  Under sim the commit
+  /// arrives first unless a tree hop is made slower than the writer's whole
+  /// construct (DESIGN.md §14).
+  bool gc_prepared_ = false;
+  struct HeldSegments {
+    Uid src = kNoUid;
+    bool shared_envelope = false;
+    std::vector<Segment> segments;
+  };
+  std::vector<HeldSegments> held_;
+  util::StatsRegistry::Counter* ctr_held_flushes_ = nullptr;
   /// --backend real with the protocol checker installed (checked builds):
   /// the app view is protected and heap_sync keeps it in step.
   bool guarded_ = false;

@@ -160,6 +160,12 @@ class ConsistencyEngine {
     return (*protocol_)[static_cast<std::size_t>(p)];
   }
   std::int64_t epoch() const { return epoch_; }
+  /// The page was write-declared in the current interval, so the process
+  /// may be storing to it: dirty, or write-enabled under exclusivity.
+  bool write_declared(PageId p) const {
+    const PageMeta& pm = page(p);
+    return pm.dirty || (pm.exclusive_rw && pm.exclusive_epoch == epoch_);
+  }
 
   /// A new parallel construct begins: past exclusive write declarations are
   /// settled.

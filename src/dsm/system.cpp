@@ -103,7 +103,9 @@ const std::string& DsmSystem::task_name(std::int32_t id) const {
 void DsmSystem::run_task_body(std::int32_t id, DsmProcess& proc,
                               const std::vector<std::uint8_t>& args) {
   ANOW_CHECK(id >= 0 && id < static_cast<std::int32_t>(tasks_.size()));
+  proc.lend();
   tasks_[id](proc, args);
+  proc.reclaim();
 }
 
 void DsmSystem::set_protocol_range(GAddr addr, std::size_t len,

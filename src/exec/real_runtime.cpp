@@ -36,6 +36,19 @@ constexpr std::chrono::microseconds kSpin{200};
 // involuntary switches also occur.  More in DESIGN.md §14.
 constexpr std::chrono::milliseconds kSharedCpuPark{2};
 
+// How many spin rounds pass between two looks for a peer to help.  A look
+// reads every peer's ownership flag, which the peer writes at each of its
+// DSM calls, so each look pulls that line away from a computing peer.  On
+// the 4-vCPU guest, forkjoin (Gauss, about 87,000 DSM calls on 4 threads)
+// ran real@4 5% behind the helpless runtime (faster in 5 of 20 pairs) with
+// a look every round, and even with it (9 of 20) with one every 16th.
+constexpr unsigned kHelpEvery = 16;
+
+// How many `pause`s a thread taking its flag back from a helper spins before
+// it yields the CPU each round: a closure runs for microseconds, but a
+// helper descheduled while it holds the flag needs a CPU to finish it.
+constexpr int kReclaimSpins = 64;
+
 // A park's only timeout.  Every wake is delivered, so a park that reaches it
 // with work in its rings lost its wakeup: that is counted and reported.
 constexpr std::time_t kParkCeilingS = 1;
@@ -45,6 +58,12 @@ long futex(std::atomic<std::uint32_t>& word, int op, std::uint32_t val,
   static_assert(sizeof(word) == sizeof(std::uint32_t));
   return syscall(SYS_futex, reinterpret_cast<std::uint32_t*>(&word), op, val,
                  timeout, nullptr, 0);
+}
+
+void cpu_relax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#endif
 }
 
 std::int64_t involuntary_switches() {
@@ -69,6 +88,7 @@ RealRuntime::RealRuntime(int nprocs, util::StatsRegistry& stats,
       ctr_messages_(stats.handle("net.messages")),
       ctr_bytes_(stats.handle("net.bytes")),
       ctr_park_timeouts_(stats.handle("exec.park_timeouts")),
+      ctr_helped_(stats.handle("exec.helped")),
       header_bytes_(header_bytes) {
   ANOW_CHECK(nprocs >= 1);
   procs_.resize(static_cast<std::size_t>(nprocs));
@@ -116,7 +136,7 @@ void RealRuntime::wait(sim::WaitPoint& wp, const char* tag) {
   // (a page or diff fetch is one full round trip), so a waiter with nothing
   // to run polls its rings for a while before it parks.
   while (!wp.signaled) {
-    if (drain_one(self) || spin(self)) continue;
+    if (drain_one(self) || help(self) || spin(self)) continue;
     park(self, tag);
   }
   wp.signaled = false;  // the simulator's consume-on-wake semantics
@@ -130,12 +150,12 @@ bool RealRuntime::spin(ProcId uid) {
     return false;
   }
   const Clock::time_point deadline = start + kSpin;
-  do {
+  for (unsigned round = 1;; ++round) {
     if (drain_one(uid)) return true;
-#if defined(__x86_64__) || defined(__i386__)
-    __builtin_ia32_pause();
-#endif
-  } while (Clock::now() < deadline);
+    if (round % kHelpEvery == 0 && help(uid)) return true;
+    cpu_relax();
+    if (Clock::now() >= deadline) break;
+  }
   // The window ran out.  A thread preempted since its last window ran out
   // shares its CPUs with another task, so every process parks at once for
   // a while.
@@ -150,6 +170,96 @@ bool RealRuntime::spin(ProcId uid) {
   return false;
 }
 
+bool RealRuntime::help(ProcId self) {
+  // A request to a peer that is computing would otherwise wait out its
+  // whole task body, as a TreadMarks request would without its signal
+  // handler.  The peer's closures run here as the peer: post() and
+  // in_context_of() see its uid.
+  for (int i = 1; i < nprocs_; ++i) {
+    const ProcId peer = (self + i) % nprocs_;
+    std::atomic<std::uint8_t>& owner = proc(peer).owner;
+    if (owner.load(std::memory_order_relaxed) != kLent ||
+        !has_inbound(peer)) {
+      continue;
+    }
+    std::uint8_t lent = kLent;
+    if (!owner.compare_exchange_strong(lent, kHeld,
+                                       std::memory_order_acquire,
+                                       std::memory_order_relaxed)) {
+      continue;
+    }
+    tl_uid = peer;
+    std::int64_t ran = 0;
+    // An owner that wants its flag back (kWanted) gets it after the closure
+    // running then.
+    while (owner.load(std::memory_order_relaxed) == kHeld && drain_one(peer)) {
+      ++ran;
+    }
+    tl_uid = self;
+    std::uint8_t held = kHeld;
+    if (!owner.compare_exchange_strong(held, kLent,
+                                       std::memory_order_release,
+                                       std::memory_order_relaxed)) {
+      owner.store(kHanded, std::memory_order_release);  // it was kWanted
+    }
+    if (ran > 0) {
+      *ctr_helped_ += ran;
+      return true;
+    }
+  }
+  return false;
+}
+
+bool RealRuntime::helpable(ProcId self) {
+  for (ProcId peer = 0; peer < nprocs_; ++peer) {
+    if (peer != self &&
+        proc(peer).owner.load(std::memory_order_relaxed) == kLent &&
+        has_inbound(peer)) {
+      return true;
+    }
+  }
+  return false;
+}
+
+void RealRuntime::lend(ProcId uid) {
+  proc(uid).owner.store(kLent, std::memory_order_release);
+  // Closures that arrived while the owner held its flag would wait out the
+  // body unless a waiter runs them, so one parked peer is woken to help.
+  // Pairs with the fence in park(): a peer parking now finds this process
+  // helpable in its rescan, or is seen waiting here.
+  std::atomic_thread_fence(std::memory_order_seq_cst);
+  if (!has_inbound(uid)) return;
+  for (int i = 1; i < nprocs_; ++i) {
+    if (wake_parked((uid + i) % nprocs_)) return;
+  }
+}
+
+void RealRuntime::reclaim(ProcId uid) {
+  std::atomic<std::uint8_t>& owner = proc(uid).owner;
+  for (int round = 0;; ++round) {
+    std::uint8_t seen = owner.load(std::memory_order_acquire);
+    if (seen == kHanded) break;
+    if (seen == kLent) {
+      if (owner.compare_exchange_weak(seen, kHeld,
+                                      std::memory_order_acquire,
+                                      std::memory_order_relaxed)) {
+        return;
+      }
+      continue;
+    }
+    if (seen == kHeld) {
+      // A helper runs one of this process's closures: ask for the flag.
+      owner.compare_exchange_weak(seen, kWanted, std::memory_order_relaxed);
+    }
+    if (round < kReclaimSpins) {
+      cpu_relax();
+    } else {
+      std::this_thread::yield();
+    }
+  }
+  owner.store(kHeld, std::memory_order_relaxed);
+}
+
 void RealRuntime::park(ProcId uid, const char* tag) {
   Proc& p = proc(uid);
   const std::uint32_t epoch = p.epoch.load(std::memory_order_acquire);
@@ -158,7 +268,7 @@ void RealRuntime::park(ProcId uid, const char* tag) {
   // push, or the producer sees `waiting` and bumps the word past `epoch`,
   // so the futex wait below returns at once or is woken.
   std::atomic_thread_fence(std::memory_order_seq_cst);
-  if (!has_inbound(uid)) {
+  if (!has_inbound(uid) && !helpable(uid)) {
     const timespec ceiling{kParkCeilingS, 0};
     if (futex(p.epoch, FUTEX_WAIT_PRIVATE, epoch, &ceiling) == -1 &&
         errno == ETIMEDOUT && has_inbound(uid)) {
@@ -173,18 +283,29 @@ void RealRuntime::park(ProcId uid, const char* tag) {
 }
 
 void RealRuntime::wake(ProcId dst) {
-  Proc& p = proc(dst);
   // Pairs with the fence in park().
   std::atomic_thread_fence(std::memory_order_seq_cst);
-  if (!p.waiting.load(std::memory_order_relaxed)) return;
+  wake_parked(dst);
+}
+
+bool RealRuntime::wake_parked(ProcId uid) {
+  Proc& p = proc(uid);
+  // One waker per park: a parker already woken but not yet running needs
+  // no second bump or system call.
+  if (!p.waiting.load(std::memory_order_relaxed) ||
+      !p.waiting.exchange(false, std::memory_order_relaxed)) {
+    return false;
+  }
   p.epoch.fetch_add(1, std::memory_order_release);
   futex(p.epoch, FUTEX_WAKE_PRIVATE, 1, nullptr);
+  return true;
 }
 
 void RealRuntime::signal(sim::WaitPoint& wp) {
-  // Only ever called from the waiter's own thread (handlers run in the
-  // blocked process's context), so a plain write is enough: the waiter's
-  // wait() loop re-checks the flag after every handler.
+  // Only ever called by a closure of the waiter's own process, which runs
+  // on the waiter's thread (a process that waits holds its flag, so no
+  // helper runs its closures), so a plain write is enough: the waiter's
+  // wait() loop re-checks the flag after every closure.
   wp.signaled = true;
 }
 

@@ -16,10 +16,14 @@
 //    only its real cost.
 //
 // The seam's key invariant, shared by both backends: a process's inbound
-// envelopes are handled in its own execution context, one at a time, and
-// only while it is blocked at a wait point.  Every DsmProcess therefore
-// stays single-threaded, exactly as under the simulator — the real backend
-// needs no per-process locks at all.
+// envelopes are handled one at a time, in its context, and never while its
+// own protocol code runs.  The simulator runs them in event context, also
+// while the process's fiber computes.  The real backend runs them under a
+// per-process flag: on the process's own thread while it waits, or on a
+// waiting peer's thread while the process runs task-body code, which holds
+// no protocol state until its next DSM call takes the flag back.  Every
+// DsmProcess therefore stays single-threaded in its protocol state, exactly
+// as under the simulator — the real backend needs no per-process locks.
 #pragma once
 
 #include <cstdint>
@@ -54,13 +58,14 @@ class Runtime {
   /// Blocks the calling process context until `wp` is signaled, then
   /// consumes the signal (wp.signaled is false on return — the simulator's
   /// wait semantics, which the reused WaitPoints in DsmProcess rely on).
-  /// The real backend drains the caller's inbound rings while blocked.
+  /// The real backend drains the caller's inbound rings while blocked, and
+  /// runs those of peers whose task bodies compute.
   virtual void wait(sim::WaitPoint& wp, const char* tag) = 0;
 
   /// Marks `wp` signaled, resuming its waiter.  Under the real backend a
-  /// WaitPoint is only ever signaled from its owner's own thread (inbound
-  /// handlers run in the blocked process's context), so this is a plain
-  /// flag write.
+  /// WaitPoint is only ever signaled by a handler of its own process, which
+  /// runs on the waiter's thread (no peer runs a waiting process's
+  /// handlers), so this is a plain flag write.
   virtual void signal(sim::WaitPoint& wp) = 0;
 
   /// Runs `fn` after `dt` of virtual time (simulator) or immediately
@@ -95,7 +100,8 @@ class Runtime {
   virtual void run(std::function<void()> master_body) = 0;
 
   /// Whether the caller is executing in `uid`'s context (its fiber under
-  /// the simulator, its thread under the real backend).
+  /// the simulator; under the real backend its thread, or a peer's thread
+  /// while that runs `uid`'s handlers).
   virtual bool in_context_of(ProcId uid) const = 0;
 };
 

@@ -12,6 +12,7 @@
 
 #include "core/adapt.hpp"
 #include "dsm/system.hpp"
+#include "sim/cost_model.hpp"
 #include "sim/cluster.hpp"
 #include "util/check.hpp"
 
@@ -323,6 +324,85 @@ INSTANTIATE_TEST_SUITE_P(PidStrategies, HomeLeaveTest,
                                       ? "shift"
                                       : "swap_last";
                          });
+
+
+// A writer that has applied a GC commit can flush to a home that has not
+// applied it yet.  Under --backend real that is a slow home draining its
+// rings round-robin; here the simulator forces the same order: with fanout
+// 1 the tree is the chain 0 -> 1 -> 2, so a fork reaches uid 2 through uid
+// 1, which forwards it after the tree-combine charge, made 20 ms.  In that
+// time uid 1 runs its body and flushes to uid 2.  Each construct writes one
+// word: `who` writes slot `who` of page `page`.
+struct ChainWrite {
+  Pid who;
+  int page;
+};
+
+struct ChainArgs {
+  GAddr addr;
+  ChainWrite write;
+};
+
+/// Runs one construct per write; returns the stats after checking that the
+/// master reads every written word back.
+util::StatsRegistry::Snapshot run_behind_slow_hop(
+    const std::vector<ChainWrite>& writes) {
+  sim::CostModel cost;
+  cost.tree_combine = 20 * sim::kMsec;
+  sim::Cluster cluster(cost, 3);
+  DsmConfig cfg = home_config();
+  cfg.backend = BackendKind::kSim;
+  cfg.fanout = 1;
+  cfg.dir_shards = 1;
+  cfg.placement = PlacementMode::kStatic;
+  DsmSystem sys(cluster, cfg);
+  const auto task = sys.register_task(
+      "chain_write", [](DsmProcess& p, const std::vector<std::uint8_t>& a) {
+        const auto [addr, w] = unpack<ChainArgs>(a);
+        if (p.pid() != w.who) return;
+        const GAddr word = addr + static_cast<GAddr>(w.page) * kPageSize +
+                           static_cast<GAddr>(w.who) * 8;
+        p.write_range(word, 8);
+        *p.ptr<std::int64_t>(word) = 100 * w.page + w.who;
+      });
+  sys.start(3);
+  sys.run([&](DsmProcess& master) {
+    const GAddr addr = sys.shared_malloc(2 * kPageSize);
+    for (const ChainWrite& w : writes) {
+      sys.run_parallel(task, pack(ChainArgs{addr, w}));
+    }
+    master.read_range(addr, 2 * kPageSize);
+    for (const ChainWrite& w : writes) {
+      EXPECT_EQ(master.cptr<std::int64_t>(addr + static_cast<GAddr>(w.page) *
+                                                     kPageSize)[w.who],
+                100 * w.page + w.who)
+          << "page " << w.page << " slot " << w.who;
+    }
+  });
+  return sys.stats().snapshot();
+}
+
+TEST(HomeLrc, FlushToANewHomeWaitsForTheCommitThatMadeIt) {
+  // uid 2 first-touches page 0 and becomes its home at the join barrier's
+  // GC; that commit rides the next fork.  uid 1 then fetches page 0 from
+  // uid 2, writes it and flushes it to uid 2, whose hint still names the
+  // master: the flush waits for uid 2's commit and is acked after it.
+  const auto stats = run_behind_slow_hop({{2, 0}, {1, 0}});
+  EXPECT_EQ(stats.counter("dsm.home_assignments"), 1);
+  EXPECT_EQ(stats.counter("dsm.home_flushes_held"), 1);
+}
+
+TEST(HomeLrc, FlushToAnEstablishedHomeSurvivesTheCommitItOvertakes) {
+  // Page 0 is homed at uid 2 two constructs before uid 1 writes it, but a
+  // GC (uid 2 first-touching page 1) commits with that same fork.  Applied
+  // before the commit, the flush's words would stay but the commit would
+  // clear the applied map that records them: a reader's copy from the home
+  // would fail its coverage check, and the home, integrating uid 1's notice
+  // on its own page, would name itself as the page's source.
+  const auto stats = run_behind_slow_hop({{2, 0}, {2, 1}, {1, 0}});
+  EXPECT_EQ(stats.counter("dsm.home_assignments"), 2);
+  EXPECT_EQ(stats.counter("dsm.home_flushes_held"), 1);
+}
 
 }  // namespace
 }  // namespace anow::dsm

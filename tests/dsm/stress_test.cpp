@@ -73,10 +73,17 @@ std::string stress_param_name(
          std::to_string(std::get<0>(info.param));
 }
 
-class DsmStressTest : public ::testing::TestWithParam<StressParam> {};
+/// (seed, engine, backend): the random write plans also run on threads,
+/// where writers share pages inside a construct while their peers compute,
+/// so requests are served by waiting peers and some wait for the writer's
+/// next DSM call (DESIGN.md §14).
+using PlanParam = std::tuple<int, EngineKind, BackendKind>;
+
+class DsmStressTest : public ::testing::TestWithParam<PlanParam> {};
 
 TEST_P(DsmStressTest, RandomWritePlansMatchOracle) {
-  util::Rng rng(std::get<0>(GetParam()) * 2654435761u);
+  const auto [seed, engine, backend] = GetParam();
+  util::Rng rng(seed * 2654435761u);
   const int nprocs = 2 + static_cast<int>(rng.next_below(7));  // 2..8
   const int rounds = 4 + static_cast<int>(rng.next_below(8));
   const std::int64_t slots = 2048;  // 4 pages of int64: heavy false sharing
@@ -87,7 +94,12 @@ TEST_P(DsmStressTest, RandomWritePlansMatchOracle) {
   DsmConfig cfg;
   cfg.heap_bytes = 1 << 20;
   cfg.default_protocol = Protocol::kMultiWriter;
-  cfg.engine = std::get<1>(GetParam());
+  cfg.engine = engine;
+  cfg.backend = backend;
+  if (backend == BackendKind::kReal) {
+    cfg.race_check = RaceCheckMode::kOff;  // the real backend refuses both
+    cfg.trace_file.clear();
+  }
   // Small threshold: force frequent automatic GCs too (LRC; the home
   // engine keeps no archives, so it rarely crosses it).
   cfg.gc_threshold_bytes = 64 * 1024;
@@ -137,8 +149,14 @@ INSTANTIATE_TEST_SUITE_P(
     Seeds, DsmStressTest,
     ::testing::Combine(::testing::Range(1, 13),
                        ::testing::Values(EngineKind::kLrc,
-                                         EngineKind::kHomeLrc)),
-    stress_param_name);
+                                         EngineKind::kHomeLrc),
+                       ::testing::Values(BackendKind::kSim,
+                                         BackendKind::kReal)),
+    [](const ::testing::TestParamInfo<PlanParam>& info) {
+      return std::string(enum_name(std::get<1>(info.param))) + "_" +
+             enum_name(std::get<2>(info.param)) + "_s" +
+             std::to_string(std::get<0>(info.param));
+    });
 
 class LockStressTest : public ::testing::TestWithParam<StressParam> {};
 

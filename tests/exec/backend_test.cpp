@@ -1,6 +1,6 @@
 // Execution-backend tests (DESIGN.md §14).
 //
-// Three layers of coverage:
+// Four layers of coverage:
 //  * unit tests for the real backend's building blocks (the SPSC ring,
 //    RealHeap's dual mapping and per-page protection, and the CPU count
 //    behind the runtime's spin window), and for what both heaps share:
@@ -10,6 +10,9 @@
 //    checksums and agree on the deterministic protocol statistics, with no
 //    park ending on the runtime's lost-wakeup ceiling — also on one CPU,
 //    where every wait parks, and with adaptive placement re-homing pages;
+//  * helping: a waiting process serves a peer whose task body computes
+//    without a DSM call, except a request for a page the body has
+//    write-declared, which waits for the body's next DSM call;
 //  * error paths: everything that needs the virtual clock (tracing, race
 //    checking, adaptation events) is rejected up front with a
 //    util::CheckError under --backend real, and in checked builds an access
@@ -20,7 +23,9 @@
 #include <sys/mman.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cerrno>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -354,6 +359,9 @@ TEST_P(BackendDifferential, RealMatchesSim) {
             sim.stats.counter("dsm.gc_runs"));
   EXPECT_GT(real.messages, 0);
   EXPECT_GT(real.seconds, 0.0);  // wall clock advanced
+  // Only threads help one another.
+  EXPECT_EQ(sim.stats.counter("exec.helped"), 0);
+  EXPECT_EQ(sim.stats.counter("exec.deferred_serves"), 0);
   // Every wake reached its parker: none waited out the runtime's ceiling
   // with work pending.
   EXPECT_EQ(real.stats.counters.count("exec.park_timeouts"), 1u);
@@ -436,6 +444,160 @@ TEST_P(BackendPlacement, AdaptiveRealMatchesSim) {
 INSTANTIATE_TEST_SUITE_P(Shards, BackendPlacement, ::testing::Values(1, 4),
                          [](const auto& info) {
                            return "shards" + std::to_string(info.param);
+                         });
+
+// ---------------------------------------------------------------------------
+// Helping: a waiter runs the closures of a peer whose task body computes
+// ---------------------------------------------------------------------------
+
+/// Three processes on threads: the master idles in every construct, pid 1
+/// writes a page, and pid 2 then fetches it while pid 1's body computes.
+dsm::DsmConfig helping_config(dsm::EngineKind engine) {
+  dsm::DsmConfig cfg;
+  cfg.heap_bytes = 1 << 20;
+  cfg.backend = dsm::BackendKind::kReal;
+  cfg.engine = engine;
+  cfg.dir_shards = 1;  // the master starts with every page
+  cfg.placement = dsm::PlacementMode::kStatic;
+  cfg.fanout = dsm::kUnboundedFanout;
+  cfg.race_check = dsm::RaceCheckMode::kOff;
+  cfg.trace_file.clear();
+  return cfg;
+}
+
+/// How long a body computes waiting for its peer before it gives up: a
+/// runtime that does not help fails the test after this instead of hanging.
+constexpr std::chrono::seconds kHelpDeadline{5};
+
+/// Spins, with no DSM call, until `done()` holds or kHelpDeadline passes;
+/// returns whether `done()` held.
+template <typename Done>
+bool compute_until(Done done) {
+  const auto deadline = std::chrono::steady_clock::now() + kHelpDeadline;
+  while (!done()) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+  }
+  return true;
+}
+
+using Body = std::function<void(dsm::DsmProcess&)>;
+
+/// Runs `first` then `second` as two constructs and returns the stats.  The
+/// word at `addr` + 8 * i is slot i of a one-page shared array.
+util::StatsRegistry::Snapshot run_two_constructs(
+    dsm::EngineKind engine, dsm::GAddr& addr, const Body& first,
+    const Body& second, const Body& check) {
+  sim::Cluster cluster({}, 3);
+  dsm::DsmSystem sys(cluster, helping_config(engine));
+  auto as_task = [](const Body& body) {
+    return [&body](dsm::DsmProcess& p,
+                   const std::vector<std::uint8_t>& /*args*/) { body(p); };
+  };
+  const std::int32_t t1 = sys.register_task("first", as_task(first));
+  const std::int32_t t2 = sys.register_task("second", as_task(second));
+  sys.start(3);
+  sys.run([&](dsm::DsmProcess& master) {
+    addr = sys.shared_malloc(exec::kPageBytes);
+    sys.run_parallel(t1, {});
+    sys.run_parallel(t2, {});
+    check(master);
+  });
+  return sys.stats().snapshot();
+}
+
+class BackendHelping : public ::testing::TestWithParam<dsm::EngineKind> {};
+
+TEST_P(BackendHelping, WaiterServesAPeerThatComputes) {
+  // pid 1 computes, with no DSM call, until pid 2's fetch of the page pid 1
+  // last wrote completes.  pid 2 fetches only once pid 1 computes, so only
+  // a waiting process can serve the fetch: the requester itself, or the
+  // master in its join barrier.
+  dsm::GAddr addr = 0;
+  std::atomic<bool> computing{false};
+  std::atomic<bool> fetched{false};
+  bool served_while_computing = false;
+  std::int64_t seen = 0;
+  const auto stats = run_two_constructs(
+      GetParam(), addr,
+      [&](dsm::DsmProcess& p) {
+        if (p.pid() != 1) return;
+        p.write_range(addr, 8);
+        *p.ptr<std::int64_t>(addr) = 42;
+      },
+      [&](dsm::DsmProcess& p) {
+        if (p.pid() == 1) {
+          computing.store(true, std::memory_order_release);
+          served_while_computing = compute_until(
+              [&] { return fetched.load(std::memory_order_acquire); });
+        } else if (p.pid() == 2) {
+          compute_until([&] { return computing.load(); });
+          p.read_range(addr, 8);
+          seen = *p.cptr<std::int64_t>(addr);
+          fetched.store(true, std::memory_order_release);
+        }
+      },
+      [](dsm::DsmProcess&) {});
+  EXPECT_TRUE(served_while_computing)
+      << "the fetch waited for the computing peer's next DSM call";
+  EXPECT_EQ(seen, 42);
+  EXPECT_GT(stats.counter("exec.helped"), 0);
+  EXPECT_EQ(stats.counter("exec.deferred_serves"), 0);
+  EXPECT_EQ(stats.counter("exec.park_timeouts"), 0);
+}
+
+TEST_P(BackendHelping, RequestForAPageTheBodyWritesWaitsForItsNextCall) {
+  // pid 1 write-declares the page and stores to slot 0, then computes while
+  // pid 2 fetches the page to read slot 1.  A helper may not copy a page
+  // the body may be storing to: the request waits for pid 1's next DSM
+  // call, which serves it before its own work.
+  dsm::GAddr addr = 0;
+  std::atomic<bool> computing{false};
+  bool deferred_while_computing = false;
+  std::int64_t seen = 0;
+  std::int64_t final0 = 0;
+  std::int64_t final1 = 0;
+  const auto stats = run_two_constructs(
+      GetParam(), addr,
+      [&](dsm::DsmProcess& p) {
+        if (p.pid() != 1) return;
+        p.write_range(addr + 8, 8);
+        p.ptr<std::int64_t>(addr)[1] = 7;
+      },
+      [&](dsm::DsmProcess& p) {
+        if (p.pid() == 1) {
+          const auto* counter =
+              p.system().stats().handle("exec.deferred_serves");
+          p.write_range(addr, 8);
+          p.ptr<std::int64_t>(addr)[0] = 99;
+          computing.store(true, std::memory_order_release);
+          deferred_while_computing =
+              compute_until([&] { return counter->load() > 0; });
+          p.read_range(addr, 8);  // the next DSM call serves the request
+        } else if (p.pid() == 2) {
+          compute_until([&] { return computing.load(); });
+          p.read_range(addr + 8, 8);
+          seen = p.cptr<std::int64_t>(addr)[1];
+        }
+      },
+      [&](dsm::DsmProcess& master) {
+        master.read_range(addr, 16);
+        final0 = master.cptr<std::int64_t>(addr)[0];
+        final1 = master.cptr<std::int64_t>(addr)[1];
+      });
+  EXPECT_TRUE(deferred_while_computing)
+      << "no helper left the request for the writing body";
+  EXPECT_EQ(stats.counter("exec.deferred_serves"), 1);
+  EXPECT_EQ(seen, 7);
+  EXPECT_EQ(final0, 99);
+  EXPECT_EQ(final1, 7);
+  EXPECT_EQ(stats.counter("exec.park_timeouts"), 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(Engines, BackendHelping,
+                         ::testing::Values(dsm::EngineKind::kLrc,
+                                           dsm::EngineKind::kHomeLrc),
+                         [](const auto& info) {
+                           return std::string(dsm::enum_name(info.param));
                          });
 
 TEST(BackendDifferential, SimIsDeterministic) {
