@@ -196,8 +196,8 @@ PrimitiveResult page_fetch_throughput() {
 
 /// Owner-directory fan-out: 8 processes first-touch disjoint page sets at
 /// once, so every fetch is an owner lookup at the page's initial holder —
-/// the master alone when the directory is unsharded, spread across the
-/// first `shards` processes otherwise (DESIGN.md §8).  Reported per shard
+/// the master alone with one shard, spread across the first `shards`
+/// processes otherwise (DESIGN.md §8).  Reported per shard
 /// count: host throughput, *virtual* completion time (the serialisation
 /// the sharding removes), and the master-inbound owner-lookup count.
 struct DirFanResult {
@@ -512,7 +512,7 @@ PrimitiveRun measure_primitives() {
   }
   run.migration = home_migration_round();
   // Owner-directory shard sweep: the same first-touch fan-out against the
-  // unsharded master-held map and against 8 shard holders.
+  // master alone and against 4 and 8 shard holders.
   for (const int s : {1, 4, 8}) {
     run.dir_fans.emplace_back(s, dir_fetch_fan(s));
   }

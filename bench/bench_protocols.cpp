@@ -3,11 +3,11 @@
 // engines — TreadMarks-style lazy release consistency
 // (diff archives, on-demand diff fetch) vs home-based LRC (eager flush to a
 // per-page home, full-page fetch on fault) — and, per engine, the
-// owner-directory shard counts (--dir-shards, DESIGN.md §8: 1 = the
-// master-held directory, N = page ranges spread across the first N
-// processes).
+// --dir-shards counts (DESIGN.md §8: 1 = the whole heap seeded at the
+// master, N = the initial copies and default owners dealt block-cyclically
+// across the first N processes).
 //
-// Results go to stdout and to BENCH_protocols.json (schema 11).  Every
+// Results go to stdout and to BENCH_protocols.json (schema 12).  Every
 // field is a deterministic function of the code (the simulator's virtual
 // time and counters); host wall-clock lives in the repository benchmark,
 // which repeats its runs.  Per (engine, dir-shards), the `static` leg
@@ -131,11 +131,10 @@ int main(int argc, char** argv) {
       "Protocol comparison — engine × dir-shards × placement",
       std::string("Problem size preset: ") + apps::size_name(size) + ", " +
           std::to_string(nodes) +
-          " nodes.  Fill = segments per envelope; MasterLkp = owner-lookup "
-          "segments (page requests + directory rounds) inbound at the "
-          "master.  The adaptive rows rerun the static leg with "
-          "--placement adaptive (home migration under the home engine, "
-          "DESIGN.md §9).");
+          " nodes.  Fill = segments per envelope; MasterLkp = page "
+          "requests inbound at the master.  The adaptive rows rerun the "
+          "static leg with --placement adaptive (home migration under the "
+          "home engine, DESIGN.md §9).");
 
   const dsm::EngineKind engines[] = {dsm::EngineKind::kLrc,
                                      dsm::EngineKind::kHomeLrc};
@@ -147,7 +146,7 @@ int main(int argc, char** argv) {
   util::JsonWriter json;
   json.begin_object();
   json.field("bench", "protocols");
-  json.field("schema_version", 11);
+  json.field("schema_version", 12);
   json.field("size", apps::size_name(size));
   json.field("nodes", nodes);
   json.field("fanout", dsm::fanout_name(fanout));
@@ -273,8 +272,6 @@ int main(int argc, char** argv) {
                      r.run.stats.counter("dsm.ctrl.master_inbound"));
           json.field("ctrl_master_outbound",
                      r.run.stats.counter("dsm.ctrl.master_outbound"));
-          json.field("dir_delta_rounds",
-                     r.run.stats.counter("dsm.dir.delta_rounds"));
           json.field("placement_home_moves", r.home_moves);
           json.field("checksum", r.run.checksum);
           if (r.run.trace.has_value()) {
@@ -459,7 +456,7 @@ int main(int argc, char** argv) {
         json.end_object();
         if (static_leg.ok) static_by_shards.emplace_back(shards, static_leg);
       }
-      // Sharding the directory must shed master-inbound owner-lookup load
+      // Sharding the initial layout must shed master-inbound owner-lookup load
       // (it may not grow it) whenever more than one shard count ran.
       const std::pair<int, LegResult>* lo = nullptr;
       const std::pair<int, LegResult>* hi = nullptr;

@@ -29,11 +29,11 @@
 // one is — every access is barrier-ordered) or pinpoints the racing
 // (page, word range, process pair) without changing a byte on the wire.
 //
-// Simulation is not the only executor: --backend real / ANOW_BACKEND=real
-// runs the same protocol on actual pthreads with mmap page privatization
-// (writes detected by their declaration, as here), reporting measured
-// wall-clock instead of virtual time (DESIGN.md §14).  This particular demo stays on the
-// simulator because its point is the join/leave schedule, which needs
+// Simulation is not the only executor: --backend real runs the same
+// protocol on actual pthreads with mmap page privatization (writes
+// detected by their declaration, as here), reporting measured wall-clock
+// instead of virtual time (DESIGN.md §14).  This particular demo stays on
+// the simulator because its point is the join/leave schedule, which needs
 // virtual time — see tests/exec/backend_test.cpp and
 // bench/bench_backend.cpp for fixed-team programs run both ways with
 // bit-identical checksums.

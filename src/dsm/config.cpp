@@ -25,8 +25,8 @@ void assign(Knobs& knobs, std::string_view value, std::string_view what) {
   }
 }
 
-/// Every knob once: its option name, its environment variable, and how to
-/// parse it.
+/// Every knob once: its option name, its environment variable (null for a
+/// knob only the command line sets), and how to parse it.
 struct KnobRow {
   std::string_view key;
   const char* env;
@@ -34,7 +34,10 @@ struct KnobRow {
 };
 
 constexpr KnobRow kKnobs[] = {
-    {"backend", "ANOW_BACKEND", &assign<&Knobs::backend>},
+    // No environment variable: tests and benches assert virtual time and
+    // other simulator-only behaviour, so a suite-wide backend switch could
+    // only break them.
+    {"backend", nullptr, &assign<&Knobs::backend>},
     {"engine", "ANOW_ENGINE", &assign<&Knobs::engine>},
     {"dir-shards", "ANOW_DIR_SHARDS", &assign<&Knobs::dir_shards>},
     {"placement", "ANOW_PLACEMENT", &assign<&Knobs::placement>},
@@ -47,6 +50,7 @@ const Knobs& env_knobs() {
   static const Knobs knobs = [] {
     Knobs k = Knobs::builtin();
     for (const KnobRow& row : kKnobs) {
+      if (row.env == nullptr) continue;
       const char* env = std::getenv(row.env);
       if (env != nullptr && *env != '\0') row.assign(k, env, row.env);
     }

@@ -141,22 +141,25 @@ std::string fanout_name(int fanout);
 /// holds the ANOW_* environment defaults (read once per process), so CI can
 /// rerun the whole suite under any setting without touching a construction
 /// site; a variable no knob names is ignored.  Every knob is also a
-/// command-line option of the same name (read_knobs).
+/// command-line option of the same name (read_knobs); `backend` is only
+/// that.
 struct Knobs {
   Knobs();
 
-  /// --backend / ANOW_BACKEND (DESIGN.md §14).  Under kReal, tracing, race
-  /// checking and adaptation events are rejected at start (they ride
-  /// simulator-only machinery).
+  /// --backend (DESIGN.md §14); no environment variable sets it, so the
+  /// suite always runs on the simulator unless a test picks `real` itself.
+  /// Under kReal, tracing, race checking and adaptation events are
+  /// rejected at start (they ride simulator-only machinery).
   BackendKind backend = BackendKind::kSim;
   /// --engine / ANOW_ENGINE.
   EngineKind engine = EngineKind::kLrc;
-  /// --dir-shards / ANOW_DIR_SHARDS (DESIGN.md §8): the page->owner map is
-  /// split into this many contiguous page ranges, each held authoritatively
-  /// by one of the first `dir_shards` processes (uid == shard index), which
-  /// is also seeded with the initial valid copy of its range.  1 keeps the
-  /// whole directory at the master.  Must be >= 1; clamped to nprocs at
-  /// start().
+  /// --dir-shards / ANOW_DIR_SHARDS (DESIGN.md §8): the heap's pages are
+  /// dealt block-cyclically to the first `dir_shards` processes (uid ==
+  /// shard index), each seeded with the initial valid copy of its pages,
+  /// their default owner and home, and the target of every initial owner
+  /// hint for them.  The master keeps the whole owner map either way.  1
+  /// seeds the whole heap at the master.  Must be >= 1; clamped to nprocs
+  /// at start().
   int dir_shards = 1;
   /// --placement / ANOW_PLACEMENT (DESIGN.md §9).
   PlacementMode placement = PlacementMode::kStatic;

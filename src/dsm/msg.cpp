@@ -75,19 +75,6 @@ struct WireSize {
   std::int64_t operator()(const PageMapMsg& m) const {
     return static_cast<std::int64_t>(m.owner_by_page.size()) * 2;
   }
-  std::int64_t operator()(const OwnerQuery&) const { return 8; }
-  std::int64_t operator()(const OwnerSlice& m) const {
-    return 8 + static_cast<std::int64_t>(m.owners.size()) * 2;
-  }
-  std::int64_t operator()(const OwnerUpdate& m) const {
-    return 4 + static_cast<std::int64_t>(m.entries.size()) * 6;
-  }
-  std::int64_t operator()(const DirDeltaRequest& m) const {
-    return 8 + static_cast<std::int64_t>(m.records.size()) * 6;
-  }
-  std::int64_t operator()(const DirDeltaReply& m) const {
-    return 8 + static_cast<std::int64_t>(m.delta.size()) * 6;
-  }
   std::int64_t operator()(const HomeMove& m) const {
     return 4 + static_cast<std::int64_t>(m.entries.size()) * 6;
   }
@@ -109,13 +96,12 @@ struct WireSize {
 };
 
 constexpr const char* kSegmentKindNames[kNumSegmentKinds] = {
-    "page_request",   "page_reply",     "diff_request", "diff_reply",
-    "home_flush",     "home_flush_ack", "barrier_arrive",
-    "barrier_release", "gc_prepare",    "gc_ack",       "lock_acquire",
-    "lock_grant",     "lock_release",   "fork",         "terminate",
-    "join_ready",     "page_map",       "owner_query",  "owner_slice",
-    "owner_update",   "dir_delta_request", "dir_delta_reply",
-    "home_move",      "tree_arrive",    "tree_ack",     "tree_multicast",
+    "page_request",    "page_reply",     "diff_request", "diff_reply",
+    "home_flush",      "home_flush_ack", "barrier_arrive",
+    "barrier_release", "gc_prepare",     "gc_ack",       "lock_acquire",
+    "lock_grant",      "lock_release",   "fork",         "terminate",
+    "join_ready",      "page_map",       "home_move",    "tree_arrive",
+    "tree_ack",        "tree_multicast",
 };
 
 static_assert(std::variant_size_v<Segment> == kNumSegmentKinds,
@@ -154,8 +140,6 @@ bool segment_is_control(const Segment& seg) {
     case SegmentKind::kTerminate:
     case SegmentKind::kJoinReady:
     case SegmentKind::kPageMap:
-    case SegmentKind::kDirDeltaRequest:
-    case SegmentKind::kDirDeltaReply:
     case SegmentKind::kTreeArrive:
     case SegmentKind::kTreeAck:
     case SegmentKind::kTreeMulticast:

@@ -170,53 +170,6 @@ struct PageMapMsg {
   std::vector<Uid> owner_by_page;
 };
 
-// --- sharded owner directory (DESIGN.md §8) --------------------------------
-// With --dir-shards N > 1 the page->owner map is split into N contiguous
-// page ranges, each held authoritatively by one of the first N processes.
-// The master reads a remote slice with OwnerQuery/OwnerSlice, pushes
-// out-of-band ownership transfers (leave protocol) with OwnerUpdate, and
-// collects per-shard GC owner deltas with DirDeltaRequest/DirDeltaReply.
-// None of these segments exist when dir_shards == 1.
-
-/// Master asks a shard holder for its full owner slice (global-view
-/// assembly: page maps for joiners, the adaptive layer's owned-page scans).
-struct OwnerQuery {
-  std::int32_t shard = -1;
-  std::uint64_t cookie = 0;
-};
-
-struct OwnerSlice {
-  std::int32_t shard = -1;
-  std::vector<Uid> owners;  // the holder's range, in page order
-  std::uint64_t cookie = 0;
-};
-
-/// Master pushes ownership changes that do not ride a GC round (leave
-/// protocol transfers, explicit set_owner) to the slice holder.  Fire and
-/// forget: per-pair FIFO delivery means any later query sees the update.
-struct OwnerUpdate {
-  OwnerDelta entries;
-};
-
-/// Master ships the write records of one shard's range accumulated since
-/// the last GC (page -> last writer, already merged last-writer-wins) and
-/// asks the holder for its partial owner delta.
-struct DirDeltaRequest {
-  std::int32_t shard = -1;
-  OwnerDelta records;  // (page, last writer), page-ascending
-  /// 0 = reply is routed to the master's GC state machine (barrier GC,
-  /// event context); nonzero = fiber rendezvous (gc_at_fork).
-  std::uint64_t cookie = 0;
-};
-
-/// The holder's partial delta: records whose last writer differs from the
-/// authoritative owner in its slice.
-struct DirDeltaReply {
-  std::int32_t shard = -1;
-  OwnerDelta delta;
-  std::uint64_t cookie = 0;
-};
-
 // --- adaptive placement (DESIGN.md §9) -------------------------------------
 // With --placement adaptive under the home engine, DsmSystem executes the
 // policy's re-homes by riding the GC commit round: the notice is *staged*
@@ -274,9 +227,8 @@ using Segment =
     std::variant<PageRequest, PageReply, DiffRequest, DiffReply, HomeFlush,
                  HomeFlushAck, BarrierArrive, BarrierRelease, GcPrepare,
                  GcAck, LockAcquireReq, LockGrant, LockReleaseMsg, ForkMsg,
-                 TerminateMsg, JoinReady, PageMapMsg, OwnerQuery, OwnerSlice,
-                 OwnerUpdate, DirDeltaRequest, DirDeltaReply, HomeMove,
-                 TreeArrive, TreeAck, TreeMulticast>;
+                 TerminateMsg, JoinReady, PageMapMsg, HomeMove, TreeArrive,
+                 TreeAck, TreeMulticast>;
 
 struct TreeRoute {
   Uid dest = kNoUid;
@@ -305,17 +257,12 @@ enum class SegmentKind : std::uint8_t {
   kTerminate,
   kJoinReady,
   kPageMap,
-  kOwnerQuery,
-  kOwnerSlice,
-  kOwnerUpdate,
-  kDirDeltaRequest,
-  kDirDeltaReply,
   kHomeMove,
   kTreeArrive,
   kTreeAck,
   kTreeMulticast,
 };
-constexpr int kNumSegmentKinds = 26;
+constexpr int kNumSegmentKinds = 21;
 
 inline SegmentKind segment_kind(const Segment& seg) {
   return static_cast<SegmentKind>(seg.index());

@@ -13,10 +13,11 @@
 //
 // The owner shadow: every ownership change in the system flows through the
 // master (GC commit deltas, first-touch assignments, leave-protocol
-// transfers, explicit set_owner), so the policy maintains an exact local
-// copy of the post-commit owner map without ever querying a remote slice —
-// note_owner_delta() is called wherever the master applies or broadcasts a
-// delta.
+// transfers), so the policy maintains an exact local
+// copy of the *post-commit* owner map — note_owner_delta() is called
+// wherever the master applies or broadcasts a delta.  It is not the
+// engine's owner map, which also holds the first-touch homes staged at the
+// current barrier.
 #pragma once
 
 #include <cstdint>
@@ -41,8 +42,8 @@ class PlacementPolicy {
   void configure(const protocol::ShardMap& map);
 
   /// Keeps the owner shadow exact: called for every delta the master
-  /// commits or broadcasts (GC commit, queued leave transfers, explicit
-  /// set_owner) — see the header comment.
+  /// commits or broadcasts (GC commit, queued leave transfers) — see the
+  /// header comment.
   void note_owner_delta(const OwnerDelta& delta);
   Uid shadow_owner(PageId p) const {
     return owner_shadow_[static_cast<std::size_t>(p)];

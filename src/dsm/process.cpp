@@ -54,9 +54,9 @@ DsmProcess::DsmProcess(DsmSystem& system, Uid uid, sim::HostId host)
   }
   engine_ = protocol::make_engine(cfg);
   // The directory init seeds the initial data distribution: the master's
-  // whole heap when unsharded, a shard holder's own range (plus its
-  // authoritative owner slice) when sharded; everyone else faults pages in
-  // on demand with hints at the pages' default holders (DESIGN.md §8).
+  // whole heap when unsharded, a shard holder's own page set when sharded;
+  // everyone else faults pages in on demand with hints at the pages'
+  // default holders (DESIGN.md §8).
   // The engine works on the protocol view: serve/install/diff-apply must
   // not depend on the app view's protections.
   engine_->attach_node(uid_, *heap_, system_.num_pages(),
@@ -604,8 +604,6 @@ void DsmProcess::barrier(std::int32_t barrier_id) {
     auto* rel = std::get_if<BarrierRelease>(&m);
     ANOW_CHECK_MSG(rel != nullptr, "unexpected instruction inside barrier");
     ANOW_CHECK(rel->barrier_id == barrier_id);
-    // Idempotent after the prepare.
-    engine_->apply_delta_to_slice(rel->owner_delta);
     engine_->integrate(rel->intervals);
     if (rel->gc_commit) {
       commit_gc(rel->owner_delta);
@@ -740,10 +738,6 @@ void DsmProcess::commit_gc(const OwnerDelta& delta) {
 void DsmProcess::handle_gc_prepare(const GcPrepare& gp) {
   obs::ScopedSpan span(tracer_, uid_, obs::SpanKind::kGcPrepare);
   gc_prepared_ = true;
-  // A shard holder's authoritative slice adopts the delta at the prepare
-  // phase: by the time the master's gc_finish runs (all acks in), every
-  // slice already answers queries with post-GC owners.
-  engine_->apply_delta_to_slice(gp.owners);
   engine_->note_gc_prepare();
   engine_->integrate(gp.intervals);
   gc_validate(gp.owners);
@@ -812,12 +806,6 @@ void DsmProcess::handle_segment(Segment seg, Uid src,
           handle_diff_request(body, src);
         } else if constexpr (std::is_same_v<T, HomeFlush>) {
           handle_home_flush(body);
-        } else if constexpr (std::is_same_v<T, OwnerQuery>) {
-          handle_owner_query(body, src);
-        } else if constexpr (std::is_same_v<T, OwnerUpdate>) {
-          handle_owner_update(body);
-        } else if constexpr (std::is_same_v<T, DirDeltaRequest>) {
-          handle_dir_delta_request(body, src);
         } else if constexpr (std::is_same_v<T, HomeMove>) {
           handle_home_move(body);
         } else if constexpr (std::is_same_v<T, PageReply>) {
@@ -826,26 +814,6 @@ void DsmProcess::handle_segment(Segment seg, Uid src,
           deliver_reply(body.cookie, std::move(seg), shared_envelope);
         } else if constexpr (std::is_same_v<T, HomeFlushAck>) {
           deliver_reply(body.cookie, std::move(seg), shared_envelope);
-        } else if constexpr (std::is_same_v<T, OwnerSlice>) {
-          deliver_reply(body.cookie, std::move(seg), shared_envelope);
-        } else if constexpr (std::is_same_v<T, DirDeltaReply>) {
-          if (body.cookie != 0) {
-            deliver_reply(body.cookie, std::move(seg), shared_envelope);
-          } else if (is_master()) {
-            system_.on_dir_delta_reply(std::move(body));
-          } else {
-            // Barrier GC (DESIGN.md §12): a holder's cookie-0 partial
-            // climbs toward the root through this node — re-staged on our
-            // channel after the constant interior service charge.
-            const Uid parent = system_.topology().parent_of(uid_);
-            ANOW_CHECK_MSG(parent != kNoUid,
-                           "delta reply relayed by non-member " << uid_);
-            system_.rt().defer(
-                system_.cluster().cost().tree_combine,
-                [this, parent, reply = std::move(body)]() mutable {
-                  channel_.send(parent, std::move(reply));
-                });
-          }
         } else if constexpr (std::is_same_v<T, TreeArrive>) {
           if (is_master()) {
             // Root: unpack the subtree.  Flushes first — they were kept
@@ -991,59 +959,6 @@ void DsmProcess::handle_home_flush(const HomeFlush& msg) {
   system_.rt().defer(
       service, [this, writer, ack = HomeFlushAck{applied, msg.cookie}] {
         channel_.send(writer, ack);
-      });
-}
-
-// ---------------------------------------------------------------------------
-// Sharded owner directory, holder side (DESIGN.md §8; event context)
-// ---------------------------------------------------------------------------
-
-void DsmProcess::handle_owner_query(const OwnerQuery& query, Uid src) {
-  const auto* slice = engine_->dir_slice(query.shard);
-  ANOW_CHECK_MSG(slice != nullptr,
-                 "owner query for shard " << query.shard
-                                          << " reached non-holder " << uid_);
-  OwnerSlice reply;
-  reply.shard = query.shard;
-  reply.owners = slice->owners();
-  reply.cookie = query.cookie;
-  system_.rt().defer(
-      system_.cluster().cost().dir_service,
-      [this, src, reply = std::move(reply)]() mutable {
-        channel_.send(src, std::move(reply));
-      });
-}
-
-void DsmProcess::handle_owner_update(const OwnerUpdate& msg) {
-  ANOW_CHECK_MSG(engine_->holds_slice(),
-                 "owner update reached non-holder " << uid_);
-  engine_->apply_delta_to_slice(msg.entries);
-}
-
-void DsmProcess::handle_dir_delta_request(const DirDeltaRequest& req,
-                                          Uid src) {
-  const auto* slice = engine_->dir_slice(req.shard);
-  ANOW_CHECK_MSG(slice != nullptr,
-                 "dir delta request for shard "
-                     << req.shard << " reached non-holder " << uid_);
-  DirDeltaReply reply;
-  reply.shard = req.shard;
-  reply.delta = slice->partial_delta(req.records);
-  reply.cookie = req.cookie;
-  // A barrier-GC round's reply (cookie 0) climbs back through the holder's
-  // parent — the request came down the tree, and the partial is relayed hop
-  // by hop to the master's GC state machine (DESIGN.md §12); a leaf child
-  // of the master replies straight to it.  Fiber rounds (nonzero cookie)
-  // stay direct to src.
-  const Uid to = req.cookie == 0 ? system_.topology().parent_of(uid_) : src;
-  // Record-vs-slice comparison on the holder before the reply leaves.
-  const sim::Time service =
-      system_.cluster().cost().dir_service +
-      system_.cluster().cost().gc_per_page *
-          static_cast<sim::Time>(req.records.size());
-  system_.rt().defer(
-      service, [this, to, reply = std::move(reply)]() mutable {
-        channel_.send(to, std::move(reply));
       });
 }
 
@@ -1344,9 +1259,6 @@ void DsmProcess::run_task(const ForkMsg& fork) {
   // New construct: past exclusive write declarations are settled.
   engine_->begin_construct();
   apply_team(fork.team);
-  // Queued ownership transfers (leave protocol) riding the fork; GC
-  // entries were already applied at the prepare.
-  engine_->apply_delta_to_slice(fork.owner_delta);
   engine_->integrate(fork.intervals);
   if (race_ != nullptr) race_->on_fork_join(uid_);
   if (fork.gc_commit) {

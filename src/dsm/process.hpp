@@ -166,10 +166,6 @@ class DsmProcess {
   void handle_page_request(const PageRequest& req, Uid src);
   void handle_diff_request(const DiffRequest& req, Uid src);
   void handle_home_flush(const HomeFlush& msg);
-  // Sharded owner directory (DESIGN.md §8), holder side.
-  void handle_owner_query(const OwnerQuery& query, Uid src);
-  void handle_owner_update(const OwnerUpdate& msg);
-  void handle_dir_delta_request(const DirDeltaRequest& req, Uid src);
   // Adaptive placement (DESIGN.md §9), node side.
   void handle_home_move(const HomeMove& msg);
 
@@ -259,9 +255,9 @@ class DsmProcess {
   /// with a copy are validated with one batched diff fetch per creator;
   /// the rest go through the normal fault path.
   void gc_validate(const OwnerDelta& owners);
-  /// The GcPrepare instruction, in barrier() or Tmk_wait: adopts the delta
-  /// into held slices, integrates, validates, and acks (the master with a
-  /// self-send, everyone else through the ack combine).
+  /// The GcPrepare instruction, in barrier() or Tmk_wait: integrates,
+  /// validates, and acks (the master with a self-send, everyone else
+  /// through the ack combine).
   void handle_gc_prepare(const GcPrepare& gp);
 
   // --- checked-build protection sync (DESIGN.md §14) -----------------------

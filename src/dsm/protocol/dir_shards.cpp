@@ -8,123 +8,47 @@ namespace anow::dsm::protocol {
 
 void DirectoryShards::init(PageId num_pages) {
   map_ = ShardMap(num_pages, 1);
-  holders_.assign(1, kMasterUid);
   owners_.assign(static_cast<std::size_t>(num_pages), kMasterUid);
-  records_.assign(1, {});
+  records_.clear();
+  records_sorted_ = true;
   record_slot_.assign(static_cast<std::size_t>(num_pages), 0);
-  records_total_ = 0;
 }
 
 void DirectoryShards::configure(const ShardMap& map) {
-  ANOW_CHECK_MSG(records_total_ == 0,
-                 "directory repartition after writes were recorded");
+  ANOW_CHECK_MSG(records_.empty(),
+                 "directory layout changed after writes were recorded");
   ANOW_CHECK(map.num_pages == map_.num_pages);
   map_ = map;
-  holders_.resize(static_cast<std::size_t>(map_.shards));
-  records_.assign(static_cast<std::size_t>(map_.shards), {});
-  for (int s = 0; s < map_.shards; ++s) {
-    holders_[static_cast<std::size_t>(s)] = map_.default_holder(s);
-    if (!is_held(s)) continue;
-    // Master-held pages start owned by the master (shard 0; with
-    // shards == 1 this is the whole heap — the unsharded layout).
-    map_.for_each_page(
-        s, [&](PageId p) { owners_[static_cast<std::size_t>(p)] = kMasterUid; });
+  for (PageId p = 0; p < map_.num_pages; ++p) {
+    owners_[static_cast<std::size_t>(p)] = map_.default_holder_of_page(p);
   }
 }
 
-bool DirectoryShards::all_held() const {
-  for (int s = 0; s < map_.shards; ++s) {
-    if (!is_held(s)) return false;
-  }
-  return true;
-}
-
-Uid DirectoryShards::local_owner_of(PageId p) const {
-  ANOW_CHECK_MSG(is_held_page(p),
-                 "local owner read of page " << p << " whose shard "
-                                             << map_.shard_of(p)
-                                             << " is remotely held");
-  return owners_[static_cast<std::size_t>(p)];
-}
-
-void DirectoryShards::set_local_owner(PageId p, Uid owner) {
-  ANOW_CHECK_MSG(is_held_page(p),
-                 "local owner write of page " << p << " whose shard "
-                                              << map_.shard_of(p)
-                                              << " is remotely held");
-  owners_[static_cast<std::size_t>(p)] = owner;
-}
-
-void DirectoryShards::apply_delta_local(const OwnerDelta& delta) {
-  for (const auto& [p, owner] : delta) {
-    if (is_held_page(p)) owners_[static_cast<std::size_t>(p)] = owner;
-  }
-}
-
-const std::vector<Uid>& DirectoryShards::full_owner_map() const {
-  ANOW_CHECK_MSG(all_held(),
-                 "full owner map read while shards are remotely held");
-  return owners_;
-}
-
-std::vector<Uid> DirectoryShards::held_slice(int shard) const {
-  ANOW_CHECK(is_held(shard));
-  std::vector<Uid> out;
-  out.reserve(static_cast<std::size_t>(map_.pages_in_shard(shard)));
-  map_.for_each_page(shard, [&](PageId p) {
-    out.push_back(owners_[static_cast<std::size_t>(p)]);
-  });
-  return out;
-}
-
-void DirectoryShards::fold(int shard, std::vector<Uid> owners) {
-  ANOW_CHECK(!is_held(shard));
-  ANOW_CHECK(static_cast<PageId>(owners.size()) ==
-             map_.pages_in_shard(shard));
-  holders_[static_cast<std::size_t>(shard)] = kMasterUid;
-  std::size_t i = 0;
-  map_.for_each_page(shard, [&](PageId p) {
-    owners_[static_cast<std::size_t>(p)] = owners[i++];
-  });
+void DirectoryShards::apply_delta(const OwnerDelta& delta) {
+  for (const auto& [p, owner] : delta) set_owner(p, owner);
 }
 
 void DirectoryShards::collapse_to_master() {
-  ANOW_CHECK_MSG(records_total_ == 0,
+  ANOW_CHECK_MSG(records_.empty(),
                  "directory collapse with buffered write records");
-  // Back to the unsharded geometry: one master-held shard, so page
-  // defaults (first-touch home assignability, hint seeding) are the
-  // master's again.
+  // Back to the unsharded geometry, so page defaults (first-touch home
+  // assignability, hint seeding) are the master's again.
   map_ = ShardMap(map_.num_pages, 1);
-  holders_.assign(1, kMasterUid);
-  records_.assign(1, {});
-  reset_owners_to_master();
-}
-
-void DirectoryShards::reset_owners_to_master() {
-  ANOW_CHECK_MSG(all_held(),
-                 "owner reset while shards are remotely held");
   for (auto& o : owners_) o = kMasterUid;
-}
-
-void DirectoryShards::sort_records(ShardRecords& r) {
-  if (r.sorted) return;
-  std::sort(r.entries.begin(), r.entries.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  r.sorted = true;
 }
 
 void DirectoryShards::record_write(PageId p, Uid creator,
                                    std::int64_t lamport, Protocol protocol) {
-  ShardRecords& r = records_[static_cast<std::size_t>(map_.shard_of(p))];
   std::int32_t& slot = record_slot_[static_cast<std::size_t>(p)];
   if (slot == 0) {
-    if (!r.entries.empty() && r.entries.back().first > p) r.sorted = false;
-    r.entries.emplace_back(p, LastWrite{creator, lamport});
-    slot = static_cast<std::int32_t>(r.entries.size());
-    ++records_total_;
+    if (!records_.empty() && records_.back().first > p) {
+      records_sorted_ = false;
+    }
+    records_.emplace_back(p, LastWrite{creator, lamport});
+    slot = static_cast<std::int32_t>(records_.size());
     return;
   }
-  LastWrite& lw = r.entries[static_cast<std::size_t>(slot - 1)].second;
+  LastWrite& lw = records_[static_cast<std::size_t>(slot - 1)].second;
   if (protocol == Protocol::kSingleWriter && lw.uid != creator &&
       lw.lamport == lamport) {
     ANOW_CHECK_MSG(false, "two single-writer writers for page "
@@ -137,55 +61,20 @@ void DirectoryShards::record_write(PageId p, Uid creator,
   }
 }
 
-std::vector<std::pair<Uid, DirDeltaRequest>>
-DirectoryShards::plan_delta_requests() {
-  std::vector<std::pair<Uid, DirDeltaRequest>> out;
-  for (int s = 0; s < map_.shards; ++s) {
-    if (is_held(s)) continue;
-    ShardRecords& r = records_[static_cast<std::size_t>(s)];
-    if (r.entries.empty()) continue;
-    sort_records(r);
-    DirDeltaRequest req;
-    req.shard = s;
-    req.records.reserve(r.entries.size());
-    for (const auto& [p, lw] : r.entries) {
-      req.records.emplace_back(p, lw.uid);
-    }
-    out.emplace_back(holder_of(s), std::move(req));
+OwnerDelta DirectoryShards::take_gc_delta() {
+  if (!records_sorted_) {
+    std::sort(records_.begin(), records_.end(),
+              [](const auto& a, const auto& b) { return a.first < b.first; });
+    records_sorted_ = true;
   }
-  return out;
-}
-
-OwnerDelta DirectoryShards::merge_partials(
-    const std::vector<std::pair<int, OwnerDelta>>& remote) {
+  // Records exist exactly for written pages, so walking them page-ascending
+  // is the last-writer scan of the whole map.
   OwnerDelta delta;
-  for (int s = 0; s < map_.shards; ++s) {
-    ShardRecords& r = records_[static_cast<std::size_t>(s)];
-    if (is_held(s)) {
-      // The unsharded last-writer scan, restricted to this range: records
-      // exist exactly for written pages, so iterating them page-ascending
-      // reproduces the historical full-map walk bit for bit.
-      sort_records(r);
-      for (const auto& [p, lw] : r.entries) {
-        if (lw.uid != owners_[static_cast<std::size_t>(p)]) {
-          delta.emplace_back(p, lw.uid);
-        }
-      }
-    } else {
-      for (const auto& [shard, partial] : remote) {
-        if (shard != s) continue;
-        delta.insert(delta.end(), partial.begin(), partial.end());
-        break;
-      }
-    }
-    for (const auto& [p, lw] : r.entries) {
-      (void)lw;
-      record_slot_[static_cast<std::size_t>(p)] = 0;
-    }
-    r.entries.clear();
-    r.sorted = true;
+  for (const auto& [p, lw] : records_) {
+    if (lw.uid != owner_of(p)) delta.emplace_back(p, lw.uid);
+    record_slot_[static_cast<std::size_t>(p)] = 0;
   }
-  records_total_ = 0;
+  records_.clear();
   return delta;
 }
 

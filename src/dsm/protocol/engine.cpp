@@ -46,26 +46,7 @@ void ConsistencyEngine::attach_node(Uid self, exec::ProcessHeap& heap,
     ANOW_CHECK(dir.hint_map != nullptr);
     dir.hint_map->for_each_page(dir.seed_shard, seed);
   }
-  if (dir.slice_shard >= 0) {
-    ANOW_CHECK(dir.hint_map != nullptr);
-    dir_slice_ =
-        std::make_unique<DirSlice>(dir.slice_shard, *dir.hint_map, self_);
-  }
   on_attach_node();
-}
-
-DirSlice* ConsistencyEngine::dir_slice(int shard) {
-  return holds_slice() && dir_slice_->shard() == shard ? dir_slice_.get()
-                                                        : nullptr;
-}
-
-const DirSlice* ConsistencyEngine::dir_slice(int shard) const {
-  return holds_slice() && dir_slice_->shard() == shard ? dir_slice_.get()
-                                                        : nullptr;
-}
-
-void ConsistencyEngine::apply_delta_to_slice(const OwnerDelta& delta) {
-  if (holds_slice()) dir_slice_->apply_delta(delta);
 }
 
 OwnerDelta ConsistencyEngine::stage_owner_moves(const OwnerDelta& moves) {
@@ -88,7 +69,6 @@ void ConsistencyEngine::configure_directory(const ShardMap& map) {
 }
 
 void ConsistencyEngine::reset_directory_node_state() {
-  dir_slice_.reset();
   for (PageId p = 0; p < num_pages(); ++p) {
     PageMeta& pm = page(p);
     // Pre-fork there can be no twins or pending notices anywhere (no
@@ -241,28 +221,17 @@ std::int64_t ConsistencyEngine::apply_home_flushes(
 }
 
 std::vector<PageId> ConsistencyEngine::pages_owned_by(Uid uid) const {
-  return owned_pages(dir_.full_owner_map(), uid);
+  return owned_pages(dir_.owners(), uid);
 }
 
 std::vector<std::vector<PageId>> ConsistencyEngine::pages_owned_by_all()
     const {
-  return owned_pages_by_all(dir_.full_owner_map());
-}
-
-void ConsistencyEngine::set_owner(PageId p, Uid owner) {
-  if (dir_.is_held_page(p)) dir_.set_local_owner(p, owner);
-  on_owner_changed(p, owner);
+  return owned_pages_by_all(dir_.owners());
 }
 
 void ConsistencyEngine::queue_owner_update(PageId p, Uid owner) {
   queued_owner_updates_.emplace_back(p, owner);
-  if (dir_.is_held_page(p)) dir_.set_local_owner(p, owner);
-  on_owner_changed(p, owner);
-}
-
-void ConsistencyEngine::reset_owners_to_master() {
-  dir_.reset_owners_to_master();
-  on_owners_reset();
+  dir_.set_owner(p, owner);
 }
 
 PendingOwnerCommit ConsistencyEngine::take_pending_commit(

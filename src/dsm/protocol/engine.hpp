@@ -125,30 +125,17 @@ class ConsistencyEngine {
   /// Binds this engine to one process.  `heap` holds the process's local
   /// copy of the shared region (stable for the engine's lifetime): the
   /// engine works on its protocol view and gives it back the frames of the
-  /// copies a GC commit drops.  `dir` seeds the
-  /// node's directory role: the [seed_first, seed_end) range it starts with
-  /// a valid+exclusive copy of (the master's whole heap when unsharded, a
-  /// holder's own range when sharded), the initial owner hints, and the
-  /// authoritative DirSlice if this node holds one (DESIGN.md §8).
+  /// copies a GC commit drops.  `dir` seeds the node's initial data
+  /// distribution: the pages it starts with a valid+exclusive copy of (the
+  /// master's whole heap when unsharded, a holder's own page set when
+  /// sharded) and the initial owner hints (DESIGN.md §8).
   void attach_node(Uid self, exec::ProcessHeap& heap, PageId num_pages,
                    const std::vector<Protocol>& protocol,
                    util::StatsRegistry& stats, const NodeDirInit& dir);
 
-  /// The authoritative owner slice of `shard`, if this node holds it
-  /// (null otherwise; the master's slices live in the master-side
-  /// directory).  A node holds at most its own default shard, from start
-  /// until it leaves (its authority then folds to the master).
-  DirSlice* dir_slice(int shard);
-  const DirSlice* dir_slice(int shard) const;
-  bool holds_slice() const { return dir_slice_ != nullptr; }
-
-  /// Applies a GC/commit delta to the slice this node holds, if any (the
-  /// slice filters to its own range; idempotent).
-  void apply_delta_to_slice(const OwnerDelta& delta);
-
-  /// Checkpoint-restore collapse of a sharded directory (pre-fork only):
-  /// drops this node's slice and seeded copies and points every hint back
-  /// at the master, which re-seeds the whole restored region.
+  /// Checkpoint-restore collapse of a sharded layout (pre-fork only):
+  /// drops this node's seeded copies and points every hint back at the
+  /// master, which re-seeds the whole restored region.
   void reset_directory_node_state();
 
   PageMeta& page(PageId p) { return pages_[static_cast<std::size_t>(p)]; }
@@ -303,33 +290,22 @@ class ConsistencyEngine {
   virtual std::vector<Interval> collect_undelivered(Uid target) = 0;
 
   // --- owner directory (master side; DESIGN.md §8) ------------------------
-  /// Repartitions the directory into the given shard layout.  Called once
-  /// from DsmSystem::start() before any protocol traffic; a 1-shard map is
-  /// the historical fully-master-held directory.
+  /// Lays out the shards and seeds every page's owner with its default
+  /// holder.  Called once from DsmSystem::start() before any protocol
+  /// traffic; a 1-shard map leaves every page at the master.
   void configure_directory(const ShardMap& map);
   DirectoryShards& dir() { return dir_; }
-  const DirectoryShards& dir() const { return dir_; }
 
-  /// The full owner map / owned-page scans.  Only valid while every shard
-  /// is master-held (always true when dir_shards == 1); with remote shards
-  /// DsmSystem assembles the global view via OwnerQuery instead.
-  const std::vector<Uid>& owner_by_page() const {
-    return dir_.full_owner_map();
-  }
-  Uid owner_of(PageId p) const { return dir_.local_owner_of(p); }
-  void set_owner(PageId p, Uid owner);
+  /// The whole owner map, indexed by page, and owned-page scans of it.
+  const std::vector<Uid>& owner_by_page() const { return dir_.owners(); }
+  Uid owner_of(PageId p) const { return dir_.owner_of(p); }
   std::vector<PageId> pages_owned_by(Uid uid) const;
   /// Page lists of *all* uids in one scan of the owner map (index = uid;
   /// sized to the highest owner present).  Use this instead of repeated
   /// pages_owned_by calls when iterating several processes.
   std::vector<std::vector<PageId>> pages_owned_by_all() const;
-  /// Records an ownership change to broadcast with the next fork.  For a
-  /// remotely-held page DsmSystem also pushes an OwnerUpdate to the slice
-  /// holder (the engine itself never sends).
+  /// Records an ownership change to broadcast with the next fork.
   void queue_owner_update(PageId p, Uid owner);
-  /// Checkpoint restore: every page returns to the master.  With remote
-  /// shards the caller collapses the directory first.
-  void reset_owners_to_master();
 
   /// Adaptive placement (DESIGN.md §9): stages policy-decided page
   /// re-homes so they ride the next GC round's atomic OwnerDelta commit —
@@ -349,18 +325,8 @@ class ConsistencyEngine {
     return gc_requested_ ||
            max_consistency_bytes > config_->gc_threshold_bytes;
   }
-  /// One DirDeltaRequest per remote shard with write records since the last
-  /// GC: DsmSystem sends them and hands the holders' partial deltas to
-  /// gc_begin.  Empty when every shard is master-held or nothing was
-  /// written (home-based engines never record, so always empty there).
-  std::vector<std::pair<Uid, DirDeltaRequest>> plan_dir_delta_requests() {
-    return dir_.plan_delta_requests();
-  }
-  /// Starts a GC: merges the owner delta (last writer wins) from the
-  /// master-held shards and the remote holders' partial replies, in shard
-  /// order, and clears the request flag.
-  virtual OwnerDelta gc_begin(
-      std::vector<std::pair<int, OwnerDelta>> remote_partials) = 0;
+  /// Starts a GC: computes the owner delta and clears the request flag.
+  virtual OwnerDelta gc_begin() = 0;
   /// Completes a GC at the master: applies the delta to the owner map,
   /// resets the interval log + delivery matrix, and arms the pending commit
   /// that rides on the next fork or barrier release.
@@ -377,14 +343,6 @@ class ConsistencyEngine {
   /// Engine-specific GC commit work, before the page sweep: the LRC engine
   /// releases its diff archive, the home engine checks every twin flushed.
   virtual void on_gc_commit() {}
-  /// Master side: an owner entry changed outside a GC commit (set_owner,
-  /// queue_owner_update, reset).  Home-based engines track first-touch
-  /// assignability here.
-  virtual void on_owner_changed(PageId p, Uid owner) {
-    (void)p;
-    (void)owner;
-  }
-  virtual void on_owners_reset() {}
 
   /// One fetched full copy resolves every pending notice of `p`: all pages
   /// of an engine whose full copies cover pending notices, and
@@ -418,9 +376,6 @@ class ConsistencyEngine {
   std::int64_t archive_bytes_ = 0;
   std::int64_t twin_bytes_ = 0;
   PendingNotices pending_;
-  /// The authoritative owner slice this node holds: its own default
-  /// shard, when it is a holder of the initial team.
-  std::unique_ptr<DirSlice> dir_slice_;
 
   // Master-side state.
   DirectoryShards dir_;

@@ -15,22 +15,6 @@ void HomeLrcEngine::on_attach_node() {
   ctr_flush_diffs_applied_ = &stats_->counter("dsm.home_flush_diffs_applied");
 }
 
-void HomeLrcEngine::on_attach_master() {
-  off_default_.assign(static_cast<std::size_t>(dir_.map().num_pages), 0);
-}
-
-void HomeLrcEngine::on_owner_changed(PageId p, Uid owner) {
-  // A page whose home returns to its initial default (leave protocol
-  // re-owns to the master of an unsharded directory) becomes first-touch
-  // assignable again — the historical owner==master condition.
-  off_default_[static_cast<std::size_t>(p)] =
-      owner == dir_.map().default_holder_of_page(p) ? 0 : 1;
-}
-
-void HomeLrcEngine::on_owners_reset() {
-  for (auto& b : off_default_) b = 0;
-}
-
 // ---------------------------------------------------------------------------
 // Node side: write path
 // ---------------------------------------------------------------------------
@@ -286,12 +270,9 @@ void HomeLrcEngine::assign_homes(
     const Uid home =
         n == 1 ? touched[i].second
                : touched[i + (rr_cursor_++ % n)].second;
-    if (dir_.is_held_page(p)) dir_.set_local_owner(p, home);
-    // A remotely-held slice is updated when its holder processes the
-    // GcPrepare carrying this delta (gc_should_run forces that round at
-    // this same barrier); the bit below keeps the page un-assignable in
-    // the meantime without an event-context slice read.
-    off_default_[static_cast<std::size_t>(p)] = 1;
+    // Staged into the owner map now (gc_finish re-applies the delta,
+    // idempotent), which also keeps the page un-assignable until then.
+    dir_.set_owner(p, home);
     pending_delta_.emplace_back(p, home);
     stats_->counter("dsm.home_assignments")++;
     i = j;
@@ -314,13 +295,9 @@ OwnerDelta HomeLrcEngine::stage_owner_moves(const OwnerDelta& moves) {
     // assign_homes — the policy only migrates established homes.
     if (home_assignable(p)) continue;
     if (pending_page[static_cast<std::size_t>(p)]) continue;
-    if (dir_.is_held_page(p) && dir_.local_owner_of(p) == home) continue;
-    // Mirror assign_homes: held slices update at stage time (gc_finish
-    // re-applies the delta, idempotent); remote slices adopt when their
-    // holder processes the GcPrepare carrying this delta.
-    if (dir_.is_held_page(p)) dir_.set_local_owner(p, home);
-    off_default_[static_cast<std::size_t>(p)] =
-        home == dir_.map().default_holder_of_page(p) ? 0 : 1;
+    if (owner_of(p) == home) continue;
+    // Mirror assign_homes: the owner map updates at stage time.
+    dir_.set_owner(p, home);
     pending_delta_.emplace_back(p, home);
     pending_page[static_cast<std::size_t>(p)] = 1;
     stats_->counter("dsm.placement.home_moves")++;
@@ -339,8 +316,8 @@ void HomeLrcEngine::log_epoch(std::vector<Interval> intervals) {
         // First touch: the page's home is still its initial default (the
         // master, or the page's shard holder) and the writer is not that
         // default itself.  The master is a legitimate assignee for pages
-        // defaulted at other shard holders; with an unsharded directory
-        // every default is the master, so it can never self-assign — the
+        // defaulted at other shard holders; with one shard every default
+        // is the master, so it can never self-assign — the
         // historical creator != master rule falls out of this check.
         if (home_assignable(wn.page) &&
             iv.creator != dir_.map().default_holder_of_page(wn.page)) {
@@ -379,14 +356,7 @@ bool HomeLrcEngine::gc_should_run(std::int64_t max_consistency_bytes) const {
          ConsistencyEngine::gc_should_run(max_consistency_bytes);
 }
 
-OwnerDelta HomeLrcEngine::gc_begin(
-    std::vector<std::pair<int, OwnerDelta>> remote_partials) {
-  // Home-based GC never records writes, so it plans no DirDeltaRequest and
-  // no partial can carry an entry.
-  for (const auto& [shard, partial] : remote_partials) {
-    (void)shard;
-    ANOW_CHECK(partial.empty());
-  }
+OwnerDelta HomeLrcEngine::gc_begin() {
   gc_requested_ = false;
   // The delta is just the staged home assignments; there is no last-writer
   // recomputation because homes *are* the owners.
@@ -396,11 +366,7 @@ OwnerDelta HomeLrcEngine::gc_begin(
 }
 
 void HomeLrcEngine::gc_finish(const OwnerDelta& delta) {
-  dir_.apply_delta_local(delta);  // idempotent: held entries staged early
-  for (const auto& [p, owner] : delta) {
-    off_default_[static_cast<std::size_t>(p)] =
-        owner == dir_.map().default_holder_of_page(p) ? 0 : 1;
-  }
+  dir_.apply_delta(delta);  // idempotent: entries were staged early
   directory_.clear();
   pending_commit_ = true;
   pending_delta_ = delta;

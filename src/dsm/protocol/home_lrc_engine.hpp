@@ -80,16 +80,12 @@ class HomeLrcEngine final : public ConsistencyEngine {
   /// round's atomic commit with prepare-phase validation (the chosen home
   /// fetches a full copy from the old home before any hint flips).
   OwnerDelta stage_owner_moves(const OwnerDelta& moves) override;
-  OwnerDelta gc_begin(
-      std::vector<std::pair<int, OwnerDelta>> remote_partials) override;
+  OwnerDelta gc_begin() override;
   void gc_finish(const OwnerDelta& delta) override;
 
  protected:
   void on_attach_node() override;
-  void on_attach_master() override;
   void on_gc_commit() override;
-  void on_owner_changed(PageId p, Uid owner) override;
-  void on_owners_reset() override;
 
  private:
   /// First-touch assignment over one epoch's (page, writer) touches of
@@ -98,11 +94,11 @@ class HomeLrcEngine final : public ConsistencyEngine {
   void assign_homes(std::vector<std::pair<PageId, Uid>>& touched);
 
   /// A page is first-touch assignable while its home is still the initial
-  /// default (the master, or its shard's holder under a sharded directory)
-  /// and no assignment was staged for it.  Tracked as a bit per page so
-  /// assignability never needs a remote slice read in event context.
+  /// default (the master, or its shard's default holder under
+  /// --dir-shards) and no assignment was staged for it: staging writes the
+  /// new home into the owner map at once.
   bool home_assignable(PageId p) const {
-    return off_default_[static_cast<std::size_t>(p)] == 0;
+    return owner_of(p) == dir_.map().default_holder_of_page(p);
   }
 
   // Node side.
@@ -113,7 +109,6 @@ class HomeLrcEngine final : public ConsistencyEngine {
 
   // Master side.
   IntervalDirectory directory_;
-  std::vector<std::uint8_t> off_default_;  // 1 = home left its default
   std::size_t rr_cursor_ = 0;  // round-robin tiebreak for concurrent
                                // first writers
 };

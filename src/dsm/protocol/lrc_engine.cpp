@@ -354,19 +354,14 @@ std::vector<Interval> LrcEngine::collect_undelivered(Uid target) {
 // Master side: garbage collection
 // ---------------------------------------------------------------------------
 
-OwnerDelta LrcEngine::gc_begin(
-    std::vector<std::pair<int, OwnerDelta>> remote_partials) {
+OwnerDelta LrcEngine::gc_begin() {
   gc_requested_ = false;
-  // Master-held shards: the classic last-writer-vs-owner scan.  Remote
-  // shards: the holders' partial deltas, computed against their
-  // authoritative slices.  Shard order keeps the delta page-ascending.
-  return dir_.merge_partials(remote_partials);
+  // The last-writer-vs-owner scan over the pages written since the last GC.
+  return dir_.take_gc_delta();
 }
 
 void LrcEngine::gc_finish(const OwnerDelta& delta) {
-  // Remote slices were updated when their holders processed the GcPrepare
-  // carrying this delta; only the master-held entries apply here.
-  dir_.apply_delta_local(delta);
+  dir_.apply_delta(delta);
   directory_.clear();
   // The processes commit when the next fork/release delivers
   // gc_commit=true; until then the delta stays pending.

@@ -59,8 +59,7 @@ class LrcEngine final : public ConsistencyEngine {
   void log_release(Interval interval) override;
   std::vector<Interval> collect_undelivered(Uid target) override;
 
-  OwnerDelta gc_begin(
-      std::vector<std::pair<int, OwnerDelta>> remote_partials) override;
+  OwnerDelta gc_begin() override;
   void gc_finish(const OwnerDelta& delta) override;
 
  protected:
@@ -82,8 +81,8 @@ class LrcEngine final : public ConsistencyEngine {
   /// Converts the page's lazy twin into an archived diff.
   void materialize_diff(PageId p);
   DiffView archived_diff(PageId p, std::int32_t iseq) const;
-  /// Records the interval's write notices in the sharded directory's
-  /// last-writer buffers and logs the interval under its stamp.
+  /// Records the interval's write notices in the directory's last-writer
+  /// buffer and logs the interval under its stamp.
   void log_interval(Interval interval);
 
   // Node side.
@@ -97,7 +96,8 @@ class LrcEngine final : public ConsistencyEngine {
   util::StatsRegistry::Counter* ctr_diff_fetches_ = nullptr;
 
   // Master side.  Last-writer tracking lives in the base directory
-  // (DirectoryShards::record_write), where GC delta computation is sharded.
+  // (DirectoryShards::record_write), beside the owner map it is compared
+  // with.
   IntervalDirectory directory_;
 };
 

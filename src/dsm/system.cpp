@@ -161,9 +161,6 @@ protocol::NodeDirInit DsmSystem::node_dir_init_for(Uid uid) const {
   init.hint_map = &shard_map_;
   if (uid < static_cast<Uid>(shard_map_.shards)) {
     init.seed_shard = static_cast<int>(uid);
-    // The master's shard-0 authority lives in the master-side directory;
-    // every other holder owns a node-side DirSlice.
-    if (uid != kMasterUid) init.slice_shard = static_cast<int>(uid);
   }
   return init;
 }
@@ -310,19 +307,6 @@ void DsmSystem::expel(Uid uid) {
                  "the master cannot perform a normal leave (paper §4.4)");
   auto it = std::find(team_.begin(), team_.end(), uid);
   ANOW_CHECK_MSG(it != team_.end(), "expel of non-member " << uid);
-  // A departing shard holder's directory authority folds back to the
-  // master: one final OwnerQuery fetches the authoritative slice (the RPC
-  // drains any OwnerUpdate still staged for the holder first, so the fold
-  // sees every write).  Node hints pointing at the leaver were already
-  // redirected by the leave protocol's ownership transfer.
-  auto& dir = engine_->dir();
-  if (dir.sharded()) {
-    for (int s = 0; s < dir.map().shards; ++s) {
-      if (dir.holder_of(s) != uid) continue;
-      dir.fold(s, shard_slice(s));
-      stats().counter("dsm.dir.folds")++;
-    }
-  }
   switch (config_.pid_strategy) {
     case PidStrategy::kShift:
       team_.erase(it);
@@ -334,9 +318,8 @@ void DsmSystem::expel(Uid uid) {
   }
   // A departing *interior* node's children are promoted before the leave
   // completes: the rebuilt tree over the compacted pid order reattaches
-  // every orphaned subtree (the control-plane analogue of the shard-holder
-  // fold above).  Expel happens only between constructs, so the leaver can
-  // hold no half-combined collective state — asserted here.
+  // every orphaned subtree.  Expel happens only between constructs, so the
+  // leaver can hold no half-combined collective state — asserted here.
   ANOW_CHECK_MSG(process(uid).tree_combine_idle(),
                  "expel of uid " << uid << " with combining state in flight");
   // Drain-before-departure (DESIGN.md §13): anything the leaver still has
@@ -361,120 +344,11 @@ void DsmSystem::move_process(Uid uid, sim::HostId new_host) {
 }
 
 // ---------------------------------------------------------------------------
-// Owner directory (master-side engine + remote shard holders; DESIGN.md §8)
+// Owner directory (the master engine's whole owner map; DESIGN.md §8)
 // ---------------------------------------------------------------------------
-
-bool DsmSystem::on_master_fiber() const {
-  const DsmProcess& master = *processes_[kMasterUid];
-  return master.alive() && rt_->in_context_of(kMasterUid);
-}
-
-std::vector<Uid> DsmSystem::shard_slice(int shard) {
-  auto& dir = engine_->dir();
-  if (dir.is_held(shard)) return dir.held_slice(shard);
-  const Uid holder = dir.holder_of(shard);
-  if (on_master_fiber()) {
-    DsmProcess& master = *processes_[kMasterUid];
-    const std::uint64_t cookie = master.new_cookie();
-    Segment reply = master.rpc(holder, OwnerQuery{shard, cookie}, cookie);
-    auto& slice = std::get<OwnerSlice>(reply);
-    ANOW_CHECK(slice.shard == shard);
-    return std::move(slice.owners);
-  }
-  // Not inside the simulation (post-run inspection): read the holder's
-  // slice directly — no protocol traffic exists or is charged here.
-  const auto* slice = processes_[holder]->engine().dir_slice(shard);
-  ANOW_CHECK_MSG(slice != nullptr,
-                 "shard " << shard << " holder " << holder
-                          << " has no authoritative slice");
-  return slice->owners();
-}
-
-std::vector<Uid> DsmSystem::collect_owner_map() {
-  auto& dir = engine_->dir();
-  if (dir.all_held()) return dir.full_owner_map();
-  std::vector<Uid> out(static_cast<std::size_t>(num_pages()), kMasterUid);
-  auto scatter = [&](int s, const std::vector<Uid>& slice) {
-    std::size_t i = 0;
-    dir.map().for_each_page(s, [&](PageId p) {
-      out[static_cast<std::size_t>(p)] = slice[i++];
-    });
-  };
-  if (!on_master_fiber()) {
-    for (int s = 0; s < dir.map().shards; ++s) scatter(s, shard_slice(s));
-    return out;
-  }
-  // Master fiber: overlap the remote rounds — register and send every
-  // OwnerQuery first, then collect (one round trip total, the same
-  // pattern as collect_gc_delta and the diff-fetch rounds).
-  DsmProcess& master = *processes_[kMasterUid];
-  master.flush_cpu();
-  std::vector<std::pair<int, std::uint64_t>> cookies;
-  for (int s = 0; s < dir.map().shards; ++s) {
-    if (dir.is_held(s)) {
-      scatter(s, dir.held_slice(s));
-      continue;
-    }
-    const std::uint64_t cookie = master.new_cookie();
-    master.register_reply(cookie);  // register before send
-    cookies.emplace_back(s, cookie);
-    channel(kMasterUid).send(dir.holder_of(s), OwnerQuery{s, cookie});
-  }
-  for (const auto& [s, cookie] : cookies) {
-    auto* pr = master.find_reply(cookie);
-    if (!pr->ready) {
-      rt_->wait(pr->wp, "owner slice");
-    }
-    auto& slice = std::get<OwnerSlice>(pr->seg);
-    ANOW_CHECK(slice.shard == s);
-    scatter(s, slice.owners);
-    master.erase_reply(cookie);
-  }
-  return out;
-}
-
-std::vector<Uid> DsmSystem::owner_by_page() { return collect_owner_map(); }
-
-std::vector<PageId> DsmSystem::pages_owned_by(Uid uid) {
-  if (engine_->dir().all_held()) return engine_->pages_owned_by(uid);
-  return protocol::owned_pages(collect_owner_map(), uid);
-}
-
-std::vector<std::vector<PageId>> DsmSystem::pages_owned_by_all() {
-  if (engine_->dir().all_held()) return engine_->pages_owned_by_all();
-  return protocol::owned_pages_by_all(collect_owner_map());
-}
-
-void DsmSystem::push_owner_update(PageId page, Uid owner) {
-  auto& dir = engine_->dir();
-  if (dir.is_held_page(page)) return;  // local write already done
-  const Uid holder = dir.holder_of_page(page);
-  if (on_master_fiber() && is_alive(holder)) {
-    // Staged, not sent: consecutive leave-protocol transfers to the same
-    // holder coalesce into the next envelope bound for it, and any later
-    // query or broadcast to the holder drains the stage first (FIFO).
-    channel(kMasterUid).stage(holder, OwnerUpdate{{{page, owner}}});
-    stats().counter("dsm.dir.owner_updates")++;
-    return;
-  }
-  // Outside the run (test setup / post-run surgery): write the slice
-  // directly.
-  auto* slice =
-      processes_[holder]->engine().dir_slice(dir.map().shard_of(page));
-  ANOW_CHECK(slice != nullptr);
-  slice->set_owner(page, owner);
-}
-
-void DsmSystem::set_owner(PageId page, Uid owner) {
-  ANOW_CHECK(page >= 0 && page < num_pages());
-  engine_->set_owner(page, owner);
-  push_owner_update(page, owner);
-  if (placement_adaptive_) policy_.note_owner_delta({{page, owner}});
-}
 
 void DsmSystem::queue_owner_update(PageId page, Uid owner) {
   engine_->queue_owner_update(page, owner);
-  push_owner_update(page, owner);
   if (placement_adaptive_) policy_.note_owner_delta({{page, owner}});
 }
 
@@ -484,11 +358,11 @@ void DsmSystem::queue_owner_update(PageId page, Uid owner) {
 
 void DsmSystem::close_master_interval() {
   // The fork is a release point for the master: writes of its sequential
-  // section must be announced before the construct starts.  With the
-  // unsharded directory every such write is exclusivity-covered (the
-  // master owns all it touches pre-fork) and the interval is empty — this
-  // is a no-op.  With a sharded directory the master writes pages seeded
-  // at other holders, so the interval is real: close it, flush any homes
+  // section must be announced before the construct starts.  With one
+  // shard every such write is exclusivity-covered (the master owns all it
+  // touches pre-fork) and the interval is empty — this is a no-op.  With
+  // several shards the master writes pages seeded at other holders, so
+  // the interval is real: close it, flush any homes
   // (flush-before-notice invariant), and log it under its own lamport
   // stamp so it is causally ordered *before* the construct's epoch.
   DsmProcess& master = process(kMasterUid);
@@ -748,42 +622,7 @@ void DsmSystem::begin_gc_at_barrier() {
   // before the delta is assembled, so they ride the same atomic commit as
   // first-touch assignments (DESIGN.md §9).
   stage_placement_moves();
-  // Sharded delta collection first (event context, so the fan-out to the
-  // shard holders is asynchronous; on_dir_delta_reply resumes the GC once
-  // every partial is in).  With an unsharded directory or no remote write
-  // records the delta is computed locally and the prepare fan-out starts
-  // at once — the historical single-step path.
-  auto requests = engine_->plan_dir_delta_requests();
-  if (requests.empty()) {
-    start_gc_prepare(engine_->gc_begin({}));
-    return;
-  }
-  stats().counter("dsm.dir.delta_rounds")++;
-  dir_partials_.clear();
-  dir_partials_outstanding_ = static_cast<int>(requests.size());
-  // The requests go down the tree like any instruction, and the cookie-0
-  // replies climb back up through the holders' parents
-  // (handle_dir_delta_request / the relay in handle_segment).
-  std::vector<std::pair<Uid, Segment>> routed;
-  routed.reserve(requests.size());
-  for (auto& [holder, req] : requests) {
-    req.cookie = 0;  // route the reply to on_dir_delta_reply
-    routed.emplace_back(holder, std::move(req));
-  }
-  fan_out_instructions(std::move(routed));
-}
-
-void DsmSystem::on_dir_delta_reply(DirDeltaReply msg) {
-  ANOW_CHECK(gc_in_progress_ && dir_partials_outstanding_ > 0);
-  dir_partials_.emplace_back(msg.shard, std::move(msg.delta));
-  if (--dir_partials_outstanding_ > 0) return;
-  auto partials = std::move(dir_partials_);
-  dir_partials_.clear();
-  start_gc_prepare(engine_->gc_begin(std::move(partials)));
-}
-
-void DsmSystem::start_gc_prepare(OwnerDelta delta) {
-  gc_delta_ = std::move(delta);
+  gc_delta_ = engine_->gc_begin();
   // HomeMove notices staged here depart inside each new home's GcPrepare
   // envelope below.  The GcAcks that already gate the commit double as
   // the adoption barrier.
@@ -804,37 +643,6 @@ void DsmSystem::start_gc_prepare(OwnerDelta delta) {
     }
   }
   fan_out_instructions(std::move(routed));
-}
-
-OwnerDelta DsmSystem::collect_gc_delta() {
-  auto requests = engine_->plan_dir_delta_requests();
-  std::vector<std::pair<int, OwnerDelta>> partials;
-  if (!requests.empty()) {
-    stats().counter("dsm.dir.delta_rounds")++;
-    DsmProcess& master = *processes_[kMasterUid];
-    master.flush_cpu();
-    // Issue every shard's request in parallel, then collect (the same
-    // overlap pattern as the diff-fetch rounds).
-    std::vector<std::pair<int, std::uint64_t>> cookies;
-    cookies.reserve(requests.size());
-    for (auto& [holder, req] : requests) {
-      const std::uint64_t cookie = master.new_cookie();
-      master.register_reply(cookie);  // register before send
-      req.cookie = cookie;
-      cookies.emplace_back(req.shard, cookie);
-      channel(kMasterUid).send(holder, std::move(req));
-    }
-    for (const auto& [shard, cookie] : cookies) {
-      auto* pr = master.find_reply(cookie);
-      if (!pr->ready) {
-        rt_->wait(pr->wp, "dir delta reply");
-      }
-      auto& reply = std::get<DirDeltaReply>(pr->seg);
-      partials.emplace_back(shard, std::move(reply.delta));
-      master.erase_reply(cookie);
-    }
-  }
-  return engine_->gc_begin(std::move(partials));
 }
 
 void DsmSystem::on_gc_ack(const GcAck& /*msg*/) {
@@ -882,7 +690,7 @@ void DsmSystem::gc_at_fork() {
 
   stats().counter("dsm.gc_runs")++;
   stage_placement_moves();
-  OwnerDelta delta = collect_gc_delta();
+  OwnerDelta delta = engine_->gc_begin();
 
   // Deliver pending intervals + validate at the master first (fiber
   // context), then at the slaves (parked in Tmk_wait).
@@ -995,7 +803,7 @@ void DsmSystem::on_join_ready(const JoinReady& msg) {
 
 void DsmSystem::send_page_map(Uid joiner) {
   PageMapMsg map;
-  map.owner_by_page = collect_owner_map();
+  map.owner_by_page = owner_by_page();
   channel(kMasterUid).send(joiner, std::move(map));
 }
 
@@ -1007,20 +815,19 @@ void DsmSystem::restore_master_region(const std::vector<std::uint8_t>& region,
   DsmProcess& master = process(kMasterUid);
   if (shard_map_.sharded()) {
     // A restore hands the master the whole region image, so the sharded
-    // initial data distribution no longer matches reality: collapse the
-    // directory to the unsharded layout.  Pre-fork (asserted above) every
-    // process is parked with nothing but its seeded zero pages, so the
-    // holders' state is rewound directly — no protocol traffic exists to
-    // race with.
+    // initial data distribution no longer matches reality: back to the
+    // unsharded layout.  Pre-fork (asserted above) every process is parked
+    // with nothing but its seeded zero pages, so the holders' state is
+    // rewound directly — no protocol traffic exists to race with.
     for (auto& proc : processes_) {
       proc->engine().reset_directory_node_state();
     }
-    engine_->dir().collapse_to_master();
     shard_map_ = protocol::ShardMap(num_pages(), 1);
   }
   std::copy(region.begin(), region.end(), master.heap_->prot_base());
   heap_brk_ = heap_brk;
-  engine_->reset_owners_to_master();
+  // Every page's owner returns to the master.
+  engine_->dir().collapse_to_master();
   master.heap_sync();
   if (placement_adaptive_) {
     monitor_.reset();
@@ -1110,8 +917,7 @@ void DsmSystem::fan_out_instructions(
       departures.emplace_back(child, TreeMulticast{});
       it = std::prev(departures.end());
     }
-    // One route per destination: segments for the same dest (e.g. the
-    // delta requests of two shards held by one process) merge into its
+    // One route per destination: segments for the same dest merge into its
     // existing route, in batch order.
     auto& routes = std::get<TreeMulticast>(it->second).routes;
     auto rit = std::find_if(routes.begin(), routes.end(),
@@ -1167,12 +973,10 @@ void DsmSystem::send_envelope(Uid to, Envelope env) {
       if (to == kMasterUid) (*ctr_ctrl_master_in_)++;
       if (env.src == kMasterUid) (*ctr_ctrl_master_out_)++;
     }
-    // Owner-lookup load by destination: page-location requests and
-    // directory rounds landing on the master are the serialisation point
-    // the sharded directory spreads out (DESIGN.md §8).
-    const auto k = static_cast<SegmentKind>(kind);
-    if (k == SegmentKind::kPageRequest || k == SegmentKind::kOwnerQuery ||
-        k == SegmentKind::kDirDeltaRequest) {
+    // Owner-lookup load by destination: page-location requests landing on
+    // the master are the serialisation point the sharded initial
+    // distribution spreads out (DESIGN.md §8).
+    if (static_cast<SegmentKind>(kind) == SegmentKind::kPageRequest) {
       (*(to == kMasterUid ? ctr_lookups_master_ : ctr_lookups_shard_))++;
     }
   }

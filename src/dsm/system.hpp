@@ -112,23 +112,22 @@ class DsmSystem {
   /// layer's job.
   void move_process(Uid uid, sim::HostId new_host);
 
-  /// Owner map access for the adaptive layer (leave protocol, joins).
-  /// With an unsharded directory these are the master engine's local map
-  /// walks, exactly as before.  With remote shards the global view is
-  /// assembled: one OwnerQuery round per remote shard when called on the
-  /// master fiber, or a direct slice read when the simulation is not
-  /// running (post-run inspection — no protocol traffic exists then).
-  std::vector<Uid> owner_by_page();
-  void set_owner(PageId page, Uid owner);
-  /// Pages currently owned by `uid` (by the authoritative directory).
-  std::vector<PageId> pages_owned_by(Uid uid);
+  /// Owner map access for the adaptive layer (leave protocol, joins): the
+  /// master engine's whole owner map (DESIGN.md §8).
+  const std::vector<Uid>& owner_by_page() const {
+    return engine_->owner_by_page();
+  }
+  /// Pages currently owned by `uid`.
+  std::vector<PageId> pages_owned_by(Uid uid) const {
+    return engine_->pages_owned_by(uid);
+  }
   /// All uids' page lists in one owner-map scan (index = uid); use when
   /// several processes are inspected at once (multi-leave adaptation
   /// points) instead of one pages_owned_by scan per uid.
-  std::vector<std::vector<PageId>> pages_owned_by_all();
-  /// Records an ownership change to broadcast with the next fork.  A
-  /// remotely-held page's slice is updated with an OwnerUpdate staged on
-  /// the holder's channel (it rides the next envelope to the holder).
+  std::vector<std::vector<PageId>> pages_owned_by_all() const {
+    return engine_->pages_owned_by_all();
+  }
+  /// Records an ownership change to broadcast with the next fork.
   void queue_owner_update(PageId page, Uid owner);
 
   /// Sends the joiner the full page-location map (paper §4.1: "a message
@@ -186,8 +185,7 @@ class DsmSystem {
   const topology::Topology& topology() const { return topology_; }
 
   /// Directory attachment parameters for a process's node-side engine:
-  /// seeded page range, initial owner hints, authoritative slice (if the
-  /// uid is a shard holder of the initial team).
+  /// seeded page set and initial owner hints.
   protocol::NodeDirInit node_dir_init_for(Uid uid) const;
 
   /// The LRC race detector (DESIGN.md §13); null unless
@@ -218,8 +216,6 @@ class DsmSystem {
   /// GcAck-as-adoption-barrier semantics are unchanged.
   void on_tree_ack(const TreeAck& msg);
   void on_join_ready(const JoinReady& msg);
-  /// A shard holder's partial GC delta arrived (barrier-GC path).
-  void on_dir_delta_reply(DirDeltaReply msg);
 
   void barrier_complete();
   void release_barrier();
@@ -247,24 +243,9 @@ class DsmSystem {
   /// master write was exclusivity-covered (the unsharded layout pre-fork).
   void close_master_interval();
 
-  /// GC at a barrier: collects the sharded owner delta (DirDeltaRequest
-  /// rounds when remote shards have write records), then sends GcPrepare to
-  /// everyone; the release is sent once all acks are in (state machines
-  /// driven by on_dir_delta_reply and on_gc_ack).
+  /// GC at a barrier: computes the owner delta and sends GcPrepare to
+  /// everyone; the release is sent once all acks are in (on_gc_ack).
   void begin_gc_at_barrier();
-  /// Second phase: the merged delta is known; fan out the GcPrepares.
-  void start_gc_prepare(OwnerDelta delta);
-  /// Blocking delta collection on the master fiber (gc_at_fork).
-  OwnerDelta collect_gc_delta();
-
-  /// One shard's owner slice: local copy, OwnerQuery RPC (master fiber),
-  /// or a direct post-run read of the holder's slice.
-  std::vector<Uid> shard_slice(int shard);
-  std::vector<Uid> collect_owner_map();
-  /// Keeps a remotely-held slice in sync with a master-side owner write
-  /// (leave-protocol transfers, explicit set_owner).
-  void push_owner_update(PageId page, Uid owner);
-  bool on_master_fiber() const;
 
   /// Recomputes the control-plane tree from the current team (after every
   /// team mutation).  Rebuilding is what "promotes" a departed interior
@@ -272,9 +253,9 @@ class DsmSystem {
   /// reattaches every orphaned subtree.
   void rebuild_topology();
   /// The master's only fan-out (DESIGN.md §12): fork, barrier release, GC
-  /// prepare, cookie-0 delta request, terminate.  A leaf child of the
-  /// master (or a joiner outside the tree) gets one plain send per segment,
-  /// in input order, after whatever is staged for it — the star's envelope.
+  /// prepare, terminate.  A leaf child of the master (or a joiner outside
+  /// the tree) gets one plain send per segment, in input order, after
+  /// whatever is staged for it — the star's envelope.
   /// Destinations below an interior child are wrapped into per-destination
   /// routes — each prefixed with everything staged on the master channel
   /// for that destination, preserving the no-overtaking rule — grouped by
@@ -339,9 +320,9 @@ class DsmSystem {
   util::StatsRegistry::Counter* seg_bytes_[kNumSegmentKinds] = {};
   util::StatsRegistry::Counter* ctr_segments_ = nullptr;
   util::StatsRegistry::Counter* ctr_consistency_bytes_ = nullptr;
-  /// Owner-lookup segments (PageRequest / OwnerQuery / DirDeltaRequest) by
-  /// destination: the master-inbound count is the directory bottleneck the
-  /// sharded layout exists to shrink (DESIGN.md §8).
+  /// Owner-lookup segments (PageRequest) by destination: the
+  /// master-inbound count is the first-touch bottleneck the sharded initial
+  /// distribution exists to shrink (DESIGN.md §8).
   util::StatsRegistry::Counter* ctr_lookups_master_ = nullptr;
   util::StatsRegistry::Counter* ctr_lookups_shard_ = nullptr;
   /// Control-plane segments through the master per direction (DESIGN.md
@@ -371,9 +352,6 @@ class DsmSystem {
   bool gc_in_progress_ = false;
   int gc_acks_outstanding_ = 0;
   OwnerDelta gc_delta_;  // in-flight delta, staged for GcPrepare messages
-  // Sharded delta collection (barrier-GC path, event context).
-  int dir_partials_outstanding_ = 0;
-  std::vector<std::pair<int, OwnerDelta>> dir_partials_;
   enum class GcResume { kNone, kBarrierRelease, kForkHook } gc_resume_ =
       GcResume::kNone;
   sim::WaitPoint gc_fork_wp_;  // master fiber waits here in gc_at_fork()

@@ -8,8 +8,7 @@
 // (which every ForkMsg carries) can derive the same tree.  A departing
 // interior node's children are therefore "promoted" simply by rebuilding:
 // the survivors' pids compact (PidStrategy) and the heap layout reattaches
-// every orphaned subtree, mirroring how a departing shard holder's slices
-// fold to a survivor.
+// every orphaned subtree.
 //
 // Routing policy lives in DsmSystem/DsmProcess; this class only answers
 // geometry questions.  The star is not a special case: under a fanout that

@@ -60,10 +60,6 @@ struct CostModel {
   Time barrier_service = 15 * kUsec;
   /// Local page-table scan per page during garbage collection.
   Time gc_per_page = 2 * kUsec;
-  /// Shard-holder processing of a directory request (owner-slice copy or
-  /// partial-delta computation) before the reply leaves.  Only charged
-  /// when the owner directory is sharded (DESIGN.md §8).
-  Time dir_service = 25 * kUsec;
   /// Interior-node service of the tree control plane (DESIGN.md §12):
   /// merging child segments into one combined envelope upward, or
   /// splitting a multicast's routes per child downward.  Charged once per

@@ -1,10 +1,9 @@
-// Sharded owner directory (DESIGN.md §8): shard-map geometry properties,
-// the dir-shards=1 ≡ unsharded-baseline property (no directory segment is
-// ever sent and results match the sharded runs bit for bit), GC-commit
-// rounds collecting partial deltas from shard holders, and leave/join
-// adaptation races — a departing shard holder folds its slice back to the
-// master while the leave protocol re-owns its pages — under engine ×
-// shard-count.
+// Sharded initial distribution (DESIGN.md §8): shard-map geometry
+// properties, the dir-shards=1 baseline (deterministic, and every shard
+// count computes the same answer while sharding sheds master-inbound owner
+// lookups), GC rounds under a sharded layout, and leave/join adaptation
+// races — a departing shard holder leaves while the leave protocol re-owns
+// its pages — under engine × shard-count.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -27,7 +26,7 @@ namespace {
 // ShardMap geometry
 // ---------------------------------------------------------------------------
 
-TEST(ShardMap, PartitionIsCompleteAndLocalIndexIsDense) {
+TEST(ShardMap, PartitionIsComplete) {
   util::Rng rng(20260728);
   for (int round = 0; round < 50; ++round) {
     const PageId pages = static_cast<PageId>(1 + rng.next_below(2000));
@@ -35,22 +34,16 @@ TEST(ShardMap, PartitionIsCompleteAndLocalIndexIsDense) {
     const PageId block = static_cast<PageId>(1 + rng.next_below(5));
     const protocol::ShardMap map(pages, shards, block);
 
-    // Every page maps to exactly one shard, and within its shard its local
-    // index is its rank among the shard's pages in ascending order.
+    // Every page maps to exactly one shard.
     std::vector<PageId> seen_per_shard(static_cast<std::size_t>(shards), 0);
     for (PageId p = 0; p < pages; ++p) {
       const int s = map.shard_of(p);
       ASSERT_GE(s, 0);
       ASSERT_LT(s, shards);
-      ASSERT_EQ(map.local_index(p),
-                seen_per_shard[static_cast<std::size_t>(s)]);
       ++seen_per_shard[static_cast<std::size_t>(s)];
     }
     PageId total = 0;
     for (int s = 0; s < shards; ++s) {
-      ASSERT_EQ(map.pages_in_shard(s),
-                seen_per_shard[static_cast<std::size_t>(s)]);
-      total += map.pages_in_shard(s);
       // for_each_page visits exactly the shard's pages, ascending.
       PageId last = -1;
       PageId count = 0;
@@ -60,7 +53,8 @@ TEST(ShardMap, PartitionIsCompleteAndLocalIndexIsDense) {
         last = p;
         ++count;
       });
-      ASSERT_EQ(count, map.pages_in_shard(s));
+      ASSERT_EQ(count, seen_per_shard[static_cast<std::size_t>(s)]);
+      total += count;
     }
     ASSERT_EQ(total, pages);
   }
@@ -81,7 +75,6 @@ TEST(ShardMap, SingleShardMapsEverythingToTheMaster) {
   for (PageId p = 0; p < 777; p += 31) {
     EXPECT_EQ(map.shard_of(p), 0);
     EXPECT_EQ(map.default_holder_of_page(p), kMasterUid);
-    EXPECT_EQ(map.local_index(p), p);
   }
   EXPECT_FALSE(map.sharded());
 }
@@ -94,9 +87,7 @@ TEST(ShardMap, SingleShardMapsEverythingToTheMaster) {
 struct GridOutcome {
   std::int64_t sum = 0;
   std::int64_t messages = 0;
-  std::int64_t dir_segments = 0;  // owner_query + owner_update + dir_delta_*
   std::int64_t lookups_master = 0;
-  std::int64_t delta_rounds = 0;
   std::int64_t gc_runs = 0;
 };
 
@@ -141,14 +132,8 @@ GridOutcome run_grid_workload(EngineKind engine, int shards) {
   });
   const auto& stats = sys.stats();
   out.messages = stats.counter_value("net.messages");
-  out.dir_segments = stats.counter_value("dsm.seg.owner_query.msgs") +
-                     stats.counter_value("dsm.seg.owner_slice.msgs") +
-                     stats.counter_value("dsm.seg.owner_update.msgs") +
-                     stats.counter_value("dsm.seg.dir_delta_request.msgs") +
-                     stats.counter_value("dsm.seg.dir_delta_reply.msgs");
   out.lookups_master =
       stats.counter_value("dsm.owner_lookups.master_inbound");
-  out.delta_rounds = stats.counter_value("dsm.dir.delta_rounds");
   out.gc_runs = stats.counter_value("dsm.gc_runs");
   return out;
 }
@@ -164,35 +149,29 @@ TEST_P(DirShardsGridTest, ShardCountsAgreeAndShardsOneIsBaseline) {
   const GridOutcome three = run_grid_workload(engine(), 3);
   const GridOutcome four = run_grid_workload(engine(), 4);
 
-  // dir-shards=1 is the unsharded baseline: deterministic, and not a
-  // single directory segment exists anywhere in the run.
+  // dir-shards=1 is the unsharded baseline: deterministic.
   EXPECT_EQ(one.sum, rerun.sum);
   EXPECT_EQ(one.messages, rerun.messages);
-  EXPECT_EQ(one.dir_segments, 0);
 
   // Every shard count computes the same answer.
   EXPECT_EQ(one.sum, three.sum);
   EXPECT_EQ(one.sum, four.sum);
 
-  // Sharding the directory sheds master-inbound owner-lookup load.  The
-  // home engine's first-touch assignment converges to the same
+  // Sharding the initial distribution sheds master-inbound owner-lookup
+  // load.  The home engine's first-touch assignment converges to the same
   // writer-homed steady state either way (and with shards > 1 the master
   // is a legitimate home assignee), so only non-increase is guaranteed
-  // there; LRC keeps the directory at the owners, so the drop is strict.
+  // there; under LRC the first-touch fetches go to the holders, so the
+  // drop is strict.
   if (engine() == EngineKind::kLrc) {
     EXPECT_LT(four.lookups_master, one.lookups_master);
   } else {
     EXPECT_LE(four.lookups_master, one.lookups_master);
   }
 
-  // The forced GCs ran everywhere; under a sharded LRC directory their
-  // owner deltas were collected from the shard holders.
+  // The forced GCs ran everywhere.
   EXPECT_GT(one.gc_runs, 0);
-  if (engine() == EngineKind::kLrc) {
-    EXPECT_GT(four.delta_rounds, 0);
-    EXPECT_GT(four.dir_segments, 0);
-  }
-  EXPECT_EQ(one.delta_rounds, 0);
+  EXPECT_GT(four.gc_runs, 0);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -203,9 +182,9 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 // ---------------------------------------------------------------------------
-// Leave/join + GC-commit races: a shard holder leaves (slice folds back to
-// the master) and a process joins (page map assembled from the remote
-// slices), with a GC at every adaptation point.
+// Leave/join + GC-commit races: a shard holder leaves and a process joins
+// (page map read from the master's owner map), with a GC at every
+// adaptation point.
 // ---------------------------------------------------------------------------
 
 using AdaptParam = std::tuple<EngineKind, int>;
@@ -225,9 +204,9 @@ TEST_P(DirShardsAdaptTest, HolderLeaveAndJoinKeepResultsIntact) {
   const harness::RunResult baseline = harness::run_workload(cfg);
 
   // Host 1 carries uid 1 — a shard holder whenever shards > 1 — so the
-  // leave exercises the slice fold; the re-join exercises the OwnerQuery
-  // page-map assembly at adoption.  gc_before_adapt (default) runs the
-  // two-phase GC round at the same adaptation points.
+  // leave re-owns a holder's seeded pages; the re-join exercises the page
+  // map at adoption.  gc_before_adapt (default) runs the two-phase GC
+  // round at the same adaptation points.
   cfg.adaptive = true;
   cfg.spare_hosts = 1;
   cfg.events = harness::alternating_leave_join(
@@ -238,14 +217,6 @@ TEST_P(DirShardsAdaptTest, HolderLeaveAndJoinKeepResultsIntact) {
 
   EXPECT_EQ(adapted.checksum, baseline.checksum);
   EXPECT_GE(adapted.leaves, 1);
-  if (shards > 1) {
-    // Under either placement a departing shard holder's authority folds
-    // to the master.
-    EXPECT_GE(adapted.stats.counter("dsm.dir.folds"), 1)
-        << "a departing shard holder must fold its slice to the master";
-  } else {
-    EXPECT_EQ(adapted.stats.counter("dsm.dir.folds"), 0);
-  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

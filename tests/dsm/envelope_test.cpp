@@ -135,23 +135,6 @@ struct SegmentEq {
   static bool eq(const PageMapMsg& a, const PageMapMsg& b) {
     return a.owner_by_page == b.owner_by_page;
   }
-  static bool eq(const OwnerQuery& a, const OwnerQuery& b) {
-    return a.shard == b.shard && a.cookie == b.cookie;
-  }
-  static bool eq(const OwnerSlice& a, const OwnerSlice& b) {
-    return a.shard == b.shard && a.owners == b.owners &&
-           a.cookie == b.cookie;
-  }
-  static bool eq(const OwnerUpdate& a, const OwnerUpdate& b) {
-    return a.entries == b.entries;
-  }
-  static bool eq(const DirDeltaRequest& a, const DirDeltaRequest& b) {
-    return a.shard == b.shard && a.records == b.records &&
-           a.cookie == b.cookie;
-  }
-  static bool eq(const DirDeltaReply& a, const DirDeltaReply& b) {
-    return a.shard == b.shard && a.delta == b.delta && a.cookie == b.cookie;
-  }
   static bool eq(const HomeMove& a, const HomeMove& b) {
     return a.entries == b.entries;
   }
@@ -344,29 +327,8 @@ Segment random_segment(util::Rng& rng) {
       return m;
     }
     case 17:
-      return OwnerQuery{static_cast<std::int32_t>(rng.next_below(8)),
-                        rng.next_u64()};
-    case 18: {
-      OwnerSlice s;
-      s.shard = static_cast<std::int32_t>(rng.next_below(8));
-      const auto n = rng.next_below(32);
-      for (std::uint64_t i = 0; i < n; ++i) {
-        s.owners.push_back(static_cast<Uid>(rng.next_below(8)));
-      }
-      s.cookie = rng.next_u64();
-      return s;
-    }
-    case 19:
-      return OwnerUpdate{random_delta(rng)};
-    case 20:
-      return DirDeltaRequest{static_cast<std::int32_t>(rng.next_below(8)),
-                             random_delta(rng), rng.next_u64()};
-    case 21:
-      return DirDeltaReply{static_cast<std::int32_t>(rng.next_below(8)),
-                           random_delta(rng), rng.next_u64()};
-    case 22:
       return HomeMove{random_delta(rng)};
-    case 23: {
+    case 18: {
       TreeArrive t;
       t.barrier_id = static_cast<std::int32_t>(rng.next_below(16));
       const auto nf = rng.next_below(3);
@@ -386,7 +348,7 @@ Segment random_segment(util::Rng& rng) {
       }
       return t;
     }
-    case 24:
+    case 19:
       return TreeAck{static_cast<std::int32_t>(1 + rng.next_below(8))};
     default: {
       // TreeMulticast: shallow routes of non-tree segments (the runtime

@@ -8,6 +8,8 @@
 #include <algorithm>
 #include <cstring>
 #include <set>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include "core/adapt.hpp"
@@ -256,16 +258,21 @@ TEST(HomeLrc, FlushRidesLockReleaseAheadOfTheNextGrant) {
 }
 
 // ---------------------------------------------------------------------------
-// Home behavior across a process leave, under both pid strategies.
+// Home behavior across a process leave, under both pid strategies and two
+// shard counts: at 4 shards the leaver, uid 2, is the default holder of
+// shard 2.
 // ---------------------------------------------------------------------------
 
-class HomeLeaveTest : public ::testing::TestWithParam<PidStrategy> {};
+using LeaveParam = std::tuple<PidStrategy, int>;
+
+class HomeLeaveTest : public ::testing::TestWithParam<LeaveParam> {};
 
 TEST_P(HomeLeaveTest, LeaverHomesTransferAndDataSurvives) {
   constexpr int kProcs = 4;
   sim::Cluster cluster({}, kProcs);
   DsmConfig cfg = home_config();
-  cfg.pid_strategy = GetParam();
+  cfg.pid_strategy = std::get<0>(GetParam());
+  cfg.dir_shards = std::get<1>(GetParam());
   DsmSystem sys(cluster, cfg);
   core::AdaptiveRuntime adapt(sys);
 
@@ -316,14 +323,17 @@ TEST_P(HomeLeaveTest, LeaverHomesTransferAndDataSurvives) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(PidStrategies, HomeLeaveTest,
-                         ::testing::Values(PidStrategy::kShift,
-                                           PidStrategy::kSwapLast),
-                         [](const ::testing::TestParamInfo<PidStrategy>& i) {
-                           return i.param == PidStrategy::kShift
-                                      ? "shift"
-                                      : "swap_last";
-                         });
+INSTANTIATE_TEST_SUITE_P(
+    PidStrategies, HomeLeaveTest,
+    ::testing::Combine(::testing::Values(PidStrategy::kShift,
+                                         PidStrategy::kSwapLast),
+                       ::testing::Values(1, 4)),
+    [](const ::testing::TestParamInfo<LeaveParam>& i) {
+      return std::string(std::get<0>(i.param) == PidStrategy::kShift
+                             ? "shift"
+                             : "swap_last") +
+             "_shards" + std::to_string(std::get<1>(i.param));
+    });
 
 
 // A writer that has applied a GC commit can flush to a home that has not

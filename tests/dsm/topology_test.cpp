@@ -3,7 +3,7 @@
 // routing, team-covering fanouts are the star), the flat-is-baseline
 // property (the unbounded default fanout sends zero tree segments; tree runs
 // compute the same checksums while cutting master inbound control traffic),
-// GC and sharded owner-delta rounds routed through the tree, the mixed edge
+// GC rounds routed through the tree over a sharded layout, the mixed edge
 // (leaf children of the master stay plain beside an interior sibling), the
 // star's envelopes pinned under every team-covering fanout, and a mid-run
 // leave of an *interior* tree node whose children must be promoted by the
@@ -166,7 +166,6 @@ constexpr const char* kStarCounters[] = {
     "dsm.seg.fork.msgs",
     "dsm.seg.gc_prepare.msgs",
     "dsm.seg.gc_ack.msgs",
-    "dsm.seg.dir_delta_request.msgs",
     "dsm.seg.terminate.msgs",
 };
 constexpr std::size_t kNumStarCounters = std::size(kStarCounters);
@@ -282,9 +281,8 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 // ---------------------------------------------------------------------------
-// GC through the tree: barrier-GC rounds (cookie-0 DirDeltaRequest
-// multicast down, partial replies combined up, GcAcks merged into
-// TreeAck) over a sharded directory must fire and agree with flat.
+// GC through the tree: barrier-GC rounds (GcPrepares multicast down, GcAcks
+// merged into TreeAck) over a sharded layout must fire and agree with flat.
 // ---------------------------------------------------------------------------
 
 class TopologyGcTest : public ::testing::TestWithParam<EngineKind> {};
@@ -353,8 +351,10 @@ INSTANTIATE_TEST_SUITE_P(
 // child of the master, and the degenerate tree must exchange exactly the
 // envelopes of the master-centric star: the values below were recorded
 // from the star's own code path (before it was expressed as the degenerate
-// tree) under the built-in knob defaults.  Fanout n - 1 = 7 and any larger
-// fanout must reproduce them too.
+// tree) under the built-in knob defaults; the sharded lrc row and the
+// join/leave run below were re-recorded once the master stopped querying
+// shard holders for owners (DESIGN.md §8).  Fanout n - 1 = 7 and any
+// larger fanout must reproduce them too.
 // ---------------------------------------------------------------------------
 
 struct StarCase {
@@ -368,16 +368,16 @@ const StarCase kStarCases[] = {
     // clang-format off
     {EngineKind::kLrc, 1, 0,
      {733, 1002856, 803, 897808, 180, 257, 160,
-      160, 70, 0, 0, 0, 7, 48977550}},
+      160, 70, 0, 0, 7, 48977550}},
     {EngineKind::kLrc, 4, 32 << 10,
-     {539, 458616, 609, 332344, 192, 269, 160,
-      160, 70, 8, 8, 3, 7, 27014374}},
+     {533, 458064, 603, 332344, 189, 266, 160,
+      160, 70, 8, 8, 7, 26841298}},
     {EngineKind::kHomeLrc, 1, 0,
      {641, 684748, 719, 522636, 198, 275, 160,
-      160, 70, 16, 16, 0, 7, 42142686}},
+      160, 70, 16, 16, 7, 42142686}},
     {EngineKind::kHomeLrc, 4, 32 << 10,
      {627, 658520, 706, 510168, 198, 275, 160,
-      160, 70, 16, 16, 0, 7, 40464377}},
+      160, 70, 16, 16, 7, 40464377}},
     // clang-format on
 };
 
@@ -423,9 +423,9 @@ TEST(TopologyStarPin, JoinLeaveRunUnderCoveringFanouts) {
         /*pairs=*/1);
     const harness::RunResult run = harness::run_workload(cfg);
     EXPECT_GE(run.leaves, 1);
-    EXPECT_EQ(run.seconds, 0.200980242);
-    EXPECT_EQ(run.messages, 521);
-    EXPECT_EQ(run.bytes, 770570);
+    EXPECT_EQ(run.seconds, 0.200483975);
+    EXPECT_EQ(run.messages, 513);
+    EXPECT_EQ(run.bytes, 767600);
     EXPECT_EQ(run.checksum, 116.263671875);
   }
 }

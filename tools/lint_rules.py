@@ -30,7 +30,7 @@ the lint CI job:
    path cannot come back beside the declared one.
 
 5. one-collective-path — the master's collectives (fork, barrier release,
-   GC prepare, delta round, terminate) leave through
+   GC prepare, terminate) leave through
    DsmSystem::fan_out_instructions, which picks the vehicle per
    destination: the star is the degenerate tree, not a second code path
    (DESIGN.md §12).  The per-file count of direct master-channel sends in
@@ -94,7 +94,7 @@ SEND_ENVELOPE_WHITELIST = {
 
 STATS_LOOKUP_BASELINE = {
     "src/dsm/process.cpp": 2,
-    "src/dsm/system.cpp": 11,
+    "src/dsm/system.cpp": 7,
     "src/dsm/channel.hpp": 0,
     "src/dsm/protocol/lrc_engine.cpp": 3,
     "src/dsm/protocol/home_lrc_engine.cpp": 5,
@@ -115,12 +115,11 @@ FAULT_HANDLER_INSTALL = re.compile(
 
 # --- rule 5: collective fan-outs go through fan_out_instructions ---------
 # Baseline = the reviewed direct sends: point-to-point messages (lock
-# grants, the expel-time terminate, the joiner's page map),
-# the master fiber's directory RPC rounds, the master's self-sends, and
-# fan_out_instructions' own send.
+# grants, the expel-time terminate, the joiner's page map), the master's
+# self-sends, and fan_out_instructions' own send.
 
 MASTER_SEND_BASELINE = {
-    "src/dsm/system.cpp": 9,
+    "src/dsm/system.cpp": 7,
 }
 
 MODE_PREDICATES = ["topology_.active", "topology().active",
