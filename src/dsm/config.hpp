@@ -203,7 +203,9 @@ struct DsmConfig : Knobs {
   Protocol default_protocol = Protocol::kMultiWriter;
 
   /// Run a garbage collection at the next barrier once any process's
-  /// consistency data (twins + diffs + notices) exceeds this.
+  /// reported footprint exceeds this: its consistency data (twins + diffs
+  /// + notices) plus, under lrc, one page per repeat write declaration on
+  /// a page no one was served in between (DESIGN.md §5).
   std::int64_t gc_threshold_bytes = 8ll << 20;
 
   /// Size of the non-shared part of a process image (code, private heap,

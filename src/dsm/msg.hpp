@@ -99,10 +99,11 @@ struct BarrierArrive {
   Uid uid = kNoUid;
   std::int32_t barrier_id = 0;
   Interval interval;  // empty notices if nothing was written
-  /// Footprint of the sender's consistency metadata; the master triggers a
-  /// GC when the maximum across processes exceeds the configured threshold
-  /// ("when the memory allocated for these data structures becomes
-  /// exhausted", §4.1).
+  /// Footprint of the sender's consistency metadata plus one page per
+  /// avoidable write (ConsistencyEngine::gc_report_bytes); the master
+  /// triggers a GC when the maximum across processes exceeds the configured
+  /// threshold ("when the memory allocated for these data structures
+  /// becomes exhausted", §4.1).
   std::int64_t consistency_bytes = 0;
 };
 

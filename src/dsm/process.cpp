@@ -584,7 +584,8 @@ void DsmProcess::barrier(std::int32_t barrier_id) {
   if (race_ != nullptr) race_->on_barrier_arrive(uid_);
   Interval iv = engine_->finish_interval();
   flush_homes(/*at_barrier=*/true);
-  BarrierArrive arrive{uid_, barrier_id, std::move(iv), consistency_bytes()};
+  BarrierArrive arrive{uid_, barrier_id, std::move(iv),
+                       engine_->gc_report_bytes()};
   if (is_master()) {
     // channel_.send drains the flush staged for the master (if any): the
     // arrival and its home data share one envelope, data first.

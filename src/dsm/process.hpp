@@ -117,12 +117,6 @@ class DsmProcess {
   /// Pages accessed (faulted or written) since the last fork.
   std::int64_t accessed_pages_since_fork() const { return accessed_since_fork_; }
 
-  /// Current consistency-metadata footprint (twins + own diff archive +
-  /// pending notices) — drives the GC threshold.
-  std::int64_t consistency_bytes() const {
-    return engine_->consistency_bytes();
-  }
-
  private:
   friend class DsmSystem;
 

@@ -117,6 +117,7 @@ void ConsistencyEngine::gc_commit_node(const OwnerDelta& delta) {
   };
   for (PageId p = 0; p < num_pages(); ++p) {
     PageMeta& pm = page(p);
+    pm.written_unserved = false;
     if (pm.dirty) {
       // Only possible via a serve of an exclusive page while the fiber is
       // parked at the barrier (the conservative twin path); exclusivity
@@ -166,6 +167,7 @@ void ConsistencyEngine::gc_commit_node(const OwnerDelta& delta) {
     pm.applied.clear();
   }
   discard_run();
+  avoidable_writes_ = 0;
   ANOW_CHECK_MSG(pending_.count() == 0,
                  "pending notices survived the GC commit at uid " << self_);
 }

@@ -59,6 +59,10 @@ struct PageMeta {
   /// The page is already write-enabled under exclusivity (the single trap
   /// was charged).
   bool exclusive_rw = false;
+  /// Write-declared (trap, twin, notice) since the page was last served,
+  /// as a copy or as diffs, or since the last GC commit: declaring it
+  /// again is an avoidable write (ConsistencyEngine::gc_report_bytes).
+  bool written_unserved = false;
   Uid owner_hint = kMasterUid;
   /// dirty && twin: active twin of the current interval.
   /// !dirty && twin: *lazy* twin — the interval ended but the diff has not
@@ -82,6 +86,9 @@ struct PageMeta {
 
   bool is_valid() const { return have_copy && pending.empty(); }
 };
+// One PageMeta per page per node dominates a large simulated cluster's
+// memory (DESIGN.md §6): new per-page state goes into the padding.
+static_assert(sizeof(PageMeta) == 88, "PageMeta outgrew its 88 bytes");
 
 /// One batched fetch the node should issue: every wanted diff of one
 /// creator, possibly spanning several pages (one message round per creator).
@@ -217,8 +224,13 @@ class ConsistencyEngine {
   /// serve (no copy, or a stale copy a home-based reader must not see) and
   /// the request must be forwarded.
   virtual bool prepare_serve(PageId p) = 0;
-  /// Marks the page served (exclusivity re-grant bookkeeping).
-  void record_serve(PageId p) { page(p).last_served = ++serve_seq_; }
+  /// Marks the page served (exclusivity re-grant bookkeeping); a write
+  /// after it is needed, not avoidable.
+  void record_serve(PageId p) {
+    PageMeta& pm = page(p);
+    pm.last_served = ++serve_seq_;
+    pm.written_unserved = false;
+  }
   /// Collects archived diffs for a batched request, materializing lazy
   /// twins on demand.  Returns the number of diffs materialized (the caller
   /// charges creation cost per materialization).
@@ -262,10 +274,24 @@ class ConsistencyEngine {
   /// notices).  gc_should_run compares this footprint with the threshold,
   /// so the charge is a model constant, not sizeof(PendingNotice).
   static constexpr std::int64_t kPendingNoticeModelBytes = 24;
-  /// Twins + own diff archive + pending notices (drives the GC threshold).
+  /// Twins + own diff archive + pending notices: the memory footprint.
   std::int64_t consistency_bytes() const {
     return archive_bytes_ + twin_bytes_ +
            pending_.count() * kPendingNoticeModelBytes;
+  }
+  /// Repeat write declarations on pages no one was served in between,
+  /// since the last GC commit.  Only the LRC engine counts them: the home
+  /// engine's first-touch commit already hands private pages back the
+  /// sole-copy shortcut.
+  std::int64_t avoidable_writes() const { return avoidable_writes_; }
+  /// What the process reports toward the GC threshold: the footprint plus
+  /// one page per avoidable write.  Each such write paid a trap, a twin
+  /// and a notice that a GC commit's exclusivity grant would have spared,
+  /// so a process that wastes about threshold / kPageSize of them gets
+  /// that GC as if its memory ran out.
+  std::int64_t gc_report_bytes() const {
+    return consistency_bytes() +
+           avoidable_writes_ * static_cast<std::int64_t>(kPageSize);
   }
   /// Bytes held in this node's diff archive (home-based engines keep none).
   std::int64_t archived_diff_bytes() const { return archive_bytes_; }
@@ -320,7 +346,7 @@ class ConsistencyEngine {
   // --- GC policy + pending commit ----------------------------------------
   void request_gc() { gc_requested_ = true; }
   /// Whether a GC should run at this barrier, given the largest
-  /// consistency-metadata footprint any process reported.
+  /// gc_report_bytes any process reported.
   virtual bool gc_should_run(std::int64_t max_consistency_bytes) const {
     return gc_requested_ ||
            max_consistency_bytes > config_->gc_threshold_bytes;
@@ -375,6 +401,7 @@ class ConsistencyEngine {
   std::int64_t epoch_ = 0;
   std::int64_t archive_bytes_ = 0;
   std::int64_t twin_bytes_ = 0;
+  std::int64_t avoidable_writes_ = 0;
   PendingNotices pending_;
 
   // Master-side state.

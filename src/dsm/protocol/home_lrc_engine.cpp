@@ -270,9 +270,6 @@ void HomeLrcEngine::assign_homes(
     const Uid home =
         n == 1 ? touched[i].second
                : touched[i + (rr_cursor_++ % n)].second;
-    // Staged into the owner map now (gc_finish re-applies the delta,
-    // idempotent), which also keeps the page un-assignable until then.
-    dir_.set_owner(p, home);
     pending_delta_.emplace_back(p, home);
     stats_->counter("dsm.home_assignments")++;
     i = j;
@@ -296,8 +293,6 @@ OwnerDelta HomeLrcEngine::stage_owner_moves(const OwnerDelta& moves) {
     if (home_assignable(p)) continue;
     if (pending_page[static_cast<std::size_t>(p)]) continue;
     if (owner_of(p) == home) continue;
-    // Mirror assign_homes: the owner map updates at stage time.
-    dir_.set_owner(p, home);
     pending_delta_.emplace_back(p, home);
     pending_page[static_cast<std::size_t>(p)] = 1;
     stats_->counter("dsm.placement.home_moves")++;
@@ -366,7 +361,7 @@ OwnerDelta HomeLrcEngine::gc_begin() {
 }
 
 void HomeLrcEngine::gc_finish(const OwnerDelta& delta) {
-  dir_.apply_delta(delta);  // idempotent: entries were staged early
+  dir_.apply_delta(delta);
   directory_.clear();
   pending_commit_ = true;
   pending_delta_ = delta;

@@ -95,8 +95,8 @@ class HomeLrcEngine final : public ConsistencyEngine {
 
   /// A page is first-touch assignable while its home is still the initial
   /// default (the master, or its shard's default holder under
-  /// --dir-shards) and no assignment was staged for it: staging writes the
-  /// new home into the owner map at once.
+  /// --dir-shards).  A staged home reaches the owner map at gc_finish,
+  /// which the barrier that staged it runs before its release.
   bool home_assignable(PageId p) const {
     return owner_of(p) == dir_.map().default_holder_of_page(p);
   }

@@ -73,6 +73,10 @@ bool LrcEngine::flush_lazy_twin(PageId p) {
 
 void LrcEngine::declare_write(PageId p) {
   PageMeta& pm = page(p);
+  // A repeat write no one read in between: the trap, twin and notice buy
+  // nothing a sole copy would not have had for free.
+  if (pm.written_unserved) ++avoidable_writes_;
+  pm.written_unserved = true;
   if (protocol_of(p) == Protocol::kMultiWriter) {
     ANOW_CHECK(pm.twin == nullptr);
     pm.twin = std::make_unique_for_overwrite<std::uint8_t[]>(kPageSize);
@@ -217,6 +221,7 @@ int LrcEngine::collect_diffs(const std::vector<DiffPageRequest>& pages,
     ANOW_CHECK_MSG(!own_diffs_[static_cast<std::size_t>(req.page)].empty(),
                    "diff request for page " << req.page
                                             << " with no archived diffs");
+    page(req.page).written_unserved = false;  // the writes were read
     DiffPageReply pg;
     pg.page = req.page;
     for (std::int32_t iseq : req.iseqs) {

@@ -1,20 +1,25 @@
 // Unit tests for the flat consistency-engine building blocks:
 // the per-page AppliedMap, the master's dense DeliveryMatrix, its
-// IntervalDirectory (against the full log scan it replaced) and the
+// IntervalDirectory (against the full log scan it replaced), the
 // pending write notices (PendingNotices against the uncollapsed list it
-// replaced).
+// replaced) and a node-side engine's count of avoidable writes.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <map>
+#include <memory>
 #include <set>
 
+#include "dsm/config.hpp"
 #include "dsm/protocol/applied_map.hpp"
 #include "dsm/protocol/delivery_matrix.hpp"
+#include "dsm/protocol/engine.hpp"
 #include "dsm/protocol/interval_directory.hpp"
 #include "dsm/protocol/pending_notices.hpp"
+#include "exec/heap.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
+#include "util/stats.hpp"
 
 namespace anow::dsm {
 namespace {
@@ -438,6 +443,109 @@ TEST(PendingNotices, RecordsAreCheckedWhereTheyNarrowOrCollapse) {
   EXPECT_THROW(ledger.add(list, 2, 1, std::int64_t{1} << 31, false),
                util::CheckError);
   EXPECT_EQ(ledger.count(), 1);
+}
+
+// ---------------------------------------------------------------------------
+// Avoidable writes: a write declaration on a page the node already wrote
+// with no serve of it in between (ConsistencyEngine::gc_report_bytes).
+// ---------------------------------------------------------------------------
+
+/// One node-side engine at uid 1 outside any DsmSystem, holding a copy of
+/// each page of a small multi-writer heap whose owner hints point at the
+/// master, as after first-touch fetches.
+struct NodeEngine {
+  static constexpr Uid kSelf = 1;
+  static constexpr PageId kPages = 4;
+
+  explicit NodeEngine(EngineKind kind) {
+    config.engine = kind;
+    engine = protocol::make_engine(config);
+    engine->attach_node(kSelf, heap, kPages, protocols, stats, {});
+    const std::vector<std::uint8_t> zeros(kPageSize, 0);
+    for (PageId p = 0; p < kPages; ++p) {
+      engine->install_copy(p, zeros.data(), {}, false);
+    }
+  }
+
+  /// One write declaration in an interval of its own, the way the write
+  /// fault path and the next release point make it.  Returns the iseq.
+  std::int32_t write(PageId p) {
+    engine->flush_lazy_twin(p);
+    engine->declare_write(p);
+    const std::int32_t iseq = engine->finish_interval().iseq;
+    engine->plan_home_flush();
+    return iseq;
+  }
+
+  const protocol::PageMeta& page(PageId p) const { return engine->page(p); }
+
+  DsmConfig config;
+  exec::SimHeap heap{static_cast<std::size_t>(kPages) * kPageSize};
+  std::vector<Protocol> protocols =
+      std::vector<Protocol>(kPages, Protocol::kMultiWriter);
+  util::StatsRegistry stats;
+  std::unique_ptr<protocol::ConsistencyEngine> engine;
+};
+
+TEST(AvoidableWrites, EachUnservedRepeatWriteCountsOnce) {
+  NodeEngine n(EngineKind::kLrc);
+  n.write(0);
+  EXPECT_TRUE(n.page(0).written_unserved);
+  EXPECT_EQ(n.engine->avoidable_writes(), 0);  // a first write is needed
+  n.write(0);
+  n.write(0);
+  n.write(1);
+  EXPECT_EQ(n.engine->avoidable_writes(), 2);
+  // The charge rides the reported figure; the footprint stays memory.
+  EXPECT_EQ(n.engine->gc_report_bytes(),
+            n.engine->consistency_bytes() + 2 * std::int64_t{kPageSize});
+}
+
+TEST(AvoidableWrites, APageOrDiffServeBetweenTheWritesClearsIt) {
+  NodeEngine n(EngineKind::kLrc);
+  n.write(0);
+  const std::int32_t page1_iseq = n.write(1);
+  // A full copy of page 0 and the diff of page 1 go to a reader.
+  ASSERT_TRUE(n.engine->prepare_serve(0));
+  n.engine->record_serve(0);
+  std::vector<DiffPageReply> replies;
+  n.engine->collect_diffs({{1, {page1_iseq}}}, replies);
+  ASSERT_EQ(replies.size(), 1u);
+  EXPECT_FALSE(n.page(0).written_unserved);
+  EXPECT_FALSE(n.page(1).written_unserved);
+  n.write(0);
+  n.write(1);
+  EXPECT_EQ(n.engine->avoidable_writes(), 0);
+  n.write(1);  // nothing served since the last write
+  EXPECT_EQ(n.engine->avoidable_writes(), 1);
+}
+
+TEST(AvoidableWrites, AGcCommitZeroesTheCounterAndTheBits) {
+  NodeEngine n(EngineKind::kLrc);
+  for (PageId p = 0; p < NodeEngine::kPages; ++p) {
+    n.write(p);
+    n.write(p);
+  }
+  EXPECT_EQ(n.engine->avoidable_writes(), NodeEngine::kPages);
+  // The node becomes owner of pages 0 and 1; the master keeps 2 and 3.
+  n.engine->note_gc_prepare();
+  n.engine->gc_commit_node({{0, NodeEngine::kSelf}, {1, NodeEngine::kSelf}});
+  EXPECT_EQ(n.engine->avoidable_writes(), 0);
+  EXPECT_EQ(n.engine->gc_report_bytes(), n.engine->consistency_bytes());
+  for (PageId p = 0; p < NodeEngine::kPages; ++p) {
+    EXPECT_FALSE(n.page(p).written_unserved) << "page " << p;
+    // The owned copies are sole copies again: their writes skip the trap,
+    // the twin and the notice.
+    EXPECT_EQ(n.page(p).exclusive, p < 2) << "page " << p;
+  }
+}
+
+TEST(AvoidableWrites, TheHomeEngineNeverCounts) {
+  NodeEngine n(EngineKind::kHomeLrc);
+  for (int i = 0; i < 3; ++i) n.write(0);
+  EXPECT_FALSE(n.page(0).written_unserved);
+  EXPECT_EQ(n.engine->avoidable_writes(), 0);
+  EXPECT_EQ(n.engine->gc_report_bytes(), n.engine->consistency_bytes());
 }
 
 }  // namespace

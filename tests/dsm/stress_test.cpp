@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 #include <sys/mman.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
 #include <vector>
@@ -306,7 +307,7 @@ TEST_P(EngineStressTest, PendingNoticesStayBounded) {
     for (int r = 0; r < 40; ++r) sys.run_parallel(task, packed);
     // Metadata stayed bounded by the GC threshold (plus slack for the
     // rounds since the last collection).
-    EXPECT_LT(master.consistency_bytes(), 3 * 32 * 1024);
+    EXPECT_LT(master.engine().consistency_bytes(), 3 * 32 * 1024);
     master.read_range(args.addr, 8192 * 8);
     for (std::int64_t i = 0; i < 8192; ++i) {
       ASSERT_EQ(master.cptr<std::int64_t>(args.addr)[i], 40);
@@ -390,7 +391,8 @@ TEST_P(EngineStressTest, SingleWriterPendingNoticesDriveGc) {
       args.round = r;
       std::memcpy(packed.data(), &args, sizeof(args));
       sys.run_parallel(task, packed);
-      EXPECT_EQ(master.consistency_bytes(), want_bytes[r]) << "round " << r;
+      EXPECT_EQ(master.engine().consistency_bytes(), want_bytes[r])
+          << "round " << r;
       // The master writes nothing, so its footprint is its notices; each
       // slab page has two writers and keeps at most one record per writer.
       std::int64_t notices = 0;
@@ -404,7 +406,7 @@ TEST_P(EngineStressTest, SingleWriterPendingNoticesDriveGc) {
         }
       }
       EXPECT_EQ(notices * protocol::ConsistencyEngine::kPendingNoticeModelBytes,
-                master.consistency_bytes());
+                master.engine().consistency_bytes());
     }
     master.read_range(args.addr, kWords * 8);
     for (std::int64_t i = 0; i < kWords; ++i) {
@@ -413,6 +415,115 @@ TEST_P(EngineStressTest, SingleWriterPendingNoticesDriveGc) {
   });
   EXPECT_EQ(sys.stats().counter_value("dsm.gc_runs"), lrc ? 3 : 4);
 }
+
+// ---------------------------------------------------------------------------
+// Avoidable writes reach the GC threshold: private slabs regain the
+// sole-copy shortcut (ConsistencyEngine::gc_report_bytes)
+// ---------------------------------------------------------------------------
+
+class AvoidableWriteGcTest : public ::testing::TestWithParam<BackendKind> {};
+
+/// What one run of the private-slab task saw.
+struct SlabRun {
+  std::vector<std::int64_t> write_faults;  // dsm.faults.write per round
+  std::vector<std::int64_t> gc_runs;       // dsm.gc_runs after each round
+  std::vector<std::uint64_t> words;        // the slabs, read at the end
+};
+
+constexpr int kSlabProcs = 4;
+constexpr std::int64_t kSlabPages = 128;  // per process
+constexpr std::int64_t kWordsPerPage = kPageSize / 8;
+constexpr std::int64_t kSlabWords = kSlabPages * kWordsPerPage;
+constexpr int kSlabRounds = 24;
+
+/// Every process rewrites its own slab each round and no one reads it.
+/// One word per page changes, so twins and diffs stay far below the
+/// default 8 MB threshold; the avoidable-write charge alone can reach it.
+SlabRun run_private_slabs(BackendKind backend,
+                          std::int64_t gc_threshold_bytes) {
+  sim::Cluster cluster({}, kSlabProcs);
+  DsmConfig cfg;
+  static_cast<Knobs&>(cfg) = Knobs::builtin();
+  cfg.backend = backend;
+  cfg.heap_bytes = 4 << 20;
+  cfg.gc_threshold_bytes = gc_threshold_bytes;
+  DsmSystem sys(cluster, cfg);
+  struct Args {
+    GAddr addr;
+    std::int64_t round;
+  };
+  auto task = sys.register_task(
+      "private slabs", [](DsmProcess& p, const std::vector<std::uint8_t>& a) {
+        Args args;
+        std::memcpy(&args, a.data(), sizeof(args));
+        const std::int64_t lo = p.pid() * kSlabWords;
+        p.write_range(args.addr + lo * 8, kSlabWords * 8);
+        auto* d = p.ptr<std::uint64_t>(args.addr + lo * 8);
+        for (std::int64_t pg = 0; pg < kSlabPages; ++pg) {
+          d[pg * kWordsPerPage + args.round % kWordsPerPage] +=
+              static_cast<std::uint64_t>(args.round * kSlabPages + pg + 1);
+        }
+      });
+  SlabRun out;
+  sys.start(kSlabProcs);
+  sys.run([&](DsmProcess& master) {
+    constexpr std::int64_t kWords = kSlabProcs * kSlabWords;
+    Args args{sys.shared_malloc(kWords * 8), 0};
+    ASSERT_EQ(page_base(page_of(args.addr)), args.addr);
+    std::vector<std::uint8_t> packed(sizeof(args));
+    std::int64_t faults = 0;
+    for (int r = 0; r < kSlabRounds; ++r) {
+      args.round = r;
+      std::memcpy(packed.data(), &args, sizeof(args));
+      sys.run_parallel(task, packed);
+      const std::int64_t now = sys.stats().counter_value("dsm.faults.write");
+      out.write_faults.push_back(now - faults);
+      faults = now;
+      out.gc_runs.push_back(sys.stats().counter_value("dsm.gc_runs"));
+    }
+    master.read_range(args.addr, kWords * 8);
+    const auto* c = master.cptr<std::uint64_t>(args.addr);
+    out.words.assign(c, c + kWords);
+  });
+  return out;
+}
+
+TEST_P(AvoidableWriteGcTest, PrivateSlabsRegainTheSoleCopyShortcut) {
+  const SlabRun none = run_private_slabs(GetParam(), std::int64_t{1} << 40);
+  const SlabRun gc =
+      run_private_slabs(GetParam(), DsmConfig{}.gc_threshold_bytes);
+  // With no GC, every process but the master (whose seeded copies start
+  // exclusive) traps on every slab page in every round.
+  EXPECT_EQ(none.gc_runs.back(), 0);
+  for (int r = 1; r < kSlabRounds; ++r) {
+    EXPECT_EQ(none.write_faults[r], (kSlabProcs - 1) * kSlabPages)
+        << "round " << r;
+  }
+  // Under the default threshold, exactly one GC runs, part way through.
+  ASSERT_EQ(gc.gc_runs.back(), 1);
+  const int gc_round = static_cast<int>(
+      std::find(gc.gc_runs.begin(), gc.gc_runs.end(), 1) -
+      gc.gc_runs.begin());
+  ASSERT_GT(gc_round, 1);
+  ASSERT_LT(gc_round + 2, kSlabRounds);
+  for (int r = 1; r <= gc_round; ++r) {
+    EXPECT_EQ(gc.write_faults[r], none.write_faults[r]) << "round " << r;
+  }
+  // After it, each process owns its slab as a sole copy: one trap per page
+  // write-enables it, and then the write faults stop.
+  EXPECT_EQ(gc.write_faults[gc_round + 1], kSlabProcs * kSlabPages);
+  for (int r = gc_round + 2; r < kSlabRounds; ++r) {
+    EXPECT_EQ(gc.write_faults[r], 0) << "round " << r;
+  }
+  EXPECT_EQ(gc.words, none.words);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Backends, AvoidableWriteGcTest,
+    ::testing::Values(BackendKind::kSim, BackendKind::kReal),
+    [](const ::testing::TestParamInfo<BackendKind>& i) {
+      return std::string(enum_name(i.param));
+    });
 
 // ---------------------------------------------------------------------------
 // A GC commit gives back what it frees
