@@ -46,9 +46,9 @@ struct DiffPageRequest {
 };
 
 /// Batched diff fetch: all wanted diffs of one creator, possibly spanning
-/// several pages.  The per-page fault path sends one entry; the per-barrier
-/// GC validation path coalesces every owned page it must validate into a
-/// single request per creator (one message round instead of one per page).
+/// several pages.  The fault path coalesces the multi-writer pages of one
+/// fault — a range, or every owned page a GC validates — into a single
+/// request per creator (one message round instead of one per page).
 struct DiffRequest {
   Uid requester = kNoUid;
   std::vector<DiffPageRequest> pages;

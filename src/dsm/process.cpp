@@ -139,17 +139,7 @@ void DsmProcess::read_range(GAddr addr, std::size_t len) {
   // application promises to touch — the same contract the fault machinery
   // itself trusts — so it is the read set of the current segment.
   if (race_ != nullptr) race_->record_read(uid_, addr, len);
-  if (last - first > 1) {
-    fault_in_range(first, last);
-    heap_sync();
-    return;
-  }
-  for (PageId p = first; p < last; ++p) {
-    if (!engine_->page(p).is_valid()) {
-      (*ctr_faults_read_)++;
-      fault_in(p);
-    }
-  }
+  fault_in_pages(page_run(first, last), ctr_faults_read_);
   heap_sync();
 }
 
@@ -167,20 +157,13 @@ void DsmProcess::write_range(GAddr addr, std::size_t len) {
   // application stores through ptr() only after this returns, so the
   // protocol view still holds the pre-write bytes that declare_write twins.
   if (race_ != nullptr) race_->record_write(uid_, addr, len);
-  if (last - first > 1) {
-    // The read side of a multi-page write fault batches exactly like
-    // read_range: full-page fetch requests share one envelope per source,
-    // diff fetches one round per creator across the span.  The per-page
-    // loop below then only write-declares (a page can still be invalidated
-    // by a notice arriving while a later page's declaration parks the
-    // fiber, so the fault path stays as a fallback).
-    fault_in_range(first, last);
-  }
+  // The read side of a write fault is a read fault of the range; the loop
+  // below then only write-declares.  No event handler invalidates a page
+  // (notices are integrated and GC commits applied in fiber context), so
+  // a declaration that parks the fiber leaves every page valid.
+  fault_in_pages(page_run(first, last), ctr_faults_read_);
   for (PageId p = first; p < last; ++p) {
-    if (!engine_->page(p).is_valid()) {
-      (*ctr_faults_read_)++;
-      fault_in(p);
-    }
+    ANOW_CHECK(engine_->page(p).is_valid());
     if (engine_->page(p).dirty) continue;  // already writable this interval
 
     // Exclusive-mode shortcut: no other process holds a copy, so there is
@@ -232,159 +215,134 @@ void DsmProcess::write_range(GAddr addr, std::size_t len) {
 // Fault machinery
 // ---------------------------------------------------------------------------
 
-void DsmProcess::fetch_page_copy(PageId page, bool must_cover_pending) {
-  const Uid src = engine_->pick_page_source(page);
-  ANOW_CHECK_MSG(src != uid_,
-                 "page " << page << " owner hint points at self but no copy");
-  // A fetch that resolves pending notices exists purely to move
-  // modifications (LRC single-writer refetch, home-based refetch) — the
-  // same role as a diff-fetch round — and counts as consistency traffic;
-  // a first-touch fetch is initial data distribution and does not.
-  const bool resolves_invalidation = !engine_->page(page).pending.empty();
-  const std::uint64_t cookie = new_cookie();
-  Segment req = PageRequest{uid_, page, 0, cookie};
-  const std::int64_t req_wire =
-      kEnvelopeHeaderBytes + segment_wire_bytes(req);
-  Segment reply = rpc(src, std::move(req), cookie);
-  if (resolves_invalidation) {
-    *ctr_consistency_bytes_ +=
-        req_wire + kEnvelopeHeaderBytes + segment_wire_bytes(reply);
-  }
-  auto& pr = std::get<PageReply>(reply);
-  ANOW_CHECK(pr.page == page);
-  ANOW_CHECK(pr.data.size() == kPageSize);
-  engine_->install_copy(page, pr.data.data(), pr.applied,
-                        must_cover_pending);
-  system_.release_page_buffer(std::move(pr.data));
-  // `src` is the first hop; a forwarded request is served elsewhere
-  // (replies carry no sender, so the trace names the hop, not the server).
-  ANOW_PTRACE(page, "fetched full copy via " << src << " val="
-                        << traced_word(page));
+std::span<const PageId> DsmProcess::page_run(PageId first, PageId last) {
+  fault_run_.clear();
+  for (PageId p = first; p < last; ++p) fault_run_.push_back(p);
+  return fault_run_;
 }
 
-void DsmProcess::fault_in(PageId page) {
+std::int64_t DsmProcess::fault_in_pages(std::span<const PageId> pages,
+                                        util::StatsRegistry::Counter* faults) {
+  // A range with nothing to fault opens no span.
+  const auto first = std::find_if(pages.begin(), pages.end(), [&](PageId p) {
+    return !engine_->page(p).is_valid();
+  });
+  if (first == pages.end()) return 0;
   obs::ScopedSpan span(tracer_, uid_, obs::SpanKind::kFaultService);
-  ++accessed_since_fork_;
-  // SIGSEGV dispatch + mprotect + bookkeeping on the faulting node.
-  compute(sim::to_seconds(system_.cluster().cost().fault_fixed));
-
-  if (!engine_->page(page).have_copy) {
-    // A home fetch covers every pending notice by construction.
-    fetch_page_copy(page, engine_->full_copy_covers_pending());
-  }
-  if (!engine_->page(page).pending.empty()) {
-    apply_pending_diffs(page);
-    ANOW_PTRACE(page, "applied diffs, val="
-                          << traced_word(page));
-  }
-  ANOW_CHECK(engine_->page(page).is_valid());
-}
-
-void DsmProcess::fault_in_range(PageId first, PageId last) {
-  obs::ScopedSpan span(tracer_, uid_, obs::SpanKind::kFaultService);
-  // Collect the range's invalid pages up front so their full-page fetches
-  // can share envelopes (one request envelope per source, replies
+  // One trap per invalid page, all charged up front so the pages' full-page
+  // fetches can share envelopes (one request envelope per source, replies
   // overlapped) and their diff fetches can share rounds (one request per
-  // creator across all pages, as the GC validation path already does).
-  std::vector<PageId> need;
-  for (PageId p = first; p < last; ++p) {
+  // creator across all pages).
+  std::vector<PageId>& need = fault_need_;
+  need.clear();
+  for (auto it = first; it != pages.end(); ++it) {
+    const PageId p = *it;
     if (engine_->page(p).is_valid()) continue;
-    (*ctr_faults_read_)++;
+    if (faults != nullptr) ++*faults;
     ++accessed_since_fork_;
     compute(sim::to_seconds(system_.cluster().cost().fault_fixed));
     need.push_back(p);
   }
-  if (need.empty()) return;
 
-  struct Want {
-    Uid src;
-    PageId page;
-    std::uint64_t cookie;
-    bool resolves;  // the fetch resolves pending notices
-  };
-  std::vector<Want> wants;
+  // Full copies: every page with no copy, and every stale page one copy
+  // resolves (any page of a home-based engine, a single-writer page).  A
+  // stale copy is replaced, so our own un-diffed interval on it is captured
+  // first, as before a diff merge.
+  std::vector<CopyFetch>& copies = fault_copies_;
+  copies.clear();
   for (PageId p : need) {
-    if (engine_->page(p).have_copy) continue;
-    wants.push_back({engine_->pick_page_source(p), p, 0,
-                     !engine_->page(p).pending.empty()});
+    const auto& pm = engine_->page(p);
+    if (pm.is_valid()) continue;  // a home flush applied while a trap parked
+    if (pm.have_copy) {
+      if (!engine_->one_copy_resolves(p)) continue;
+      if (engine_->flush_lazy_twin(p)) {
+        obs::ScopedSpan make(tracer_, uid_, obs::SpanKind::kDiffMake);
+        compute(sim::to_seconds(
+            system_.cluster().cost().diff_create_time(kPageSize)));
+      }
+    }
+    copies.push_back(
+        {engine_->pick_page_source(p), p, 0, !pm.pending.empty()});
   }
-  if (!wants.empty()) {
-    std::sort(wants.begin(), wants.end(), [](const Want& a, const Want& b) {
-      if (a.src != b.src) return a.src < b.src;
-      return a.page < b.page;
-    });
+  if (!copies.empty()) {
+    std::sort(copies.begin(), copies.end(),
+              [](const CopyFetch& a, const CopyFetch& b) {
+                if (a.src != b.src) return a.src < b.src;
+                return a.page < b.page;
+              });
     flush_cpu();
+    // A fetch that resolves pending notices exists purely to move
+    // modifications — the same role as a diff round — and counts as
+    // consistency traffic; a first-touch fetch is initial data distribution
+    // and does not.
     auto& consistency = *ctr_consistency_bytes_;
-    for (std::size_t i = 0; i < wants.size(); ++i) {
-      Want& w = wants[i];
-      ANOW_CHECK_MSG(w.src != uid_, "page " << w.page
+    for (std::size_t i = 0; i < copies.size(); ++i) {
+      CopyFetch& c = copies[i];
+      ANOW_CHECK_MSG(c.src != uid_, "page " << c.page
                                             << " owner hint points at self "
                                                "but no copy");
-      w.cookie = new_cookie();
-      register_reply(w.cookie);  // register before send
-      PageRequest req{uid_, w.page, 0, w.cookie};
-      if (w.resolves) {
+      c.cookie = new_cookie();
+      register_reply(c.cookie);  // register before send
+      PageRequest req{uid_, c.page, 0, c.cookie};
+      if (c.resolves) {
         // Accounting rule of §7: segments sharing an envelope count
         // payload only; a source wanted for exactly one page sends a solo
-        // envelope and charges the header, as the unbatched path does —
-        // unless something is already staged for it (e.g. a join-barrier
-        // release held in the master's channel), which the request joins.
-        const bool solo = (i == 0 || wants[i - 1].src != w.src) &&
-                          (i + 1 == wants.size() ||
-                           wants[i + 1].src != w.src) &&
-                          !channel_.has_staged(w.src);
+        // envelope and charges the header, unless something is already
+        // staged for it (e.g. a join-barrier release held in the master's
+        // channel), which the request joins.
+        const bool solo = (i == 0 || copies[i - 1].src != c.src) &&
+                          (i + 1 == copies.size() ||
+                           copies[i + 1].src != c.src) &&
+                          !channel_.has_staged(c.src);
         consistency += segment_wire_bytes(Segment{req}) +
                        (solo ? kEnvelopeHeaderBytes : 0);
       }
-      channel_.stage(w.src, req);
+      channel_.stage(c.src, req);
     }
-    for (std::size_t i = 0; i < wants.size(); ++i) {
-      if (i + 1 == wants.size() || wants[i + 1].src != wants[i].src) {
-        channel_.flush(wants[i].src);
+    for (std::size_t i = 0; i < copies.size(); ++i) {
+      if (i + 1 == copies.size() || copies[i + 1].src != copies[i].src) {
+        channel_.flush(copies[i].src);
       }
     }
-    for (const auto& w : wants) {
-      PendingReply* pr = find_reply(w.cookie);
+    for (const auto& c : copies) {
+      PendingReply* pr = find_reply(c.cookie);
       if (!pr->ready) {
         system_.rt().wait(pr->wp, "page reply");
       }
       Segment seg = std::move(pr->seg);
       const bool shared = pr->shared_envelope;
-      erase_reply(w.cookie);
+      erase_reply(c.cookie);
       auto& reply = std::get<PageReply>(seg);
-      ANOW_CHECK(reply.page == w.page);
+      ANOW_CHECK(reply.page == c.page);
       ANOW_CHECK(reply.data.size() == kPageSize);
       // Reply-side coalescing: replies to one batched request share an
       // envelope, so only a solo reply charges the header (§7 rule).
-      if (w.resolves) {
+      if (c.resolves) {
         consistency += segment_wire_bytes(seg) +
                        (shared ? 0 : kEnvelopeHeaderBytes);
       }
-      engine_->install_copy(w.page, reply.data.data(), reply.applied,
-                            engine_->full_copy_covers_pending());
+      engine_->install_copy(c.page, reply.data.data(), reply.applied,
+                            engine_->one_copy_resolves(c.page));
       system_.release_page_buffer(std::move(reply.data));
-      ANOW_PTRACE(w.page, "fetched full copy (batched) val="
-                              << traced_word(w.page));
+      // The request's first hop; a forwarded request is served elsewhere
+      // (replies carry no sender, so the trace names the hop).
+      ANOW_PTRACE(c.page, "fetched full copy via " << c.src << " val="
+                              << traced_word(c.page));
     }
   }
 
-  // Notices the installed copies did not cover: multi-writer pages share
-  // batched diff rounds; the rest (single-writer / home refetches) resolve
-  // page by page.
-  std::vector<PageId> multi_writer;
+  // What the copies left pending is on multi-writer pages: their diffs
+  // share one round per creator.
+  std::vector<PageId>& diff_pages = fault_diff_pages_;
+  diff_pages.clear();
   for (PageId p : need) {
-    if (engine_->page(p).pending.empty()) continue;
-    if (!engine_->full_copy_covers_pending() &&
-        engine_->protocol_of(p) == Protocol::kMultiWriter) {
-      multi_writer.push_back(p);
-    } else {
-      apply_pending_diffs(p);
-    }
+    if (!engine_->page(p).pending.empty()) diff_pages.push_back(p);
   }
-  resolve_multi_writer_pending(multi_writer);
+  const std::int64_t rounds = resolve_multi_writer_pending(diff_pages);
   for (PageId p : need) {
     ANOW_CHECK(engine_->page(p).is_valid());
   }
+  return rounds;
 }
 
 std::int64_t DsmProcess::resolve_multi_writer_pending(
@@ -440,48 +398,12 @@ std::vector<DiffReply> DsmProcess::fetch_diffs(
   return replies;
 }
 
-void DsmProcess::apply_pending_diffs(PageId page) {
-  // Home-based engines: one full-page fetch from the home covers every
-  // pending notice, whatever the page's write-sharing protocol.
-  if (engine_->full_copy_covers_pending()) {
-    fetch_page_copy(page, /*must_cover_pending=*/true);
-    return;
-  }
-
-  // Our own un-diffed interval must be captured before remote diffs are
-  // merged into the local copy (they would otherwise leak into our diff).
-  if (engine_->flush_lazy_twin(page)) {
-    obs::ScopedSpan span(tracer_, uid_, obs::SpanKind::kDiffMake);
-    compute(sim::to_seconds(
-        system_.cluster().cost().diff_create_time(kPageSize)));
-  }
-
-  // Single-writer pages: one full-page fetch from the last writer replaces
-  // the local copy and covers every earlier notice.
-  if (engine_->protocol_of(page) == Protocol::kSingleWriter) {
-    fetch_page_copy(page, /*must_cover_pending=*/true);
-    return;
-  }
-
-  // Multi-writer: fetch the diffs for all pending notices, one batched
-  // request per creator, issued in parallel.
-  const auto plans = engine_->plan_diff_fetches(&page, 1);
-  const auto replies = fetch_diffs(plans);
-  obs::ScopedSpan apply_span(tracer_, uid_, obs::SpanKind::kDiffApply);
-  const std::int64_t applied_bytes =
-      engine_->apply_fetched_diffs(page, replies);
-  compute(sim::to_seconds(
-      system_.cluster().cost().diff_apply_time(applied_bytes)));
-}
-
 void DsmProcess::apply_owner_hints(const OwnerDelta& delta) {
   // Home engine: a newly-assigned home missing a concurrent writer's words
   // re-validates from the old home *before* the hints flip (its own hint
   // still names the old home, which keeps a complete copy).
-  for (PageId p : engine_->pages_to_validate_before_delta(delta)) {
-    (*ctr_home_validation_faults_)++;
-    fault_in(p);
-  }
+  fault_in_pages(engine_->pages_to_validate_before_delta(delta),
+                 ctr_home_validation_faults_);
   for (const auto& [page, owner] : delta) {
     engine_->page(page).owner_hint = owner;
   }
@@ -685,40 +607,10 @@ void DsmProcess::gc_validate(const OwnerDelta& owners) {
   // Local page-table scan.
   compute(sim::to_seconds(system_.cluster().cost().gc_per_page) *
           static_cast<double>(system_.num_pages()));
-  const std::vector<PageId> need = engine_->gc_pages_to_validate(owners);
-  // Batchable: multi-writer pages with a copy, whose pending notices are
-  // pure diff traffic — validated with one message round per creator
-  // instead of one per page.  The rest (no copy yet, single-writer
-  // full-copy fetches, or any page of a home-based engine, which has no
-  // diffs to batch) go through the normal fault path.
-  std::vector<PageId> batchable;
-  std::vector<PageId> rest;
-  for (PageId p : need) {
-    const auto& pm = engine_->page(p);
-    if (pm.have_copy && !engine_->full_copy_covers_pending() &&
-        engine_->protocol_of(p) == Protocol::kMultiWriter) {
-      batchable.push_back(p);
-    } else {
-      rest.push_back(p);
-    }
-  }
-  if (!batchable.empty()) {
-    // One trap charge per batched page; charged in a loop so the deferred
-    // CPU flushes at exactly the same points as the unbatched path.
-    for (std::size_t i = 0; i < batchable.size(); ++i) {
-      (*ctr_gc_validation_faults_)++;
-      ++accessed_since_fork_;
-      compute(sim::to_seconds(system_.cluster().cost().fault_fixed));
-    }
-    system_.stats().counter("dsm.gc_batched_fetch_rounds") +=
-        resolve_multi_writer_pending(batchable);
-    for (PageId p : batchable) {
-      ANOW_CHECK(engine_->page(p).is_valid());
-    }
-  }
-  for (PageId p : rest) {
-    (*ctr_gc_validation_faults_)++;
-    fault_in(p);
+  const std::int64_t rounds = fault_in_pages(
+      engine_->gc_pages_to_validate(owners), ctr_gc_validation_faults_);
+  if (rounds > 0) {
+    system_.stats().counter("dsm.gc_batched_fetch_rounds") += rounds;
   }
 }
 
@@ -1210,18 +1102,6 @@ void DsmProcess::deliver_reply(std::uint64_t cookie, Segment seg,
   pr->ready = true;
   pr->shared_envelope = shared_envelope;
   system_.rt().signal(pr->wp);
-}
-
-Segment DsmProcess::rpc(Uid dst, Segment seg, std::uint64_t cookie) {
-  flush_cpu();
-  PendingReply& pr = register_reply(cookie);
-  channel_.send(dst, std::move(seg));
-  if (!pr.ready) {
-    system_.rt().wait(pr.wp, "rpc reply");
-  }
-  Segment reply = std::move(pr.seg);
-  erase_reply(cookie);
-  return reply;
 }
 
 void DsmProcess::push_instruction(Segment seg) {

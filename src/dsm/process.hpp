@@ -2,7 +2,7 @@
 //
 // The process owns a full local copy of the shared region plus its
 // consistency engine (dsm/protocol/), which holds all per-page protocol
-// state.  What remains here is fiber plumbing — the RPC rendezvous, the
+// state.  What remains here is fiber plumbing — the reply rendezvous, the
 // instruction queue, CPU-cost coalescing — and the range-touch fault
 // front-end (read_range/write_range), which drives the same page-fault
 // state machine mprotect would by calling into the engine: invalid -> fetch
@@ -13,6 +13,7 @@
 #include <deque>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -198,9 +199,6 @@ class DsmProcess {
   /// Schedules the current envelope's batched page replies: one envelope
   /// per requester after the summed per-page service time.
   void flush_reply_batches();
-  /// Sends a request segment and parks until the matching reply (by
-  /// cookie) arrives.
-  Segment rpc(Uid dst, Segment seg, std::uint64_t cookie);
   std::uint64_t new_cookie() { return next_cookie_++; }
 
   /// Instruction-queue plumbing for the wait/barrier loops.
@@ -208,14 +206,20 @@ class DsmProcess {
   Segment next_instruction(const char* tag);
 
   // --- fault machinery ---------------------------------------------------------
-  void fault_in(PageId page);
-  /// Multi-page path of read_range/write_range: faults every invalid page
-  /// of [first, last) in, batching full-page fetch requests per source (one
-  /// envelope each) and diff fetches per creator across all pages.
-  void fault_in_range(PageId first, PageId last);
-  /// Fetches a full page copy via RPC and installs it in the engine.
-  void fetch_page_copy(PageId page, bool must_cover_pending);
-  void apply_pending_diffs(PageId page);
+  /// The one fault path (DESIGN.md §7 rule 3), for a range of any length,
+  /// GC validation, the home engine's pre-delta validation and the
+  /// checkpoint sweep alike.  Charges one trap per page of `pages` that is
+  /// invalid, bumping `faults` (null: no counter), then makes them all
+  /// valid.  Every page one full copy resolves — no copy yet, or a stale
+  /// copy under a home-based engine or on a single-writer page — joins one
+  /// request envelope per source, and its copy must cover every pending
+  /// notice; only multi-writer pages with a copy fetch diffs, one round per
+  /// creator across all pages.  Returns the number of diff rounds.
+  std::int64_t fault_in_pages(std::span<const PageId> pages,
+                              util::StatsRegistry::Counter* faults);
+  /// [first, last) as a page list, in a scratch vector reused across calls
+  /// (valid until the next call).
+  std::span<const PageId> page_run(PageId first, PageId last);
   /// Issues every fetch plan in parallel and collects the replies
   /// (TreadMarks overlaps these fetches).
   std::vector<DiffReply> fetch_diffs(
@@ -245,9 +249,8 @@ class DsmProcess {
   /// segments held since the prepare.
   void commit_gc(const OwnerDelta& delta);
 
-  /// Validates pages this process will own after GC: multi-writer pages
-  /// with a copy are validated with one batched diff fetch per creator;
-  /// the rest go through the normal fault path.
+  /// Validates the pages this process will own after GC through
+  /// fault_in_pages.
   void gc_validate(const OwnerDelta& owners);
   /// The GcPrepare instruction, in barrier() or Tmk_wait: integrates,
   /// validates, and acks (the master with a self-send, everyone else
@@ -343,6 +346,19 @@ class DsmProcess {
   std::int64_t accessed_since_fork_ = 0;
   /// Coalesced small CPU charges awaiting flush_cpu().
   double deferred_cpu_ = 0.0;
+
+  /// fault_in_pages' working lists, kept across calls so that a fault
+  /// allocates none of them once they have grown.
+  struct CopyFetch {
+    Uid src;
+    PageId page;
+    std::uint64_t cookie;
+    bool resolves;  // the fetch resolves pending notices
+  };
+  std::vector<PageId> fault_run_;  // page_run's list
+  std::vector<PageId> fault_need_;
+  std::vector<CopyFetch> fault_copies_;
+  std::vector<PageId> fault_diff_pages_;
 
   // Reply rendezvous: flat (the handful of outstanding RPCs of one fiber),
   // unique_ptr entries so WaitPoint addresses stay stable across growth.

@@ -193,6 +193,14 @@ class ConsistencyEngine {
   /// pending notice (home-based: the home is always complete), so the
   /// fault path re-fetches the page instead of fetching diffs.
   virtual bool full_copy_covers_pending() const { return false; }
+  /// One fetched full copy resolves every pending notice of `p`: all pages
+  /// of an engine whose full copies cover pending notices, and
+  /// single-writer pages.  Such a page keeps one pending record per
+  /// writer, and the fault path fetches it whole, stale copy or none.
+  bool one_copy_resolves(PageId p) const {
+    return full_copy_covers_pending() ||
+           protocol_of(p) == Protocol::kSingleWriter;
+  }
   /// Groups the pending notices of `pages` into one fetch plan per creator.
   virtual std::vector<DiffFetchPlan> plan_diff_fetches(const PageId* pages,
                                                        std::size_t count) = 0;
@@ -370,14 +378,6 @@ class ConsistencyEngine {
   /// releases its diff archive, the home engine checks every twin flushed.
   virtual void on_gc_commit() {}
 
-  /// One fetched full copy resolves every pending notice of `p`: all pages
-  /// of an engine whose full copies cover pending notices, and
-  /// single-writer pages.  Such a page keeps one pending record per
-  /// writer.
-  bool one_copy_resolves(PageId p) const {
-    return full_copy_covers_pending() ||
-           protocol_of(p) == Protocol::kSingleWriter;
-  }
   /// The pending-notice half of install_copy: records the installed copy's
   /// applied map and drops the notices it covers, or with
   /// `must_cover_pending` checks that it covers them all.

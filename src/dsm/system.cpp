@@ -845,15 +845,13 @@ std::int64_t DsmSystem::master_collect_all_pages() {
   DsmProcess& master = process(kMasterUid);
   ANOW_CHECK_MSG(rt_->in_context_of(kMasterUid),
                  "master_collect_all_pages outside the master fiber");
-  std::int64_t fetched = 0;
+  std::vector<PageId> invalid;
   for (PageId p = 0; p < num_pages(); ++p) {
-    if (!master.engine().page(p).is_valid()) {
-      master.fault_in(p);
-      ++fetched;
-    }
+    if (!master.engine().page(p).is_valid()) invalid.push_back(p);
   }
+  master.fault_in_pages(invalid, nullptr);
   master.heap_sync();
-  return fetched;
+  return static_cast<std::int64_t>(invalid.size());
 }
 
 // ---------------------------------------------------------------------------

@@ -46,7 +46,7 @@ enum class SpanKind : std::uint8_t {
   kBarrierWait,   // barrier(): release processing + wait for the release
   kLockStall,     // lock_acquire(): wait for the grant
   kLockRelease,   // lock_release(): flush + notify
-  kFaultService,  // fault_in / fault_in_range remote service
+  kFaultService,  // fault_in_pages remote service
   kGcPrepare,     // GC validate + delta collection on a process
   kGcCommit,      // master waiting for GC acks at a fork
   kCount

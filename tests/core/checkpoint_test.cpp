@@ -3,6 +3,7 @@
 
 #include <cstdio>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "core/checkpoint.hpp"
@@ -184,6 +185,74 @@ TEST(Checkpoint, RecoveryResumesAndMatchesUninterruptedRun) {
   }
   std::remove(path.c_str());
 }
+
+// ---------------------------------------------------------------------------
+// GC validation and the checkpoint sweep fault pages in through the same
+// resolver as read_range (DESIGN.md §7 rule 3), but each counts its pages
+// apart from the read faults: dsm.gc_validation_faults and
+// ckpt.pages_collected, never dsm.faults.read.  Every process writes
+// interleaved words of the same 4 pages, so post-GC owners hold stale
+// copies: under lrc the last writer (uid 3) lacks the others' diffs; under
+// home the round-robin homes lack the words the others flushed to the
+// master, the old home, and full copies resolve them.  The master's writes
+// ride its sole initial copies and announce nothing, so the concurrent
+// writers are uids 1-3 and the homes uids 1, 2, 3, 1: uid 1's two pages
+// share one request envelope.
+// ---------------------------------------------------------------------------
+
+class GcAndSweepCounters : public ::testing::TestWithParam<dsm::EngineKind> {};
+
+TEST_P(GcAndSweepCounters, ValidationAndSweepAreNotReadFaults) {
+  constexpr int kProcs = 4;
+  constexpr std::int64_t kWords = 4 * 512;  // 4 pages of int64
+  const bool lrc = GetParam() == dsm::EngineKind::kLrc;
+  sim::Cluster cluster({}, kProcs);
+  DsmConfig cfg = small_config();
+  static_cast<dsm::Knobs&>(cfg) = dsm::Knobs::builtin();
+  cfg.engine = GetParam();
+  DsmSystem sys(cluster, cfg);
+  Checkpointer ckpt(sys);
+  const auto task = sys.register_task(
+      "interleave", [](DsmProcess& p, const std::vector<std::uint8_t>& a) {
+        const auto args = unpack<IterArgs>(a);
+        p.write_range(args.addr, args.count * 8);
+        auto* data = p.ptr<std::int64_t>(args.addr);
+        for (std::int64_t i = p.pid(); i < args.count; i += p.nprocs()) {
+          data[i] = 1000 + i;
+        }
+      });
+  sys.start(kProcs);
+  const auto& stats = sys.stats();
+  CheckpointImage img;
+  GAddr addr = 0;
+  sys.run([&](DsmProcess&) {
+    addr = sys.shared_malloc(kWords * 8);
+    sys.run_parallel(task, pack(IterArgs{addr, kWords}));
+    // The slaves' write faults alone: the master started with every page,
+    // and home's assignment round at the join barrier validated all 4.
+    EXPECT_EQ(stats.counter_value("dsm.faults.read"), (kProcs - 1) * 4);
+    EXPECT_EQ(stats.counter_value("dsm.gc_validation_faults"), lrc ? 0 : 4);
+    // lrc's GC runs in the checkpoint, before the sweep.
+    img = ckpt.take({});
+    EXPECT_EQ(stats.counter_value("dsm.faults.read"), (kProcs - 1) * 4);
+    EXPECT_EQ(stats.counter_value("dsm.gc_validation_faults"), 4);
+  });
+  // The GC dropped the master's copies of the 4 pages others own.
+  EXPECT_EQ(ckpt.stats().pages_collected, 4);
+  EXPECT_EQ(stats.counter_value("dsm.home_validation_faults"), 0);
+  std::vector<std::int64_t> words(kWords);
+  std::memcpy(words.data(), img.region.data() + addr, kWords * 8);
+  for (std::int64_t i = 0; i < kWords; ++i) {
+    ASSERT_EQ(words[i], 1000 + i) << "at index " << i;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Engines, GcAndSweepCounters,
+                         ::testing::Values(dsm::EngineKind::kLrc,
+                                           dsm::EngineKind::kHomeLrc),
+                         [](const auto& info) {
+                           return std::string(dsm::enum_name(info.param));
+                         });
 
 }  // namespace
 }  // namespace anow::core

@@ -8,6 +8,7 @@
 // home-based LRC) so the protocols are held to the same correctness bar.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstring>
 #include <numeric>
 #include <vector>
@@ -477,6 +478,113 @@ TEST(DsmSystem, DeterministicAcrossRuns) {
   };
   EXPECT_EQ(run_once(), run_once());
 }
+
+// ---------------------------------------------------------------------------
+// One read_range over stale copies sends one request envelope per source
+// (DESIGN.md §7 rule 3).  Four processes each rewrite their own 4-page
+// block of a 16-page array every round; then each reads the whole array.
+// From the second round on, the 12 pages of the other blocks are stale
+// copies one full copy resolves: single-writer pages under lrc, every page
+// under home.  Each reader's 12 fetches ride one request envelope to each
+// of the 3 writers and one reply envelope back from each.
+// ---------------------------------------------------------------------------
+
+using RefetchParam = std::tuple<EngineKind, BackendKind>;
+
+class StaleRangeRefetch : public ::testing::TestWithParam<RefetchParam> {};
+
+struct RoundTraffic {
+  std::int64_t messages = 0;
+  std::int64_t page_requests = 0;
+  std::int64_t page_fetches = 0;
+};
+
+TEST_P(StaleRangeRefetch, OneEnvelopePerSourceFromTheSecondRound) {
+  constexpr int kProcs = 4;
+  constexpr std::int64_t kBlockWords = 4 * kWordsPerPage;
+  constexpr std::int64_t kWords = kProcs * kBlockWords;
+  constexpr int kRounds = 4;
+  struct Args {
+    GAddr addr;
+    std::int64_t round;
+    bool read;
+  };
+  // Word i after round r, as a sequential run leaves it.
+  const auto expected = [](std::int64_t round, std::int64_t i) {
+    return round * 1000003 + i;
+  };
+  std::atomic<std::int64_t> mismatches{0};
+  // Each round's traffic, with or without the whole-array reads.
+  const auto run = [&](bool read) {
+    sim::Cluster cluster({}, kProcs);
+    DsmConfig cfg;
+    static_cast<Knobs&>(cfg) = Knobs::builtin();
+    cfg.heap_bytes = 1 << 20;
+    cfg.engine = std::get<0>(GetParam());
+    cfg.backend = std::get<1>(GetParam());
+    cfg.default_protocol = Protocol::kSingleWriter;
+    DsmSystem sys(cluster, cfg);
+    const auto task = sys.register_task(
+        "rewrite", [&](DsmProcess& p, const std::vector<std::uint8_t>& a) {
+          const auto args = unpack<Args>(a);
+          const std::int64_t lo = p.pid() * kBlockWords;
+          p.write_range(args.addr + lo * 8, kBlockWords * 8);
+          auto* data = p.ptr<std::int64_t>(args.addr);
+          for (std::int64_t i = lo; i < lo + kBlockWords; ++i) {
+            data[i] = expected(args.round, i);
+          }
+          p.barrier(1);
+          if (!args.read) return;
+          p.read_range(args.addr, kWords * 8);
+          const auto* seen = p.cptr<std::int64_t>(args.addr);
+          for (std::int64_t i = 0; i < kWords; ++i) {
+            if (seen[i] != expected(args.round, i)) ++mismatches;
+          }
+        });
+    sys.start(kProcs);
+    std::vector<RoundTraffic> rounds;
+    sys.run([&](DsmProcess&) {
+      const GAddr addr = sys.shared_malloc(kWords * 8);
+      const auto& stats = sys.stats();
+      for (std::int64_t r = 1; r <= kRounds; ++r) {
+        const RoundTraffic before{
+            stats.counter_value("net.messages"),
+            stats.counter_value("dsm.seg.page_request.msgs"),
+            stats.counter_value("dsm.page_fetches")};
+        sys.run_parallel(task, pack(Args{addr, r, read}));
+        rounds.push_back(
+            {stats.counter_value("net.messages") - before.messages,
+             stats.counter_value("dsm.seg.page_request.msgs") -
+                 before.page_requests,
+             stats.counter_value("dsm.page_fetches") - before.page_fetches});
+      }
+    });
+    return rounds;
+  };
+  const std::vector<RoundTraffic> with_reads = run(true);
+  const std::vector<RoundTraffic> without = run(false);
+  EXPECT_EQ(mismatches.load(), 0);
+  for (int r = 1; r < kRounds; ++r) {
+    SCOPED_TRACE("round " + std::to_string(r + 1));
+    // Per reader: 3 request envelopes and 3 reply envelopes, 12 pages.
+    EXPECT_EQ(with_reads[r].messages - without[r].messages, kProcs * 6);
+    EXPECT_EQ(with_reads[r].page_requests - without[r].page_requests,
+              kProcs * 12);
+    EXPECT_EQ(with_reads[r].page_fetches - without[r].page_fetches,
+              kProcs * 12);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Grid, StaleRangeRefetch,
+    ::testing::Combine(::testing::Values(EngineKind::kLrc,
+                                         EngineKind::kHomeLrc),
+                       ::testing::Values(BackendKind::kSim,
+                                         BackendKind::kReal)),
+    [](const ::testing::TestParamInfo<RefetchParam>& info) {
+      return std::string(enum_name(std::get<0>(info.param))) + "_" +
+             enum_name(std::get<1>(info.param));
+    });
 
 }  // namespace
 }  // namespace anow::dsm

@@ -353,7 +353,10 @@ INSTANTIATE_TEST_SUITE_P(
 // from the star's own code path (before it was expressed as the degenerate
 // tree) under the built-in knob defaults; the sharded lrc row and the
 // join/leave run below were re-recorded once the master stopped querying
-// shard holders for owners (DESIGN.md §8).  Fanout n - 1 = 7 and any
+// shard holders for owners (DESIGN.md §8); both home rows and the
+// join/leave run again once a range's stale full-copy refetches shared one
+// request envelope per source (DESIGN.md §7): the master's closing read
+// finds 7 of its 8 pages stale.  Fanout n - 1 = 7 and any
 // larger fanout must reproduce them too.
 // ---------------------------------------------------------------------------
 
@@ -373,11 +376,11 @@ const StarCase kStarCases[] = {
      {533, 458064, 603, 332344, 189, 266, 160,
       160, 70, 8, 8, 7, 26841298}},
     {EngineKind::kHomeLrc, 1, 0,
-     {641, 684748, 719, 522636, 198, 275, 160,
-      160, 70, 16, 16, 7, 42142686}},
+     {639, 684604, 719, 522564, 198, 275, 160,
+      160, 70, 16, 16, 7, 36453044}},
     {EngineKind::kHomeLrc, 4, 32 << 10,
-     {627, 658520, 706, 510168, 198, 275, 160,
-      160, 70, 16, 16, 7, 40464377}},
+     {625, 658376, 706, 510096, 198, 275, 160,
+      160, 70, 16, 16, 7, 34774735}},
     // clang-format on
 };
 
@@ -413,7 +416,7 @@ TEST(TopologyStarPin, JoinLeaveRunUnderCoveringFanouts) {
     cfg.fanout = fanout;
     cfg.adaptive = false;
     const harness::RunResult baseline = harness::run_workload(cfg);
-    EXPECT_EQ(baseline.seconds, 0.030469605);
+    EXPECT_EQ(baseline.seconds, 0.026673161);
 
     cfg.adaptive = true;
     cfg.spare_hosts = 1;
@@ -423,9 +426,9 @@ TEST(TopologyStarPin, JoinLeaveRunUnderCoveringFanouts) {
         /*pairs=*/1);
     const harness::RunResult run = harness::run_workload(cfg);
     EXPECT_GE(run.leaves, 1);
-    EXPECT_EQ(run.seconds, 0.200483975);
-    EXPECT_EQ(run.messages, 513);
-    EXPECT_EQ(run.bytes, 767600);
+    EXPECT_EQ(run.seconds, 0.198201505);
+    EXPECT_EQ(run.messages, 507);
+    EXPECT_EQ(run.bytes, 767168);
     EXPECT_EQ(run.checksum, 116.263671875);
   }
 }

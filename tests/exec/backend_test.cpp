@@ -483,7 +483,7 @@ bool compute_until(Done done) {
 using Body = std::function<void(dsm::DsmProcess&)>;
 
 /// Runs `first` then `second` as two constructs and returns the stats.  The
-/// word at `addr` + 8 * i is slot i of a one-page shared array.
+/// word at `addr` + 8 * i is slot i of a two-page shared array.
 util::StatsRegistry::Snapshot run_two_constructs(
     dsm::EngineKind engine, dsm::GAddr& addr, const Body& first,
     const Body& second, const Body& check) {
@@ -497,7 +497,7 @@ util::StatsRegistry::Snapshot run_two_constructs(
   const std::int32_t t2 = sys.register_task("second", as_task(second));
   sys.start(3);
   sys.run([&](dsm::DsmProcess& master) {
-    addr = sys.shared_malloc(exec::kPageBytes);
+    addr = sys.shared_malloc(2 * exec::kPageBytes);
     sys.run_parallel(t1, {});
     sys.run_parallel(t2, {});
     check(master);
@@ -590,6 +590,60 @@ TEST_P(BackendHelping, RequestForAPageTheBodyWritesWaitsForItsNextCall) {
   EXPECT_EQ(seen, 7);
   EXPECT_EQ(final0, 99);
   EXPECT_EQ(final1, 7);
+  EXPECT_EQ(stats.counter("exec.park_timeouts"), 0);
+}
+
+TEST_P(BackendHelping, BatchedRequestServesTheUndeclaredPageAtOnce) {
+  // pid 1 writes both pages, then write-declares only the second and
+  // computes while pid 2 reads both with one read_range: one request
+  // envelope holds both pages.  A helper serves the first page at once and
+  // leaves the second for pid 1's next DSM call.
+  constexpr std::int64_t kSecond =
+      static_cast<std::int64_t>(exec::kPageBytes / sizeof(std::int64_t));
+  dsm::GAddr addr = 0;
+  std::atomic<bool> computing{false};
+  bool first_served_while_computing = false;
+  std::int64_t seen_first = 0;
+  std::int64_t seen_second = 0;
+  std::int64_t final_second = 0;
+  const auto stats = run_two_constructs(
+      GetParam(), addr,
+      [&](dsm::DsmProcess& p) {
+        if (p.pid() != 1) return;
+        p.write_range(addr, 2 * exec::kPageBytes);
+        p.ptr<std::int64_t>(addr)[0] = 5;
+        p.ptr<std::int64_t>(addr)[kSecond] = 6;
+      },
+      [&](dsm::DsmProcess& p) {
+        if (p.pid() == 1) {
+          auto& registry = p.system().stats();
+          const auto* deferred = registry.handle("exec.deferred_serves");
+          const auto* served = registry.handle("dsm.page_fetches");
+          const std::int64_t served_before = served->load();
+          p.write_range(addr + 8 * (kSecond + 1), 8);
+          p.ptr<std::int64_t>(addr)[kSecond + 1] = 99;
+          computing.store(true, std::memory_order_release);
+          first_served_while_computing = compute_until([&] {
+            return deferred->load() > 0 && served->load() > served_before;
+          });
+          p.read_range(addr, 8);  // the next DSM call serves the second
+        } else if (p.pid() == 2) {
+          compute_until([&] { return computing.load(); });
+          p.read_range(addr, 2 * exec::kPageBytes);
+          seen_first = p.cptr<std::int64_t>(addr)[0];
+          seen_second = p.cptr<std::int64_t>(addr)[kSecond];
+        }
+      },
+      [&](dsm::DsmProcess& master) {
+        master.read_range(addr, 2 * exec::kPageBytes);
+        final_second = master.cptr<std::int64_t>(addr)[kSecond + 1];
+      });
+  EXPECT_TRUE(first_served_while_computing)
+      << "the undeclared page waited for the computing peer's next DSM call";
+  EXPECT_EQ(stats.counter("exec.deferred_serves"), 1);
+  EXPECT_EQ(seen_first, 5);
+  EXPECT_EQ(seen_second, 6);
+  EXPECT_EQ(final_second, 99);
   EXPECT_EQ(stats.counter("exec.park_timeouts"), 0);
 }
 

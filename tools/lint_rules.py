@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Repo-specific lint rules (DESIGN.md §13).
 
-Nine structural conventions that clang-tidy cannot express, enforced as
+Ten structural conventions that clang-tidy cannot express, enforced as
 baselines so existing, reviewed occurrences stay legal while new ones fail
 the lint CI job:
 
@@ -69,6 +69,15 @@ the lint CI job:
    pending_count_, so an engine cannot grow a list or move the count
    beside the type that keeps both exact.
 
+10. one-fault-path — every fault, of one page or a range, in GC
+   validation, the home engine's pre-delta validation or the checkpoint
+   sweep, goes through DsmProcess::fault_in_pages, which batches full-page
+   fetches per source (DESIGN.md §7).  Under src/ a PageRequest is built
+   only inside that function (handle_page_request's forward copies the
+   request it was sent, which does not count), and no blocking rpc( call
+   may appear, so a per-page fetch cannot come back beside the batched
+   one.
+
 Exit code 0 = clean, 1 = violation (message names the rule and the line).
 Run from anywhere: paths resolve relative to the repo root.
 """
@@ -105,7 +114,7 @@ STATS_LOOKUP_BASELINE = {
 # inside the span on purpose (the span is the attribution target).
 
 COMPUTE_IN_SPAN_BASELINE = {
-    "src/dsm/process.cpp": 10,
+    "src/dsm/process.cpp": 8,
 }
 
 # --- rule 4: writes are detected by declaration only ---------------------
@@ -154,6 +163,17 @@ NOTICE_LIST_EDIT = re.compile(
 NOTICE_COUNT_WRITE = re.compile(
     r"\bpending_count_\s*(?:[-+*/%&|^]?=(?!=)|\+\+|--)"
     r"|(?:\+\+|--)\s*pending_count_\b")
+
+# --- rule 10: one fault path ---------------------------------------------
+
+RESOLVER_FILE = "src/dsm/process.cpp"
+RESOLVER_DEF = re.compile(r"^\S.*\bDsmProcess::fault_in_pages\s*\(")
+# A PageRequest made from fields: a braced or parenthesized temporary, or a
+# named variable initialized that way or default-constructed.  A copy
+# (`PageRequest f = req;`) and the type in a declaration do not match.
+PAGE_REQUEST_BUILD = re.compile(
+    r"(?<!struct )\bPageRequest\s*(?:[A-Za-z_]\w*\s*)?[{(;]")
+BLOCKING_RPC = re.compile(r"\brpc\s*\(")
 
 CODE_SUFFIXES = {".cpp", ".hpp"}
 SCAN_DIRS = ["src", "bench", "tests", "examples"]
@@ -379,6 +399,52 @@ def check_notices_in_one_type(violations):
                 )
 
 
+def resolver_lines(path: Path):
+    """Line numbers of DsmProcess::fault_in_pages' definition, from its
+    signature to the brace that closes its body."""
+    lines = set()
+    depth = 0
+    inside = False
+    opened = False
+    for lineno, raw in enumerate(path.read_text().splitlines(), 1):
+        line = strip_comments(raw)
+        if not inside and RESOLVER_DEF.search(line):
+            inside = True
+        if not inside:
+            continue
+        lines.add(lineno)
+        for ch in line:
+            if ch == "{":
+                depth += 1
+                opened = True
+            elif ch == "}":
+                depth -= 1
+        if opened and depth == 0:
+            break
+    return lines
+
+
+def check_one_fault_path(violations):
+    resolver = resolver_lines(REPO / RESOLVER_FILE)
+    for path in sorted((REPO / "src").rglob("*")):
+        if path.suffix not in CODE_SUFFIXES:
+            continue
+        name = rel(path)
+        for lineno, raw in enumerate(path.read_text().splitlines(), 1):
+            line = strip_comments(raw)
+            hit = BLOCKING_RPC.search(line)
+            if not hit:
+                hit = PAGE_REQUEST_BUILD.search(line)
+                if hit and name == RESOLVER_FILE and lineno in resolver:
+                    hit = None
+            if hit:
+                violations.append(
+                    f"{name}:{lineno}: [one-fault-path] '{hit.group(0)}' — "
+                    "fault pages in through DsmProcess::fault_in_pages, "
+                    "which batches full-page fetches per source"
+                )
+
+
 def main() -> int:
     violations = []
     check_send_envelope(violations)
@@ -390,6 +456,7 @@ def main() -> int:
     check_sim_single_threaded(violations)
     check_commit_on_write(violations)
     check_notices_in_one_type(violations)
+    check_one_fault_path(violations)
     if violations:
         for v in violations:
             print(v)
